@@ -9,9 +9,9 @@ fatness/complexity metrics of the resulting 4-polytopes.
 
 from .construction import (
     AdaptationAttempt,
-    BlockSpec,
     ConstructionError,
     ConstructionParams,
+    InvalidParameterError,
     build_deformed_product,
     build_plain_product,
     choose_parameters,
@@ -39,7 +39,6 @@ from .metrics import (
     limit_claims,
     phi_coords,
     predicted_flag,
-    steinitz_check_3d,
 )
 from .polytope import (
     DegeneratePolytopeError,
@@ -58,7 +57,6 @@ from .projection import (
     PreservationReport,
     ProjectionChecker,
     alpha_beta,
-    check_strict_preservation,
     deletion_certificates,
     enumerate_polygon_faces,
     project,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import io as pio
 from . import pipeline
-from .construction import ConstructionError
+from .construction import ConstructionError, InvalidParameterError
 from .polytope import PolytopeError
 from .rational import parse_rational
 
@@ -65,12 +65,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     try:
         system = pipeline.construct_system(args.n, args.r, eps=eps, big_m=big_m, force=args.force)
+    except InvalidParameterError:
+        raise
     except ConstructionError as exc:
-        message = str(exc)
-        if "even" in message or "at least" in message:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_INVALID
-        print(f"construction failed: {message}", file=sys.stderr)
+        print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     pio.save_system(args.output, system)
     if args.ine:
@@ -254,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output JSON path")
     p.add_argument("--ine", help="also write an H-representation text file")
     p.add_argument("--force", action="store_true",
-                   help="build even when validity gates fail (recorded as unvalidated)")
+                   help="allow odd n >= 3 when --eps and --big-m are both given")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify product structure, certificates, preservation")
-    p.add_argument("input", help="system JSON (or .ine with labels unavailable)")
+    p.add_argument("input", help="system JSON with row labels")
     p.add_argument("--report", help="write a JSON report")
     p.set_defaults(func=cmd_verify)
 
@@ -292,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (ConstructionError, PolytopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

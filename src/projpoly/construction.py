@@ -33,20 +33,17 @@ W0 = (QQ(-31, 4), QQ(1, 2))
 W1 = (QQ(9), QQ(-2, 3))
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """The six fixed generator vectors of the block system."""
-
-    v0: tuple[Fraction, Fraction] = V0
-    v1: tuple[Fraction, Fraction] = V1
-    u0: tuple[Fraction, Fraction] = U0
-    u1: tuple[Fraction, Fraction] = U1
-    w0: tuple[Fraction, Fraction] = W0
-    w1: tuple[Fraction, Fraction] = W1
-
-
 class ConstructionError(Exception):
     pass
+
+
+class InvalidParameterError(ConstructionError):
+    """A parameter outside the construction's domain (n, r, eps or M)."""
+
+
+def require_r(r: int) -> None:
+    if r < 2:
+        raise InvalidParameterError(f"r must be at least 2, got {r}")
 
 
 @dataclass(frozen=True)
@@ -76,22 +73,21 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         if self.forced:
             if self.n < 3:
-                raise ConstructionError(f"n must be at least 3, got {self.n}")
+                raise InvalidParameterError(f"n must be at least 3, got {self.n}")
         else:
             require_even_ngon(self.n)
-        if self.r < 2:
-            raise ConstructionError(f"r must be at least 2, got {self.r}")
+        require_r(self.r)
         if self.eps <= 0:
-            raise ConstructionError("eps must be positive")
+            raise InvalidParameterError("eps must be positive")
         if self.big_m <= 1:
-            raise ConstructionError("M must exceed 1")
+            raise InvalidParameterError("M must exceed 1")
 
 
 def require_even_ngon(n: int) -> None:
     if n < 4:
-        raise ConstructionError(f"n must be at least 4, got {n}")
+        raise InvalidParameterError(f"n must be at least 4, got {n}")
     if n % 2 != 0:
-        raise ConstructionError(f"n must be even, got {n}")
+        raise InvalidParameterError(f"n must be even, got {n}")
 
 
 def v_eps_block(n: int, eps: Fraction, force: bool = False) -> QMatrix:
@@ -107,10 +103,10 @@ def v_eps_block(n: int, eps: Fraction, force: bool = False) -> QMatrix:
     if not force:
         require_even_ngon(n)
     elif n < 3:
-        raise ConstructionError(f"n must be at least 3, got {n}")
+        raise InvalidParameterError(f"n must be at least 3, got {n}")
     eps = QQ(eps)
     if eps <= 0:
-        raise ConstructionError("eps must be positive")
+        raise InvalidParameterError("eps must be positive")
     rows = []
     for i in range(n - 1):
         s = n - 2 - 2 * i
@@ -172,8 +168,7 @@ def build_deformed_product(params: ConstructionParams) -> HPolytope:
 
 def build_plain_product(n: int, r: int, polygon: QMatrix, rhs: tuple[Fraction, ...] | list[Fraction]) -> HPolytope:
     """Block-diagonal system of r copies of a validated polygon description."""
-    if r < 2:
-        raise ConstructionError(f"r must be at least 2, got {r}")
+    require_r(r)
     if polygon.rows != n or polygon.cols != 2:
         raise ConstructionError(f"polygon block must be {n}x2, got {polygon.rows}x{polygon.cols}")
     if len(rhs) != n:
@@ -253,8 +248,7 @@ def choose_parameters(
     A fixed value pins that parameter and adapts only the other one.
     """
     require_even_ngon(n)
-    if r < 2:
-        raise ConstructionError(f"r must be at least 2, got {r}")
+    require_r(r)
     eps0 = QQ(1, 4 * (n - 2) ** 2 + 4)
     m0 = QQ(n * n)
     log: list[AdaptationAttempt] = []

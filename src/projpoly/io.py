@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .construction import AdaptationAttempt
 from .linalg import QMatrix
-from .polytope import HPolytope, VPolytope
+from .polytope import HPolytope, VPolytope, h_to_v, product_labeling
+from .projection import ProjectionChecker
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -23,7 +25,12 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class SystemFile:
-    """An inequality system plus the construction metadata that produced it."""
+    """An inequality system plus the construction metadata that produced it.
+
+    Its geometry is computed once, on first use, and kept on the instance:
+    ``vertices``, then ``labeling``, then ``checker``.  A step that raises
+    is not kept, so asking again raises again.
+    """
 
     h: HPolytope
     n: int | None = None
@@ -34,11 +41,10 @@ class SystemFile:
     adaptation: tuple[AdaptationAttempt, ...] = field(default_factory=tuple)
 
     def require_nr(self) -> tuple[int, int]:
-        """(n, r), stored or derived from the row labels."""
-        if self.n is not None and self.r is not None:
-            return self.n, self.r
+        """(n, r) as the row labels describe them; stored metadata and the
+        dimension must agree."""
         if self.h.labels is None:
-            raise ValueError("system has neither n/r metadata nor row labels")
+            raise ValueError("system has no row labels")
         blocks: dict[int, int] = {}
         for k, _ in self.h.labels:
             blocks[k] = blocks.get(k, 0) + 1
@@ -49,7 +55,29 @@ class SystemFile:
         n = sizes.pop()
         if n < 3 or r < 2:
             raise ValueError(f"labels describe n={n}, r={r}; not a polygon-product system")
+        if self.n not in (None, n) or self.r not in (None, r):
+            raise ValueError(f"n={self.n}, r={self.r} contradicts the row labels (n={n}, r={r})")
+        if self.h.dim != 2 * r:
+            raise ValueError(f"dimension {self.h.dim} does not match r={r}")
         return n, r
+
+    @cached_property
+    def vertices(self) -> VPolytope:
+        """Vertex enumeration of the system (raises ``PolytopeError``)."""
+        return h_to_v(self.h)
+
+    @cached_property
+    def labeling(self) -> list[tuple[int, ...]] | None:
+        """Vertex -> product tuple map; None when the vertices are not a
+        product of r n-gons."""
+        n, r = self.require_nr()
+        return product_labeling(self.vertices, self.h.labels, n, r)
+
+    @cached_property
+    def checker(self) -> ProjectionChecker:
+        """The projection to the last four coordinates: its hull and face
+        lattice (raises ``PolytopeError``)."""
+        return ProjectionChecker(self.h, self.vertices, keep=4)
 
 
 def system_to_dict(system: SystemFile) -> dict:
@@ -80,28 +108,43 @@ def system_to_dict(system: SystemFile) -> dict:
     return out
 
 
+def _optional(data: dict, key: str, kind: type):
+    value = data.get(key)
+    if value is not None and type(value) is not kind:
+        raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def system_from_dict(data: dict) -> SystemFile:
-    rows = tuple(tuple(parse_rational(x) for x in row) for row in data["rows"])
-    rhs = tuple(parse_rational(x) for x in data["rhs"])
-    labels = None
-    if "labels" in data:
-        labels = tuple((int(k), int(i)) for k, i in data["labels"])
-    h = HPolytope(QMatrix(rows), rhs, labels)
-    if h.dim != int(data["dim"]):
-        raise ValueError("declared dimension does not match the rows")
-    adaptation = tuple(
-        AdaptationAttempt(parse_rational(a["eps"]), parse_rational(a["big_m"]), a["reason"])
-        for a in data.get("adaptation", ())
-    )
-    return SystemFile(
-        h,
-        n=data.get("n"),
-        r=data.get("r"),
-        eps=parse_rational(data["eps"]) if "eps" in data else None,
-        big_m=parse_rational(data["big_m"]) if "big_m" in data else None,
-        validated=data.get("validated"),
-        adaptation=adaptation,
-    )
+    """Parse a system; raises ``ValueError`` on anything malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("a system file must hold a JSON object")
+    if data.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {data.get('schema')!r}, expected {SCHEMA_VERSION}")
+    try:
+        rows = tuple(tuple(parse_rational(x) for x in row) for row in data["rows"])
+        rhs = tuple(parse_rational(x) for x in data["rhs"])
+        labels = None
+        if "labels" in data:
+            labels = tuple((int(k), int(i)) for k, i in data["labels"])
+        h = HPolytope(QMatrix(rows), rhs, labels)
+        if h.dim != int(data["dim"]):
+            raise ValueError("declared dimension does not match the rows")
+        adaptation = tuple(
+            AdaptationAttempt(parse_rational(a["eps"]), parse_rational(a["big_m"]), a["reason"])
+            for a in data.get("adaptation", ())
+        )
+        return SystemFile(
+            h,
+            n=_optional(data, "n", int),
+            r=_optional(data, "r", int),
+            eps=parse_rational(data["eps"]) if "eps" in data else None,
+            big_m=parse_rational(data["big_m"]) if "big_m" in data else None,
+            validated=_optional(data, "validated", bool),
+            adaptation=adaptation,
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed system file: {exc!r}") from None
 
 
 def dumps_json(data: dict) -> str:
@@ -114,21 +157,6 @@ def save_system(path: str | Path, system: SystemFile) -> None:
 
 def load_system(path: str | Path) -> SystemFile:
     return system_from_dict(json.loads(Path(path).read_text()))
-
-
-def vpolytope_to_dict(v: VPolytope) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": v.dim,
-        "vertices": [[format_rational(x) for x in p] for p in v.vertices],
-        "incidence": [sorted(t) for t in v.incidence],
-    }
-
-
-def vpolytope_from_dict(data: dict) -> VPolytope:
-    vertices = tuple(tuple(parse_rational(x) for x in p) for p in data["vertices"])
-    incidence = tuple(frozenset(int(i) for i in t) for t in data["incidence"])
-    return VPolytope(vertices, incidence, int(data["dim"]))
 
 
 # --- cdd-style inequality text -----------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .linalg import affine_rank_int, scale_points_to_int
-from .polytope import VPolytope
+from .linalg import affine_rank_int, clear_denominators
+from .polytope import VPolytope, _bits
 
 
 class LatticeError(Exception):
@@ -39,9 +39,6 @@ class FaceLattice:
 
     def dim_of(self, mask: int) -> int:
         return self._dims[mask]
-
-    def get_dim(self, mask: int) -> int | None:
-        return self._dims.get(mask)
 
     def faces_of_dim(self, k: int) -> list[int]:
         return [mask for mask, d in self.faces if d == k]
@@ -92,24 +89,11 @@ def face_lattice(v: VPolytope) -> FaceLattice:
         frontier = fresh
     found.add(0)
 
-    ipoints = scale_points_to_int(v.vertices)
-    face_dims: dict[int, int] = {}
-    for mask in found:
-        if mask == 0:
-            face_dims[mask] = -1
-        else:
-            members = [ipoints[i] for i in _mask_bits(mask)]
-            face_dims[mask] = affine_rank_int(members)
+    hpoints = [clear_denominators((1,) + p) for p in v.vertices]
+    face_dims = {mask: affine_rank_int([hpoints[i] for i in _bits(mask)]) for mask in found}
     if face_dims[full] != d:
         raise LatticeError("vertex set is not full-dimensional")
     return FaceLattice(d, n, face_dims)
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def mask_of(indices) -> int:
@@ -119,22 +103,12 @@ def mask_of(indices) -> int:
     return m
 
 
-def mask_members(mask: int) -> list[int]:
-    return list(_mask_bits(mask))
-
-
 def flag_f03(lattice: FaceLattice) -> int:
     """Vertex-facet incidence count of a 4-polytope: sum of vertex counts
     over the facets."""
     if lattice.dim != 4:
         raise LatticeError(f"f03 needs a 4-polytope lattice, got dimension {lattice.dim}")
     return sum(mask.bit_count() for mask in lattice.faces_of_dim(3))
-
-
-def is_closed_under_intersection(lattice: FaceLattice) -> bool:
-    """Pairwise closure check; quadratic, intended for small instances."""
-    masks = [mask for mask, _ in lattice.faces]
-    return all(a & b in lattice for a in masks for b in masks)
 
 
 @dataclass(frozen=True)

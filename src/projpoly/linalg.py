@@ -53,36 +53,24 @@ class QMatrix:
         return "\n".join("  ".join(str(x) for x in row) for row in self.entries)
 
 
-def clear_denominators_scaled(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Scale a rational row to integers; returns (row, positive scale factor)."""
-    scale = 1
-    for x in row:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    return tuple(int(x.numerator * (scale // x.denominator)) for x in row), scale
-
-
 def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational row by the lcm of its denominators (positive scale)."""
-    return clear_denominators_scaled(row)[0]
+    scale = math.lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
-def scale_points_to_int(points: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """Multiply all points by one common positive denominator-clearing factor.
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
-    Uniform scaling preserves affine structure, so ranks computed on the
-    result agree with ranks of the originals.
+    Returns the pivot columns in order, which are the lexicographically
+    first column basis, and the last pivot signed by the row swaps; for a
+    nonsingular square input that is its determinant.
     """
-    scale = 1
-    for p in points:
-        for x in p:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    return [tuple(int(x.numerator * (scale // x.denominator)) for x in p) for p in points]
-
-
-def _bareiss_rank(rows: list[list[int]]) -> int:
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         if r == nrows:
@@ -96,6 +84,7 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         pivval = rows[r][c]
         for i in range(r + 1, nrows):
             ric = rows[i][c]
@@ -107,13 +96,14 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
                 rowi[j] = (pivval * rowi[j] - ric * rowr[j]) // prev
             rowi[c] = 0
         prev = pivval
+        pivots.append(c)
         r += 1
-    return r
+    return pivots, sign * prev
 
 
 def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of integer rows (fraction-free elimination)."""
-    return _bareiss_rank([list(row) for row in rows])
+    return len(_bareiss([list(row) for row in rows])[0])
 
 
 def rank_rows(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -132,78 +122,39 @@ def determinant(m: QMatrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return QQ(1)
-    scale = QQ(1)
-    rows = []
-    for row in m.entries:
-        irow, s = clear_denominators_scaled(row)
-        scale *= s
-        rows.append(list(irow))
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return QQ(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pivval = rows[c][c]
-        for i in range(c + 1, n):
-            ric = rows[i][c]
-            rowi = rows[i]
-            rowc = rows[c]
-            for j in range(c + 1, n):
-                rowi[j] = (pivval * rowi[j] - ric * rowc[j]) // prev
-            rowi[c] = 0
-        prev = pivval
-    return QQ(sign * prev) / scale
+    scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in m.entries)
+    pivots, det = _bareiss([list(clear_denominators(row)) for row in m.entries])
+    return QQ(det, scale) if len(pivots) == m.rows else QQ(0)
+
+
+def null_vector(rows: Sequence[Sequence[int]]) -> list[int]:
+    """A nonzero integer vector z with row . z == 0 for every row, given k
+    integer rows of length k + 1 and rank k.
+
+    Eliminating the transposed rows next to an identity block leaves one
+    row whose leading part vanishes; its identity part is z.
+    """
+    k = len(rows)
+    aug = [[row[i] for row in rows] + [int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+    _bareiss(aug)
+    return aug[k][k:]
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the greedy row basis: each row that is independent of
+    the rows before it."""
+    return _bareiss([list(col) for col in zip(*rows)])[0]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    if not points:
-        return -1
-    ipoints = scale_points_to_int(points)
-    return affine_rank_int(ipoints)
+    return affine_rank_int([clear_denominators((1, *p)) for p in points])
 
 
-def affine_rank_int(ipoints: Sequence[Sequence[int]]) -> int:
-    if not ipoints:
-        return -1
-    base = ipoints[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in ipoints[1:]]
-    if not diffs:
-        return 0
-    return _bareiss_rank(diffs)
-
-
-def invert_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises on a singular input."""
-    n = len(rows)
-    aug = [
-        [QQ(x) for x in row] + [QQ(1) if i == j else QQ(0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        pivval = aug[c][c]
-        aug[c] = [x / pivval for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+def affine_rank_int(hpoints: Sequence[Sequence[int]]) -> int:
+    """Affine dimension of points given as integer rows (1, x), each up to
+    a positive scale."""
+    return len(_bareiss([list(p) for p in hpoints])[0]) - 1
 
 
 # --- exact phase-1 simplex -------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection
 
-from .construction import ConstructionError, require_even_ngon
+from .construction import require_even_ngon, require_r
 from .lattice import FaceLattice, FlagVector4
 from .rational import QQ, format_rational, rational_to_decimal
 
@@ -152,8 +152,7 @@ def cone_membership(flag: FlagVector4) -> ConeReport:
 def predicted_flag(n: int, r: int) -> FlagVector4:
     """Flag vector of the projected product of r n-gons (closed form)."""
     require_even_ngon(n)
-    if r < 2:
-        raise ConstructionError(f"r must be at least 2, got {r}")
+    require_r(r)
     nr = n**r
     f0 = nr
     f1 = r * nr
@@ -173,8 +172,7 @@ def predicted_flag_paper_literal(n: int, r: int) -> FlagVector4:
     kept for diagnostics.
     """
     require_even_ngon(n)
-    if r < 2:
-        raise ConstructionError(f"r must be at least 2, got {r}")
+    require_r(r)
     nr = n**r
     return FlagVector4(
         nr,
@@ -193,17 +191,6 @@ def limit_claims(n: int, r: int) -> tuple[Fraction, Fraction]:
     """
     flag = predicted_flag(n, r)
     return fatness(flag), complexity(flag)
-
-
-def fatness_limit_fixed_r(r: int) -> Fraction:
-    """Limit of predicted fatness for n -> infinity at fixed r."""
-    return QQ(9 * r - 6, r + 2)
-
-
-def steinitz_check_3d(f0: int, f1: int, f2: int) -> bool:
-    """Three-dimensional f-vector conditions: Euler plus the two cone
-    inequalities f2 <= 2 f0 - 4 and f0 <= 2 f2 - 4."""
-    return f1 == f0 + f2 - 2 and f2 <= 2 * f0 - 4 and f0 <= 2 * f2 - 4
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ metrics.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +39,8 @@ from .metrics import (
     predicted_flag,
     predicted_flag_paper_literal,
 )
-from .polytope import PolytopeError, h_to_v, product_labeling
+from .polytope import PolytopeError, VPolytope
+from .polytope import h_to_v  # noqa: F401  (kept as pipeline.h_to_v, which perfbench wraps)
 from .projection import (
     CertificateError,
     PreservationReport,
@@ -144,10 +146,34 @@ class VerifyResult:
         }
 
 
+def _geometry(
+    system: SystemFile, failures: list[str]
+) -> tuple[VPolytope | None, list[tuple[int, ...]] | None, ProjectionChecker | None]:
+    """The system's vertices, product labeling and projection checker, as
+    far as they exist; the first step that fails appends its reason to
+    ``failures`` and leaves itself and the later steps None."""
+    try:
+        verts = system.vertices
+    except PolytopeError as exc:
+        failures.append(f"vertex_enumeration: {exc}")
+        return None, None, None
+    labeling = system.labeling
+    if labeling is None:
+        failures.append("product_isomorphic")
+        return verts, None, None
+    try:
+        return verts, labeling, system.checker
+    except PolytopeError as exc:
+        failures.append(f"projection_hull: {exc}")
+        return verts, labeling, None
+
+
 def verify_system(system: SystemFile) -> VerifyResult:
     """Run the full verification suite over one inequality system."""
     n, r = system.require_nr()
     result = VerifyResult(n=n, r=r)
+    if system.validated is False:
+        result.failures.append("not_validated: the construction gates rejected this system")
 
     result.zero_sum_ok = all(zero_sum_check(k) for k in ZERO_SUM_RANGE)
     if not result.zero_sum_ok:
@@ -171,26 +197,13 @@ def verify_system(system: SystemFile) -> VerifyResult:
     except CertificateError as exc:
         result.failures.append(f"deletion_certificates: {exc}")
 
-    try:
-        verts = h_to_v(system.h)
-    except PolytopeError as exc:
-        result.failures.append(f"vertex_enumeration: {exc}")
-        return result
-    result.vertex_count = verts.nvertices
-
-    labeling = product_labeling(verts, system.h.labels, n, r)
+    verts, labeling, checker = _geometry(system, result.failures)
+    if verts is not None:
+        result.vertex_count = verts.nvertices
     result.product_ok = labeling is not None
-    if labeling is None:
-        result.failures.append("product_isomorphic")
-        return result
-
-    if 2 * r == 4:
+    if labeling is not None and 2 * r == 4:
         result.notes.append("projection is identity; preservation vacuous")
-
-    try:
-        checker = ProjectionChecker(system.h, verts, keep=4)
-    except PolytopeError as exc:
-        result.failures.append(f"projection_hull: {exc}")
+    if checker is None:
         return result
     reports_by_kind = {"vertex": [0, 0], "edge": [0, 0], "polygon": [0, 0]}
 
@@ -275,20 +288,8 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
     result = AnalyzeResult(n=n, r=r)
     result.flag_predicted = predicted_flag(n, r)
 
-    try:
-        verts = h_to_v(system.h)
-    except PolytopeError as exc:
-        result.failures.append(f"vertex_enumeration: {exc}")
-        return result
-    labeling = product_labeling(verts, system.h.labels, n, r)
-    if labeling is None:
-        result.failures.append("product_isomorphic")
-        return result
-
-    try:
-        checker = ProjectionChecker(system.h, verts, keep=4)
-    except PolytopeError as exc:
-        result.failures.append(f"projection_hull: {exc}")
+    _, labeling, checker = _geometry(system, result.failures)
+    if checker is None:
         return result
     if not checker.vertex_bijection_ok():
         result.failures.append("projected vertices are not in bijection with the source")
@@ -395,7 +396,8 @@ def sweep(
     how the rows were scheduled."""
     grid = sorted({(n, r) for n in n_values for r in r_values})
     tasks = [(n, r, geometric_budget) for n, r in grid]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_sweep_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_task, tasks))

@@ -20,8 +20,9 @@ from .linalg import (
     QMatrix,
     affine_rank,
     clear_denominators,
-    invert_rows,
+    independent_rows,
     nonneg_solution,
+    null_vector,
     rank,
     rank_int_rows,
     rank_rows,
@@ -96,10 +97,6 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _primitive_from_fractions(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    return _primitive(clear_denominators(vec))
-
-
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -121,35 +118,20 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
     dim = len(rows[0])
     nrows = len(rows)
 
-    # Greedy initial basis in row order.
-    basis_idx: list[int] = []
-    echelon: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        if len(basis_idx) == dim:
-            break
-        work = [QQ(x) for x in row]
-        for erow in echelon:
-            lead = next(j for j, x in enumerate(erow) if x != 0)
-            if work[lead] != 0:
-                f = work[lead] / erow[lead]
-                work = [x - f * y for x, y in zip(work, erow)]
-        if any(x != 0 for x in work):
-            echelon.append(work)
-            basis_idx.append(i)
+    # Greedy initial basis in row order.  Initial ray j is tight on every
+    # basis row but the j-th, and strictly inside that one.
+    basis_idx = independent_rows(rows)
     if len(basis_idx) < dim:
         raise ValueError("cone is not pointed (rows do not have full column rank)")
-
-    binv = invert_rows([rows[i] for i in basis_idx])
     rays: list[tuple[int, ...]] = []
     tights: list[int] = []
-    for j in range(dim):
-        col = [-binv[i][j] for i in range(dim)]
-        rays.append(_primitive_from_fractions(col))
-        mask = 0
-        for pos, ri in enumerate(basis_idx):
-            if pos != j:
-                mask |= 1 << ri
-        tights.append(mask)
+    for rj in basis_idx:
+        others = [i for i in basis_idx if i != rj]
+        ray = null_vector([rows[i] for i in others])
+        if _dot(rows[rj], ray) > 0:
+            ray = [-x for x in ray]
+        rays.append(_primitive(ray))
+        tights.append(sum(1 << i for i in others))
 
     in_basis = set(basis_idx)
     adjacency_rank = dim - 2

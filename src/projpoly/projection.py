@@ -241,7 +241,6 @@ class ProjectionChecker:
         face_vertices: Iterable[int],
         face_id: str = "face",
         factor: int | None = None,
-        expected_dim: int | None = None,
     ) -> PreservationReport:
         face = sorted(set(face_vertices))
         face_mask = mask_of(face)
@@ -249,8 +248,6 @@ class ProjectionChecker:
             if face_mask not in self.p_lattice:
                 raise ValueError(f"{face_id}: vertex set is not a face of the source polytope")
             dim_g = self.p_lattice.dim_of(face_mask)
-        elif expected_dim is not None:
-            dim_g = expected_dim
         else:
             dim_g = affine_rank([self.pv.vertices[i] for i in face])
 
@@ -319,20 +316,6 @@ class ProjectionChecker:
             problems.append("certificate: deleted normal coordinates do not positively span")
 
         return PreservationReport(face_id, factor, direct_ok, certificate_ok, "; ".join(problems))
-
-
-def check_strict_preservation(
-    ph: HPolytope,
-    pv: VPolytope,
-    p_lattice: FaceLattice | None,
-    face_vertices: Iterable[int],
-    keep: int = 4,
-    keep_coords: Sequence[int] | None = None,
-    face_id: str = "face",
-) -> PreservationReport:
-    """One-shot strict-preservation check of a single face."""
-    checker = ProjectionChecker(ph, pv, keep=keep, keep_coords=keep_coords, p_lattice=p_lattice)
-    return checker.check_face(face_vertices, face_id=face_id)
 
 
 # --- combinatorial faces of a certified product ------------------------------

@@ -16,17 +16,6 @@ QQ = Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, canonical string, or Fraction to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a strict ``p/q`` or integer token.
 

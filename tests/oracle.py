@@ -139,6 +139,12 @@ def is_irredundant(h, vertices):
     return True
 
 
+def is_closed_under_intersection(lattice):
+    """Pairwise closure check; quadratic, intended for small instances."""
+    masks = [mask for mask, _ in lattice.faces]
+    return all(a & b in lattice for a in masks for b in masks)
+
+
 def poly_power_coeffs(n, r):
     """Coefficients of (1 + n t + n t^2)^r as a list of length 2r+1."""
     coeffs = [1]

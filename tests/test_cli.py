@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from projpoly import pipeline
 from projpoly.cli import main
 
 
@@ -196,3 +197,75 @@ def test_missing_input_file(capsys):
     code, _, stderr = run(capsys, "verify", "/nonexistent/x.json")
     assert code == 2
     assert "cannot load" in stderr
+
+
+def test_construct_rejects_nonpositive_eps(tmp_path, capsys):
+    code, _, stderr = run(capsys, "construct", "--n", "4", "--r", "2",
+                          "--eps", "0", "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    assert stderr == "error: eps must be positive\n"
+
+
+def test_sweep_rejects_odd_n(capsys):
+    code, _, stderr = run(capsys, "sweep", "--n", "5", "--r", "2")
+    assert code == 2
+    assert stderr == "error: n must be even, got 5\n"
+
+
+MALFORMED = [
+    ("rows_not_a_list", lambda d: {**d, "rows": 5}),
+    ("n_not_an_int", lambda d: {**d, "n": "4"}),
+    ("top_level_list", lambda d: [d]),
+    ("unknown_schema", lambda d: {**d, "schema": 99}),
+    ("n_contradicts_labels", lambda d: {**d, "n": 6}),
+]
+
+
+@pytest.mark.parametrize("corrupt", [c for _, c in MALFORMED], ids=[name for name, _ in MALFORMED])
+def test_verify_rejects_malformed_system(tmp_path, capsys, corrupt):
+    out = tmp_path / "p42.json"
+    run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out))
+    out.write_text(json.dumps(corrupt(json.loads(out.read_text()))))
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "VERIFY" not in stdout
+
+
+def test_verify_fails_unvalidated_system(tmp_path, capsys):
+    out = tmp_path / "p42.json"
+    run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out))
+    data = json.loads(out.read_text())
+    data["validated"] = False
+    out.write_text(json.dumps(data))
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 1
+    assert "VERIFY FAILED: not_validated" in stdout
+
+
+@pytest.mark.parametrize("cpus,workers", [(3, 3), (64, 4)])
+def test_sweep_clamps_jobs(monkeypatch, capsys, cpus, workers):
+    # an in-process stand-in for the pool: it records its size and starts
+    # no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+    code, stdout, _ = run(capsys, "sweep", "--n", "4,6", "--r", "2,3",
+                          "--geometric-budget", "0", "--jobs", "1000000")
+    assert code == 0
+    assert sizes == [workers]
+    assert len(stdout.splitlines()) == 5

@@ -3,7 +3,12 @@ from fractions import Fraction as QQ
 import pytest
 
 from projpoly.construction import (
-    BlockSpec,
+    U0,
+    U1,
+    V0,
+    V1,
+    W0,
+    W1,
     ConstructionError,
     ConstructionParams,
     build_deformed_product,
@@ -68,13 +73,12 @@ def test_v_eps_rows_in_cyclic_order():
 
 
 def test_block_spec_defaults():
-    spec = BlockSpec()
-    assert spec.v0 == (1, 0)
-    assert spec.v1 == (0, 0)
-    assert spec.u0 == (0, 1)
-    assert spec.u1 == (-3, QQ(-2, 3))
-    assert spec.w0 == (QQ(-31, 4), QQ(1, 2))
-    assert spec.w1 == (9, QQ(-2, 3))
+    assert V0 == (1, 0)
+    assert V1 == (0, 0)
+    assert U0 == (0, 1)
+    assert U1 == (-3, QQ(-2, 3))
+    assert W0 == (QQ(-31, 4), QQ(1, 2))
+    assert W1 == (9, QQ(-2, 3))
 
 
 def test_deformed_product_block_placement():

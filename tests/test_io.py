@@ -14,11 +14,9 @@ from projpoly.io import (
     system_from_dict,
     system_to_dict,
     to_ine_text,
-    vpolytope_from_dict,
-    vpolytope_to_dict,
 )
 from projpoly.linalg import QMatrix
-from projpoly.polytope import HPolytope, h_to_v
+from projpoly.polytope import HPolytope
 
 FIXTURE = HPolytope(
     QMatrix.from_rows([["-31/4", "1/2"], ["9", "-2/3"]]),
@@ -106,15 +104,6 @@ def test_ine_rejects_garbage():
         parse_ine_text("H-representation\nbegin\n 1 3 real\n 1 0 0\nend\n")
     with pytest.raises(ValueError):
         parse_ine_text("H-representation\nbegin\n 2 3 rational\n 1 0 0\n")
-
-
-def test_vpolytope_round_trip():
-    v = h_to_v(
-        HPolytope(QMatrix.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]), (QQ(1),) * 4)
-    )
-    data = vpolytope_to_dict(v)
-    back = vpolytope_from_dict(data)
-    assert back == v
 
 
 def test_serialization_is_deterministic(tmp_path):

@@ -3,18 +3,16 @@ from itertools import combinations, product
 
 import pytest
 
-from oracle import poly_power_coeffs
+from oracle import is_closed_under_intersection, poly_power_coeffs
 from projpoly.construction import build_plain_product
 from projpoly.lattice import (
     FlagVector4,
     LatticeError,
     face_lattice,
     flag_f03,
-    is_closed_under_intersection,
-    mask_members,
 )
 from projpoly.linalg import QMatrix
-from projpoly.polytope import HPolytope, convex_hull, h_to_v
+from projpoly.polytope import HPolytope, _bits, convex_hull, h_to_v
 
 SQUARE_POLYGON = QMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]])
 HEXAGON_POLYGON = QMatrix.from_rows([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])
@@ -142,4 +140,4 @@ def test_face_dimension_is_affine_rank():
     # every edge of the cube has exactly 2 vertices, every facet 4
     assert all(m.bit_count() == 2 for m in lat.faces_of_dim(1))
     assert all(m.bit_count() == 4 for m in lat.faces_of_dim(2))
-    assert all(len(mask_members(m)) == 4 for m in lat.faces_of_dim(2))
+    assert all(len(list(_bits(m))) == 4 for m in lat.faces_of_dim(2))

@@ -13,7 +13,6 @@ from projpoly.metrics import (
     cone_membership,
     counting_identities,
     fatness,
-    fatness_limit_fixed_r,
     fatness_paper_literal,
     gvector,
     limit_claims,
@@ -21,7 +20,6 @@ from projpoly.metrics import (
     phi_coords,
     predicted_flag,
     predicted_flag_paper_literal,
-    steinitz_check_3d,
 )
 from projpoly.polytope import convex_hull
 
@@ -208,6 +206,10 @@ def test_limit_claims_identity_case():
 
 
 def test_fatness_approaches_fixed_r_limit():
+    # limit of the predicted fatness for n -> infinity at fixed r
+    def fatness_limit_fixed_r(r):
+        return QQ(9 * r - 6, r + 2)
+
     for r in (10, 100, 1000):
         limit = fatness_limit_fixed_r(r)
         closer = fatness(predicted_flag(10**6, r))
@@ -229,13 +231,6 @@ def test_fatness_and_complexity_bounded_on_sweep():
             fat, comp = limit_claims(n, r)
             assert fat < 9
             assert comp < 16
-
-
-def test_steinitz_3d():
-    assert steinitz_check_3d(8, 12, 6)  # cube
-    assert not steinitz_check_3d(8, 12, 14)  # violates f2 <= 2*f0 - 4
-    assert steinitz_check_3d(4, 6, 4)  # simplex: both inequalities tight
-    assert not steinitz_check_3d(8, 13, 6)  # violates Euler
 
 
 def test_metrics_report_shape():

@@ -12,7 +12,6 @@ from projpoly.projection import (
     alpha_beta,
     alpha_coeff,
     beta_coeff,
-    check_strict_preservation,
     deletion_certificates,
     enumerate_edges,
     enumerate_polygon_faces,
@@ -165,9 +164,8 @@ def test_projection_to_one_coordinate_fails_condition_iii():
     # the edge x=0 collapses onto the image of the vertex (0,0), so the
     # preimage of the image is bigger than the vertex
     v, lat, idx = _square_setup()
-    rep = check_strict_preservation(
-        UNIT_SQUARE, v, lat, [idx[(QQ(0), QQ(0))]], keep_coords=(0,), face_id="w"
-    )
+    checker = ProjectionChecker(UNIT_SQUARE, v, keep_coords=(0,), p_lattice=lat)
+    rep = checker.check_face([idx[(QQ(0), QQ(0))]], face_id="w")
     assert not rep.direct_ok
     assert "(iii)" in rep.details
     assert "(ii)" not in rep.details
@@ -177,11 +175,8 @@ def test_projection_to_one_coordinate_fails_condition_iii():
 def test_projection_to_one_coordinate_fails_condition_ii():
     # the edge x=0 maps onto a single point, so the map is not a bijection
     v, lat, idx = _square_setup()
-    rep = check_strict_preservation(
-        UNIT_SQUARE, v, lat,
-        [idx[(QQ(0), QQ(0))], idx[(QQ(0), QQ(1))]],
-        keep_coords=(0,), face_id="e",
-    )
+    checker = ProjectionChecker(UNIT_SQUARE, v, keep_coords=(0,), p_lattice=lat)
+    rep = checker.check_face([idx[(QQ(0), QQ(0))], idx[(QQ(0), QQ(1))]], face_id="e")
     assert not rep.direct_ok
     assert "(ii)" in rep.details
 
@@ -189,8 +184,9 @@ def test_projection_to_one_coordinate_fails_condition_ii():
 def test_projection_checker_rejects_non_face():
     v, lat, idx = _square_setup()
     diagonal = [idx[(QQ(0), QQ(0))], idx[(QQ(1), QQ(1))]]
+    checker = ProjectionChecker(UNIT_SQUARE, v, keep_coords=(0,), p_lattice=lat)
     with pytest.raises(ValueError):
-        check_strict_preservation(UNIT_SQUARE, v, lat, diagonal, keep_coords=(0,))
+        checker.check_face(diagonal)
 
 
 def test_all_polygon_faces_strictly_preserved(grid_case):
