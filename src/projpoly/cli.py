@@ -30,8 +30,14 @@ def _parse_auto_rational(text: str) -> Fraction | None:
     return parse_rational(text)
 
 
+# Sweep size limits, checked before any list is built.
+MAX_AXIS_VALUES = 10_000
+MAX_GRID_PAIRS = 10_000
+
+
 def _parse_range(text: str) -> list[int]:
-    """Accept '4,6,8' lists and '4:8:2' (inclusive, stepped) ranges."""
+    """Accept '4,6,8' lists and '4:8:2' (inclusive, stepped) ranges of at
+    most ``MAX_AXIS_VALUES`` values in all."""
     values: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -45,9 +51,16 @@ def _parse_range(text: str) -> list[int]:
             step = int(parts[2]) if len(parts) == 3 else 1
             if step <= 0:
                 raise ValueError(f"range step must be positive: {chunk!r}")
-            values.extend(range(start, stop + 1, step))
+            # Counted by hand: len() of a range longer than sys.maxsize
+            # raises OverflowError.
+            count = max(0, (stop - start) // step + 1)
+            chunk_values = range(start, stop + 1, step)
         else:
-            values.append(int(chunk))
+            count = 1
+            chunk_values = [int(chunk)]
+        if len(values) + count > MAX_AXIS_VALUES:
+            raise ValueError(f"more than {MAX_AXIS_VALUES} values in one range argument")
+        values.extend(chunk_values)
     return values
 
 
@@ -186,6 +199,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         n_values = _parse_range(args.n)
         r_values = _parse_range(args.r)
+        pairs = len(set(n_values)) * len(set(r_values))
+        if pairs > MAX_GRID_PAIRS:
+            raise ValueError(f"{pairs} (n, r) pairs; at most {MAX_GRID_PAIRS} are allowed")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

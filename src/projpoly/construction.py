@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import QMatrix, positively_spans
-from .polytope import HPolytope, PolytopeError, h_to_v, product_isomorphic
+from .polytope import HPolytope, PolytopeError, VPolytope, h_to_v, product_isomorphic
 from .rational import QQ
 
 # Generator vectors of the coupling blocks.  Up to the choice of basis
@@ -59,7 +60,9 @@ class ConstructionParams:
     produced them.
 
     ``forced`` relaxes the even-n requirement for exploratory builds; all
-    verification downstream still runs honestly.
+    verification downstream still runs honestly.  The system and its
+    vertices are computed on first use and kept on the instance, so the
+    gates' vertex enumeration is done once.
     """
 
     n: int
@@ -81,6 +84,16 @@ class ConstructionParams:
             raise InvalidParameterError("eps must be positive")
         if self.big_m <= 1:
             raise InvalidParameterError("M must exceed 1")
+
+    @cached_property
+    def deformed_product(self) -> HPolytope:
+        """The system these parameters build (``build_deformed_product``)."""
+        return build_deformed_product(self)
+
+    @cached_property
+    def vertices(self) -> VPolytope:
+        """Vertex enumeration of the system (raises ``PolytopeError``)."""
+        return h_to_v(self.deformed_product)
 
 
 def require_even_ngon(n: int) -> None:
@@ -255,10 +268,12 @@ def choose_parameters(
     for round_idx in range(max_rounds):
         eps = QQ(fixed_eps) if fixed_eps is not None else eps0 / 2**round_idx
         big_m = QQ(fixed_big_m) if fixed_big_m is not None else m0 ** (2**round_idx)
-        params = ConstructionParams(n, r, eps, big_m, tuple(log))
+        # Built as validated and returned only if the gates pass, so the
+        # instance returned keeps the vertices they enumerated.
+        params = ConstructionParams(n, r, eps, big_m, tuple(log), validated=True)
         reason = check_parameters(params)
         if reason is None:
-            return ConstructionParams(n, r, eps, big_m, tuple(log), validated=True)
+            return params
         log.append(AdaptationAttempt(eps, big_m, reason))
         if fixed_eps is not None and fixed_big_m is not None:
             break
@@ -273,9 +288,9 @@ def check_parameters(params: ConstructionParams) -> str | None:
     vblock = v_eps_block(params.n, params.eps, force=params.forced)
     if not validate_polygon(vblock, rhs_block(params.n, params.eps)):
         return "polygon description invalid"
-    system = build_deformed_product(params)
+    system = params.deformed_product
     try:
-        verts = h_to_v(system)
+        verts = params.vertices
     except PolytopeError as exc:
         return f"vertex enumeration failed: {exc}"
     if not product_isomorphic(verts, system.labels, params.n, params.r):

@@ -29,7 +29,8 @@ class SystemFile:
 
     Its geometry is computed once, on first use, and kept on the instance:
     ``vertices``, then ``labeling``, then ``checker``.  A step that raises
-    is not kept, so asking again raises again.
+    is not kept, so asking again raises again.  ``construct_system`` fills
+    ``vertices`` with the enumeration its acceptance gates already did.
     """
 
     h: HPolytope

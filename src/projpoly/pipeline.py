@@ -20,7 +20,6 @@ from .construction import (
     AdaptationAttempt,
     ConstructionError,
     ConstructionParams,
-    build_deformed_product,
     check_parameters,
     choose_parameters,
 )
@@ -76,15 +75,13 @@ def construct_system(
     if eps is None or big_m is None:
         params = choose_parameters(n, r, fixed_eps=eps, fixed_big_m=big_m)
     else:
-        params = ConstructionParams(n, r, QQ(eps), QQ(big_m), forced=force)
+        params = ConstructionParams(n, r, QQ(eps), QQ(big_m), validated=True, forced=force)
         reason = check_parameters(params)
-        log = (AdaptationAttempt(params.eps, params.big_m, reason),) if reason else ()
-        params = dataclasses.replace(
-            params, validated=reason is None, adaptation_log=log
-        )
-    system = build_deformed_product(params)
-    return SystemFile(
-        system,
+        if reason is not None:
+            log = (AdaptationAttempt(params.eps, params.big_m, reason),)
+            params = dataclasses.replace(params, validated=False, adaptation_log=log)
+    system = SystemFile(
+        params.deformed_product,
         n=params.n,
         r=params.r,
         eps=params.eps,
@@ -92,6 +89,11 @@ def construct_system(
         validated=params.validated,
         adaptation=params.adaptation_log,
     )
+    if params.validated:
+        # The gates enumerated these vertices; seed the system's cached
+        # ``vertices`` with them instead of enumerating again.
+        vars(system)["vertices"] = params.vertices
+    return system
 
 
 @dataclass

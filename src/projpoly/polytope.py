@@ -5,8 +5,10 @@
 rays, and the rank-based adjacency test.  ``v_to_h`` polarizes about the
 vertex barycenter and reuses ``h_to_v``; both directions are exact.
 
-Inequalities are inserted in their given row order after a greedy
-full-rank initial basis, so identical inputs give bit-identical outputs.
+Inequalities are inserted in cdd's "lexmin" order, lexicographic on the
+integer rows (b, -a), after a greedy full-rank initial basis chosen in
+the same order.  The order is a function of the input alone, so identical
+inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -118,9 +120,15 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
     dim = len(rows[0])
     nrows = len(rows)
 
-    # Greedy initial basis in row order.  Initial ray j is tight on every
-    # basis row but the j-th, and strictly inside that one.
-    basis_idx = independent_rows(rows)
+    # Rows are taken in cdd's "lexmin" order, which keeps the intermediate
+    # ray sets small: lexicographic on (b, -a), cdd's layout of the row
+    # (a, -b) here, so by right-hand side first.  First a greedy initial
+    # basis, then the remaining rows one at a time.  Tight sets stay
+    # indexed by original row.  Initial ray j is tight on every basis row
+    # but the j-th, and strictly inside that one.
+    keys = [tuple(-x for x in row[-1:] + row[:-1]) for row in rows]
+    order = sorted(range(nrows), key=keys.__getitem__)
+    basis_idx = [order[i] for i in independent_rows([rows[h] for h in order])]
     if len(basis_idx) < dim:
         raise ValueError("cone is not pointed (rows do not have full column rank)")
     rays: list[tuple[int, ...]] = []
@@ -135,7 +143,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
 
     in_basis = set(basis_idx)
     adjacency_rank = dim - 2
-    for h in range(nrows):
+    for h in order:
         if h in in_basis:
             continue
         if not rays:

@@ -175,7 +175,8 @@ class ProjectionChecker:
     Computes the projected hull, its face lattice, the vertex
     correspondence, and per-row tightness masks of all projected vertices;
     individual face checks are then cheap set arithmetic plus one
-    positive-span certificate.
+    positive-span certificate, computed once per distinct input and kept
+    for the checker's lifetime.
     """
 
     def __init__(
@@ -223,6 +224,8 @@ class ProjectionChecker:
                     mask |= 1 << i
             self.row_masks.append(mask)
         self.all_p_mask = (1 << pv.nvertices) - 1
+        # Certificate verdict per distinct set of deleted normal coordinates.
+        self._spans: dict[frozenset[Point], bool] = {}
 
     def images_distinct(self) -> bool:
         return len(set(self.images)) == len(self.images)
@@ -310,8 +313,13 @@ class ProjectionChecker:
         vectors = [
             tuple(self.ph.A.row(j)[c] for c in self.drop_coords) for j in sorted(common or ())
         ]
-        cert = positively_spans(vectors, len(self.drop_coords))
-        certificate_ok = cert.kind == "spanning"
+        # Positive spanning depends only on the set of vectors, so each
+        # distinct set runs one LP per checker.
+        key = frozenset(vectors)
+        certificate_ok = self._spans.get(key)
+        if certificate_ok is None:
+            cert = positively_spans(vectors, len(self.drop_coords))
+            certificate_ok = self._spans[key] = cert.kind == "spanning"
         if not certificate_ok:
             problems.append("certificate: deleted normal coordinates do not positively span")
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from projpoly import pipeline
-from projpoly.cli import main
+from projpoly.cli import _parse_range, main
 
 
 def run(capsys, *argv):
@@ -210,6 +210,21 @@ def test_sweep_rejects_odd_n(capsys):
     code, _, stderr = run(capsys, "sweep", "--n", "5", "--r", "2")
     assert code == 2
     assert stderr == "error: n must be even, got 5\n"
+
+
+@pytest.mark.parametrize("n,r", [("4:20004:1", "2"), ("4", "2,3:10003"), ("4:20002:2", "2:3")],
+                         ids=["n_axis", "r_axis", "grid"])
+def test_sweep_rejects_ranges_past_the_limit(capsys, n, r):
+    code, stdout, stderr = run(capsys, "sweep", "--n", n, "--r", r, "--geometric-budget", "0")
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "10000" in stderr
+    assert stdout == ""
+
+
+def test_parse_range_accepts_the_limit():
+    assert len(_parse_range("4:20002:2")) == 10000
+    assert _parse_range("4, 8:12:2,20:19") == [4, 8, 10, 12]
 
 
 MALFORMED = [

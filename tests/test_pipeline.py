@@ -1,6 +1,9 @@
 import dataclasses
+from fractions import Fraction
 
-from projpoly import polytope, projection
+import pytest
+
+from projpoly import construction, io, polytope, projection
 from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 
@@ -32,3 +35,21 @@ def test_geometry_context_leaves_equality_and_hash_alone():
     assert "checker" in vars(system) and "checker" not in vars(fresh)
     assert system == fresh
     assert hash(system) == hash(fresh)
+
+
+@pytest.mark.parametrize("params", [{}, {"eps": Fraction(1, 160), "big_m": Fraction(2**32)}])
+def test_construct_hands_the_gates_vertices_to_the_system(monkeypatch, params):
+    enumerated = []
+
+    def recording(h):
+        enumerated.append(polytope.h_to_v(h))
+        return enumerated[-1]
+
+    monkeypatch.setattr(construction, "h_to_v", recording)
+    monkeypatch.setattr(io, "h_to_v", recording)
+    system = construct_system(4, 3, **params)
+    assert system.validated
+    assert verify_system(system).ok
+    # one enumeration per gate round, none after
+    assert len(enumerated) == len(system.adaptation) + 1
+    assert system.vertices is enumerated[-1]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as QQ
 
 import pytest
@@ -11,12 +12,13 @@ from projpoly.construction import (
     rhs_block,
     v_eps_block,
 )
-from projpoly.linalg import QMatrix
+from projpoly.linalg import QMatrix, clear_denominators
 from projpoly.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
     HPolytope,
     UnboundedPolytopeError,
+    _primitive,
     convex_hull,
     h_to_v,
     product_isomorphic,
@@ -154,6 +156,30 @@ def test_round_trip_h_v_h(system_builder):
     assert is_irredundant(h2, v.vertices)
     v2 = h_to_v(h2)
     assert set(v2.vertices) == set(v.vertices)
+
+
+def _facets_up_to_scaling(h: HPolytope) -> set[tuple[int, ...]]:
+    return {_primitive(clear_denominators(row + (-b,))) for row, b in zip(h.A.entries, h.b)}
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
+def test_dd_results_do_not_depend_on_input_order(grid_case, n, r):
+    h = grid_case(n, r).system.h
+    perm = list(range(h.nrows))
+    random.Random(1).shuffle(perm)
+    shuffled = HPolytope(QMatrix(tuple(h.A.row(i) for i in perm)), tuple(h.b[i] for i in perm))
+    v = h_to_v(h)
+    w = h_to_v(shuffled)
+    # row j of the shuffled system is row perm[j] of the original
+    assert {x: inc for x, inc in zip(v.vertices, v.incidence)} == {
+        x: frozenset(perm[j] for j in inc) for x, inc in zip(w.vertices, w.incidence)
+    }
+
+    points = list(v.vertices)
+    random.Random(2).shuffle(points)
+    facets = _facets_up_to_scaling(v_to_h(points))
+    assert facets == _facets_up_to_scaling(v_to_h(v.vertices))
+    assert facets == _facets_up_to_scaling(h)
 
 
 def test_projected_identity_hull_has_eight_facets(grid_case):

@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction as QQ
 
 import pytest
 
+from projpoly import linalg, projection
 from projpoly.construction import U0, U1, V0, V1, W0, W1
 from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
+from projpoly.pipeline import construct_system, verify_system
 from projpoly.polytope import HPolytope, h_to_v, product_labeling
 from projpoly.projection import (
     CertificateError,
@@ -253,3 +256,32 @@ def test_stability_certificates_on_perturbed_normals(grid_case):
             common = inc if common is None else common & inc
         truncated = [tuple(a.row(j)[:2]) for j in sorted(common)]
         assert positively_spans(truncated, 2).kind == "spanning"
+
+
+def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
+    inputs = []
+
+    def counting(vectors, dim):
+        inputs.append(frozenset(vectors))
+        return linalg.positively_spans(vectors, dim)
+
+    monkeypatch.setattr(projection, "positively_spans", counting)
+    system = construct_system(4, 3)
+    assert verify_system(system).ok
+    checker, labeling = system.checker, system.labeling
+    faces = (
+        vertex_faces(labeling)
+        + enumerate_edges(labeling, 4, 3)
+        + enumerate_polygon_faces(labeling, 4, 3)
+    )
+    distinct = set()
+    for face in faces:
+        common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
+        vectors = [
+            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in sorted(common)
+        ]
+        distinct.add(frozenset(vectors))
+        direct = linalg.positively_spans(vectors, len(checker.drop_coords)).kind == "spanning"
+        assert checker.check_face(face.vertices, face_id=face.face_id).certificate_ok == direct
+    assert len(distinct) < len(faces)
+    assert Counter(inputs) == Counter(distinct)
