@@ -32,6 +32,7 @@ U0 = (QQ(0), QQ(1))
 U1 = (QQ(-3), QQ(-2, 3))
 W0 = (QQ(-31, 4), QQ(1, 2))
 W1 = (QQ(9), QQ(-2, 3))
+ZERO2 = (QQ(0), QQ(0))
 
 
 class ConstructionError(Exception):
@@ -143,6 +144,19 @@ def rhs_block(n: int, eps: Fraction) -> tuple[Fraction, ...]:
     return tuple(QQ(1) if i % 2 == 0 else eps for i in range(n))
 
 
+def block_row(
+    k: int,
+    blocks: int,
+    v: tuple[Fraction, Fraction],
+    u: tuple[Fraction, Fraction],
+    w: tuple[Fraction, Fraction],
+) -> tuple[Fraction, ...]:
+    """One row of the deformed layout over block columns 1..blocks: ``v``
+    at block column k, ``u`` at k-1, ``w`` at k-2, zeros elsewhere."""
+    at = {k: v, k - 1: u, k - 2: w}
+    return sum((at.get(j, ZERO2) for j in range(1, blocks + 1)), ())
+
+
 def build_deformed_product(params: ConstructionParams) -> HPolytope:
     """Assemble the rn x 2r deformed-product system with (block, row) labels.
 
@@ -156,24 +170,13 @@ def build_deformed_product(params: ConstructionParams) -> HPolytope:
     wblock = w_block(n)
     b1 = rhs_block(n, params.eps)
 
-    zero2 = (QQ(0), QQ(0))
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
     labels: list[tuple[int, int]] = []
     for k in range(1, r + 1):
         mfactor = params.big_m ** (k - 1)
         for i in range(n):
-            segments: list[tuple[Fraction, Fraction]] = []
-            for j in range(1, r + 1):
-                if j == k:
-                    segments.append(vblock.row(i))
-                elif j == k - 1:
-                    segments.append(ublock.row(i))
-                elif j == k - 2:
-                    segments.append(wblock.row(i))
-                else:
-                    segments.append(zero2)
-            rows.append(tuple(x for seg in segments for x in seg))
+            rows.append(block_row(k, r, vblock.row(i), ublock.row(i), wblock.row(i)))
             rhs.append(mfactor * b1[i])
             labels.append((k, i))
     return HPolytope(QMatrix(tuple(rows)), tuple(rhs), tuple(labels))
@@ -189,13 +192,12 @@ def build_plain_product(n: int, r: int, polygon: QMatrix, rhs: tuple[Fraction, .
     rhs = tuple(QQ(x) for x in rhs)
     if not validate_polygon(polygon, rhs):
         raise ConstructionError("polygon description is not valid")
-    zero2 = (QQ(0), QQ(0))
     rows: list[tuple[Fraction, ...]] = []
     out_rhs: list[Fraction] = []
     labels: list[tuple[int, int]] = []
     for k in range(1, r + 1):
         for i in range(n):
-            segments = [polygon.row(i) if j == k else zero2 for j in range(1, r + 1)]
+            segments = [polygon.row(i) if j == k else ZERO2 for j in range(1, r + 1)]
             rows.append(tuple(x for seg in segments for x in seg))
             out_rhs.append(rhs[i])
             labels.append((k, i))

@@ -109,11 +109,15 @@ def system_to_dict(system: SystemFile) -> dict:
     return out
 
 
-def _optional(data: dict, key: str, kind: type):
-    value = data.get(key)
-    if value is not None and type(value) is not kind:
+def _required(data: dict, key: str, kind: type):
+    value = data[key]
+    if type(value) is not kind:
         raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _optional(data: dict, key: str, kind: type):
+    return None if data.get(key) is None else _required(data, key, kind)
 
 
 def system_from_dict(data: dict) -> SystemFile:
@@ -132,7 +136,9 @@ def system_from_dict(data: dict) -> SystemFile:
         if h.dim != int(data["dim"]):
             raise ValueError("declared dimension does not match the rows")
         adaptation = tuple(
-            AdaptationAttempt(parse_rational(a["eps"]), parse_rational(a["big_m"]), a["reason"])
+            AdaptationAttempt(
+                parse_rational(a["eps"]), parse_rational(a["big_m"]), _required(a, "reason", str)
+            )
             for a in data.get("adaptation", ())
         )
         return SystemFile(
@@ -144,7 +150,7 @@ def system_from_dict(data: dict) -> SystemFile:
             validated=_optional(data, "validated", bool),
             adaptation=adaptation,
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed system file: {exc!r}") from None
 
 
@@ -182,10 +188,14 @@ def parse_ine_text(text: str) -> HPolytope:
         raise ValueError("missing H-representation header") from None
     if start + 1 >= len(lines) or lines[start + 1] != "begin":
         raise ValueError("missing begin line")
+    if start + 2 >= len(lines):
+        raise ValueError("missing size line")
     counts = lines[start + 2].split()
     if len(counts) != 3 or counts[2] != "rational":
         raise ValueError(f"malformed size line: {lines[start + 2]!r}")
     m, cols = int(counts[0]), int(counts[1])
+    if m < 0 or cols < 1:
+        raise ValueError(f"malformed size line: {lines[start + 2]!r}")
     if len(lines) < start + 4 + m:
         raise ValueError("truncated file")
     rows = []

@@ -71,6 +71,12 @@ def construct_system(
     explicit system is written as ``validated=False`` and will fail
     ``verify``).  ``force`` additionally relaxes the even-n domain check
     for exploratory builds.
+
+    ``validated=True`` means only that the gates passed: the polygon
+    description is valid, vertex enumeration succeeds and the incidences
+    are those of a product.  It does not mean that the projection
+    preserves faces, which only ``verify_system`` checks: (4,3) with
+    eps = 1/16 and M = 2^32 passes the gates and fails verification.
     """
     if eps is None or big_m is None:
         params = choose_parameters(n, r, fixed_eps=eps, fixed_big_m=big_m)
@@ -207,32 +213,28 @@ def verify_system(system: SystemFile) -> VerifyResult:
         result.notes.append("projection is identity; preservation vacuous")
     if checker is None:
         return result
-    reports_by_kind = {"vertex": [0, 0], "edge": [0, 0], "polygon": [0, 0]}
-
-    for face in vertex_faces(labeling):
-        rep = checker.check_face(face.vertices, face_id=face.face_id, factor=face.factor)
-        reports_by_kind["vertex"][0] += 1
-        reports_by_kind["vertex"][1] += rep.direct_ok
-        if rep.certificate_ok and not rep.direct_ok:
-            result.implication_ok = False
-    for face in enumerate_edges(labeling, n, r):
-        rep = checker.check_face(face.vertices, face_id=face.face_id, factor=face.factor)
-        reports_by_kind["edge"][0] += 1
-        reports_by_kind["edge"][1] += rep.direct_ok
-        if rep.certificate_ok and not rep.direct_ok:
-            result.implication_ok = False
-    for face in enumerate_polygon_faces(labeling, n, r):
-        rep = checker.check_face(face.vertices, face_id=face.face_id, factor=face.factor)
-        result.polygon_reports.append(rep)
-        reports_by_kind["polygon"][0] += 1
-        reports_by_kind["polygon"][1] += rep.direct_ok
-        result.polygons_certified += rep.certificate_ok
-        if rep.certificate_ok and not rep.direct_ok:
-            result.implication_ok = False
-
-    result.vertices_total, result.vertices_preserved = reports_by_kind["vertex"]
-    result.edges_total, result.edges_preserved = reports_by_kind["edge"]
-    result.polygons_total, result.polygons_direct = reports_by_kind["polygon"]
+    # Each kind's faces are enumerated only when its turn comes, so one
+    # list of faces is alive at a time.
+    counts: dict[str, tuple[int, int]] = {}
+    for kind, enumerate_faces, args in (
+        ("vertex", vertex_faces, (labeling,)),
+        ("edge", enumerate_edges, (labeling, n, r)),
+        ("polygon", enumerate_polygon_faces, (labeling, n, r)),
+    ):
+        faces = enumerate_faces(*args)
+        preserved = 0
+        for face in faces:
+            rep = checker.check_face(face.vertices, face_id=face.face_id, factor=face.factor)
+            preserved += rep.direct_ok
+            if rep.certificate_ok and not rep.direct_ok:
+                result.implication_ok = False
+            if kind == "polygon":
+                result.polygon_reports.append(rep)
+                result.polygons_certified += rep.certificate_ok
+        counts[kind] = (len(faces), preserved)
+    result.vertices_total, result.vertices_preserved = counts["vertex"]
+    result.edges_total, result.edges_preserved = counts["edge"]
+    result.polygons_total, result.polygons_direct = counts["polygon"]
 
     if result.vertices_preserved != result.vertices_total:
         result.failures.append("vertex_preservation")

@@ -251,15 +251,16 @@ def h_to_v(p: HPolytope) -> VPolytope:
 class HullResult:
     """Convex hull of a point set: irredundant facets plus extreme points.
 
-    ``point_vertex[i]`` maps each deduplicated input point to its vertex
-    index in ``v`` (None for non-extreme points); ``dedup_index[i]`` maps
-    each original input point to its deduplicated index.
+    Both maps are indexed by original input point, so equal points share
+    their entries: ``point_vertex[i]`` is the vertex index of point i in
+    ``v`` (None for non-extreme points), and bit i of ``facet_points[j]``
+    is set when point i lies on facet j.
     """
 
     h: HPolytope
     v: VPolytope
     point_vertex: tuple[int | None, ...]
-    dedup_index: tuple[int, ...]
+    facet_points: tuple[int, ...]
 
 
 def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
@@ -267,7 +268,8 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
 
     Translates the point barycenter to the origin (always interior for a
     full-dimensional set, exact in rational arithmetic) and enumerates the
-    vertices of the polar, which are exactly the facets of the hull.
+    vertices of the polar, which are exactly the facets of the hull; the
+    polar's incidences say which points lie on which facet.
     """
     pts = [tuple(QQ(x) for x in p) for p in points]
     if not pts:
@@ -276,14 +278,16 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     if any(len(p) != d for p in pts):
         raise ValueError("points have unequal lengths")
 
+    # Distinct points, each with the bitmask of input points equal to it.
     seen: dict[Point, int] = {}
     unique: list[Point] = []
-    dedup_index: list[int] = []
-    for p in pts:
+    copies: list[int] = []
+    for i, p in enumerate(pts):
         if p not in seen:
             seen[p] = len(unique)
             unique.append(p)
-        dedup_index.append(seen[p])
+            copies.append(0)
+        copies[seen[p]] |= 1 << i
 
     if len(unique) < d + 1 or affine_rank(unique) < d:
         raise DegeneratePolytopeError("degenerate")
@@ -298,23 +302,28 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     hull_h = HPolytope(QMatrix(tuple(normals)), rhs)
 
     point_tight: list[set[int]] = [set() for _ in unique]
+    facet_points: list[int] = []
     for facet_idx, tight in enumerate(polar_v.incidence):
+        mask = 0
         for point_idx in tight:
             point_tight[point_idx].add(facet_idx)
+            mask |= copies[point_idx]
+        facet_points.append(mask)
 
     vertices: list[Point] = []
     incidence: list[frozenset[int]] = []
-    point_vertex: list[int | None] = []
+    unique_vertex: list[int | None] = []
     for i, p in enumerate(unique):
         tight = point_tight[i]
         if tight and rank_rows([normals[j] for j in sorted(tight)]) == d:
-            point_vertex.append(len(vertices))
+            unique_vertex.append(len(vertices))
             vertices.append(p)
             incidence.append(frozenset(tight))
         else:
-            point_vertex.append(None)
+            unique_vertex.append(None)
     hull_v = VPolytope(tuple(vertices), tuple(incidence), d)
-    return HullResult(hull_h, hull_v, tuple(point_vertex), tuple(dedup_index))
+    point_vertex = tuple(unique_vertex[seen[p]] for p in pts)
+    return HullResult(hull_h, hull_v, point_vertex, tuple(facet_points))
 
 
 def v_to_h(points: Sequence[Sequence[Fraction]]) -> HPolytope:

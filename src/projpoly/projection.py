@@ -16,13 +16,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
-from .construction import U0, U1, V0, V1, W0, W1
+from .construction import U0, U1, V0, V1, W0, W1, block_row
 from .lattice import FaceLattice, face_lattice, mask_of
 from .linalg import (
     PositiveCertificate,
     QMatrix,
     affine_rank,
-    clear_denominators,
     positively_spans,
     rank_rows,
 )
@@ -84,22 +83,11 @@ def reduced_matrix(n: int, r: int) -> QMatrix:
     """
     if r < 2:
         raise CertificateError(f"r must be at least 2, got {r}")
-    ncols_blocks = r - 2
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(1, r + 1):
-        for even in (True, False):
-            v, u, w = (V0, U0, W0) if even else (V1, U1, W1)
-            segments = []
-            for j in range(1, ncols_blocks + 1):
-                if j == k:
-                    segments.append(v)
-                elif j == k - 1:
-                    segments.append(u)
-                elif j == k - 2:
-                    segments.append(w)
-                else:
-                    segments.append((QQ(0), QQ(0)))
-            rows.append(tuple(x for seg in segments for x in seg))
+    rows = [
+        block_row(k, r - 2, *pattern)
+        for k in range(1, r + 1)
+        for pattern in ((V0, U0, W0), (V1, U1, W1))
+    ]
     return QMatrix(tuple(rows))
 
 
@@ -172,11 +160,11 @@ class PreservationReport:
 class ProjectionChecker:
     """Shared state for checking many faces of one projection.
 
-    Computes the projected hull, its face lattice, the vertex
-    correspondence, and per-row tightness masks of all projected vertices;
-    individual face checks are then cheap set arithmetic plus one
-    positive-span certificate, computed once per distinct input and kept
-    for the checker's lifetime.
+    Computes the projected hull, which also reports the vertex
+    correspondence and which projected vertices lie on each of its facets,
+    and the hull's face lattice; individual face checks are then cheap set
+    arithmetic plus one positive-span certificate, computed once per
+    distinct input and kept for the checker's lifetime.
     """
 
     def __init__(
@@ -184,60 +172,29 @@ class ProjectionChecker:
         ph: HPolytope,
         pv: VPolytope,
         keep: int = 4,
-        keep_coords: Sequence[int] | None = None,
         p_lattice: FaceLattice | None = None,
     ):
         self.ph = ph
         self.pv = pv
         self.p_lattice = p_lattice
-        d = pv.dim
-        if keep_coords is None:
-            if keep < 1 or keep > d:
-                raise ValueError(f"cannot keep {keep} of {d} coordinates")
-            keep_coords = tuple(range(d - keep, d))
-        self.keep_coords = tuple(keep_coords)
-        self.drop_coords = tuple(i for i in range(d) if i not in self.keep_coords)
-
-        self.images: list[Point] = [tuple(vx[i] for i in self.keep_coords) for vx in pv.vertices]
+        self.images: list[Point] = project(pv, keep)
+        self.drop_coords = range(pv.dim - keep)
         self.hull: HullResult = convex_hull(self.images)
         self.qh: HPolytope = self.hull.h
         self.qv: VPolytope = self.hull.v
         self.q_lattice: FaceLattice = face_lattice(self.qv)
-
         # P-vertex index -> Q-vertex index (None when the image is not
         # a vertex of Q).
-        self.vertex_map: list[int | None] = [
-            self.hull.point_vertex[self.hull.dedup_index[i]] for i in range(pv.nvertices)
-        ]
-
-        # Per Q-row bitmask of P-vertices whose image is tight on that row.
-        qrows = [
-            clear_denominators(tuple(row) + (-b,))
-            for row, b in zip(self.qh.A.entries, self.qh.b)
-        ]
-        homogeneous = [clear_denominators(img + (QQ(1),)) for img in self.images]
-        self.row_masks: list[int] = []
-        for row in qrows:
-            mask = 0
-            for i, pt in enumerate(homogeneous):
-                if sum(a * x for a, x in zip(row, pt)) == 0:
-                    mask |= 1 << i
-            self.row_masks.append(mask)
+        self.vertex_map = self.hull.point_vertex
         self.all_p_mask = (1 << pv.nvertices) - 1
         # Certificate verdict per distinct set of deleted normal coordinates.
         self._spans: dict[frozenset[Point], bool] = {}
 
-    def images_distinct(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
-        other vertices."""
-        return (
-            self.images_distinct()
-            and all(q is not None for q in self.vertex_map)
-            and self.qv.nvertices == self.pv.nvertices
-        )
+        other vertices.  Every vertex of Q is an image, so when all images
+        are vertices, Q has one vertex per distinct image."""
+        return None not in self.vertex_map and self.qv.nvertices == self.pv.nvertices
 
     def check_face(
         self,
@@ -292,7 +249,7 @@ class ProjectionChecker:
                 tight_rows = inc if tight_rows is None else tight_rows & inc
             preimage = self.all_p_mask
             for row in sorted(tight_rows or ()):
-                preimage &= self.row_masks[row]
+                preimage &= self.hull.facet_points[row]
             preimage_ok = preimage == face_mask
             if not preimage_ok:
                 extra = preimage & ~face_mask

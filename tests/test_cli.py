@@ -247,6 +247,17 @@ def test_verify_rejects_malformed_system(tmp_path, capsys, corrupt):
     assert "VERIFY" not in stdout
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_truncated_ine_is_invalid_input(tmp_path, capsys, command):
+    path = tmp_path / "x.ine"
+    path.write_text("H-representation\nbegin\n")
+    extra = ["-o", str(tmp_path / "x.json"), "--format", "json"] if command == "export" else []
+    code, stdout, stderr = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert stderr == f"error: cannot load {path}: missing size line\n"
+    assert stdout == ""
+
+
 def test_verify_fails_unvalidated_system(tmp_path, capsys):
     out = tmp_path / "p42.json"
     run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out))

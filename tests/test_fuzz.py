@@ -1,0 +1,120 @@
+"""Property tests of the three input parsers: on any input each one either
+returns a valid object or raises ``ValueError``, never anything else.
+
+The runs are derandomized and keep no example database, so the suite
+draws the same examples on every run.
+"""
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from projpoly.cli import MAX_AXIS_VALUES, _parse_range
+from projpoly.io import SystemFile, parse_ine_text, system_from_dict, system_to_dict, to_ine_text
+from projpoly.pipeline import construct_system
+
+FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+RATIONAL_TEXT = st.sampled_from(
+    ["0", "1", "-3/4", "+2", "1/0", "0/5", " 7 ", "1.5", "1e3", "x", "", "-", "/", "2/-3"]
+)
+JSON_SCALARS = (
+    st.sampled_from([float("inf"), float("nan"), 10**30, -1, 0, True])
+    | st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | RATIONAL_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+# A valid system to mutate: most random dicts fail at the schema check.
+BASE = json.loads(json.dumps(system_to_dict(construct_system(4, 2))))
+KEYS = sorted(BASE) + ["extra"]
+# Field values: scalars, lists of rows or label pairs, adaptation records.
+FIELD_VALUES = JSON_SCALARS | JSON_VALUES | st.lists(
+    st.lists(JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.sampled_from(["eps", "big_m", "reason"]), JSON_VALUES, max_size=3),
+    max_size=3,
+)
+
+
+MUTATED_FILES = st.builds(
+    lambda overrides, deleted: {
+        k: v for k, v in {**BASE, **overrides}.items() if k not in deleted
+    },
+    st.dictionaries(st.sampled_from(KEYS), FIELD_VALUES, max_size=3),
+    st.sets(st.sampled_from(KEYS), max_size=2),
+)
+
+
+@FUZZ
+@given(data=MUTATED_FILES | JSON_VALUES)
+@example(data={**BASE, "dim": float("inf")})
+@example(data={**BASE, "labels": [[float("inf"), 0]] * 8})
+@example(data={**BASE, "adaptation": [{"eps": "1", "big_m": "2", "reason": []}]})
+def test_system_from_dict(data):
+    try:
+        system = system_from_dict(data)
+    except ValueError:
+        return
+    back = system_from_dict(system_to_dict(system))
+    assert isinstance(system, SystemFile)
+    assert back == system and hash(back) == hash(system)
+
+
+INE_LINES = st.one_of(
+    st.sampled_from(["H-representation", "begin", "end", "* comment", "", "rational"]),
+    st.builds(
+        lambda m, c, kind: f" {m} {c} {kind}",
+        st.integers(-20, 6),
+        st.integers(-3, 5),
+        st.sampled_from(["rational", "real", "integer"]),
+    ),
+    st.lists(RATIONAL_TEXT, min_size=0, max_size=5).map(" ".join),
+    st.text(max_size=10),
+)
+
+
+@FUZZ
+@given(header=st.booleans(), lines=st.lists(INE_LINES, max_size=10))
+@example(header=True, lines=[])
+@example(header=True, lines=[" -9 3 rational", "end"])
+def test_parse_ine_text(header, lines):
+    text = "\n".join(["H-representation", "begin"] * header + lines)
+    try:
+        h = parse_ine_text(text)
+    except ValueError:
+        return
+    back = parse_ine_text(to_ine_text(h))
+    assert (back.A, back.b) == (h.A, h.b)
+
+
+SMALL_INTS = st.integers(-(10**20), 10**20) | st.integers(-50, 50)
+RANGE_CHUNKS = st.one_of(
+    SMALL_INTS.map(str),
+    st.builds(lambda a, b: f"{a}:{b}", SMALL_INTS, SMALL_INTS),
+    st.builds(lambda a, b, c: f"{a}:{b}:{c}", SMALL_INTS, SMALL_INTS, SMALL_INTS),
+    st.sampled_from([":", "::", " ", "", "-", "x", "1:2:3:4"]),
+    st.text(max_size=4),
+)
+RANGE_TEXT = st.lists(RANGE_CHUNKS, max_size=5).map(",".join) | st.text(max_size=12)
+
+
+@FUZZ
+@given(text=RANGE_TEXT)
+def test_parse_range(text):
+    try:
+        values = _parse_range(text)
+    except ValueError:
+        return
+    assert isinstance(values, list)
+    assert all(type(v) is int for v in values)
+    assert len(values) <= MAX_AXIS_VALUES

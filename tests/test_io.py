@@ -104,6 +104,8 @@ def test_ine_rejects_garbage():
         parse_ine_text("H-representation\nbegin\n 1 3 real\n 1 0 0\nend\n")
     with pytest.raises(ValueError):
         parse_ine_text("H-representation\nbegin\n 2 3 rational\n 1 0 0\n")
+    with pytest.raises(ValueError, match="missing size line"):
+        parse_ine_text("H-representation\nbegin\n")
 
 
 def test_serialization_is_deterministic(tmp_path):

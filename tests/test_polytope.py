@@ -117,8 +117,29 @@ def test_v_to_h_ignores_interior_and_duplicate_points():
     hull = convex_hull(pts)
     assert hull.h.nrows == 4
     assert hull.v.nvertices == 4
-    assert hull.point_vertex[hull.dedup_index[4]] is None  # interior point
-    assert hull.dedup_index[5] == hull.dedup_index[0]  # duplicate collapses
+    assert hull.point_vertex[4] is None  # interior point
+    assert hull.point_vertex[5] == hull.point_vertex[0]  # duplicate collapses
+    assert not any(mask >> 4 & 1 for mask in hull.facet_points)  # interior: on no facet
+    assert [mask >> 5 & 1 for mask in hull.facet_points] == [mask & 1 for mask in hull.facet_points]
+    assert sum(mask & 1 for mask in hull.facet_points) == 2
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
+def test_hull_incidences_match_exact_dot_products(grid_case, n, r):
+    # the projected hull's facet_points and point_vertex, against the
+    # facet inequalities evaluated on every input point
+    checker = grid_case(n, r).system.checker
+    points, hull = checker.images, checker.hull
+    assert len(hull.point_vertex) == len(points)
+    for row, b, mask in zip(hull.h.A.entries, hull.h.b, hull.facet_points):
+        tight = 0
+        for i, p in enumerate(points):
+            lhs = sum(a * x for a, x in zip(row, p))
+            assert lhs <= b
+            tight |= (lhs == b) << i
+        assert mask == tight
+    for p, q in zip(points, hull.point_vertex):
+        assert q is not None and hull.v.vertices[q] == p
 
 
 def test_v_to_h_degenerate_input():

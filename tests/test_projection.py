@@ -164,10 +164,10 @@ def _square_setup():
 
 
 def test_projection_to_one_coordinate_fails_condition_iii():
-    # the edge x=0 collapses onto the image of the vertex (0,0), so the
-    # preimage of the image is bigger than the vertex
+    # keeping y, the edge y=0 collapses onto the image of the vertex
+    # (0,0), so the preimage of the image is bigger than the vertex
     v, lat, idx = _square_setup()
-    checker = ProjectionChecker(UNIT_SQUARE, v, keep_coords=(0,), p_lattice=lat)
+    checker = ProjectionChecker(UNIT_SQUARE, v, keep=1, p_lattice=lat)
     rep = checker.check_face([idx[(QQ(0), QQ(0))]], face_id="w")
     assert not rep.direct_ok
     assert "(iii)" in rep.details
@@ -176,10 +176,11 @@ def test_projection_to_one_coordinate_fails_condition_iii():
 
 
 def test_projection_to_one_coordinate_fails_condition_ii():
-    # the edge x=0 maps onto a single point, so the map is not a bijection
+    # keeping y, the edge y=0 maps onto a single point, so the map is not
+    # a bijection
     v, lat, idx = _square_setup()
-    checker = ProjectionChecker(UNIT_SQUARE, v, keep_coords=(0,), p_lattice=lat)
-    rep = checker.check_face([idx[(QQ(0), QQ(0))], idx[(QQ(0), QQ(1))]], face_id="e")
+    checker = ProjectionChecker(UNIT_SQUARE, v, keep=1, p_lattice=lat)
+    rep = checker.check_face([idx[(QQ(0), QQ(0))], idx[(QQ(1), QQ(0))]], face_id="e")
     assert not rep.direct_ok
     assert "(ii)" in rep.details
 
@@ -187,7 +188,7 @@ def test_projection_to_one_coordinate_fails_condition_ii():
 def test_projection_checker_rejects_non_face():
     v, lat, idx = _square_setup()
     diagonal = [idx[(QQ(0), QQ(0))], idx[(QQ(1), QQ(1))]]
-    checker = ProjectionChecker(UNIT_SQUARE, v, keep_coords=(0,), p_lattice=lat)
+    checker = ProjectionChecker(UNIT_SQUARE, v, keep=1, p_lattice=lat)
     with pytest.raises(ValueError):
         checker.check_face(diagonal)
 
