@@ -53,10 +53,8 @@ from .polytope import (
     v_to_h,
 )
 from .projection import (
-    AlphaBeta,
     PreservationReport,
     ProjectionChecker,
-    alpha_beta,
     deletion_certificates,
     enumerate_polygon_faces,
     project,

@@ -215,20 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines = [",".join(_SWEEP_FIELDS)]
         for row in rows:
             d = row.as_dict()
-            flat = {
-                "n": d["n"],
-                "r": d["r"],
-                "f0": d["flag"][0],
-                "f1": d["flag"][1],
-                "f2": d["flag"][2],
-                "f3": d["flag"][3],
-                "f03": d["flag"][4],
-                "fatness": d["fatness"],
-                "fatness_decimal_approx": d["fatness_decimal_approx"],
-                "complexity": d["complexity"],
-                "complexity_decimal_approx": d["complexity_decimal_approx"],
-                "geometric": d["geometric"],
-            }
+            flat = {**d, **dict(zip(("f0", "f1", "f2", "f3", "f03"), d["flag"]))}
             lines.append(",".join(str(flat[f]) for f in _SWEEP_FIELDS))
         text = "\n".join(lines) + "\n"
     if args.output:

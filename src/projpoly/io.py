@@ -131,9 +131,11 @@ def system_from_dict(data: dict) -> SystemFile:
         rhs = tuple(parse_rational(x) for x in data["rhs"])
         labels = None
         if "labels" in data:
-            labels = tuple((int(k), int(i)) for k, i in data["labels"])
+            labels = tuple((k, i) for k, i in data["labels"])
+            if any(type(x) is not int for label in labels for x in label):
+                raise ValueError("row labels must be pairs of ints")
         h = HPolytope(QMatrix(rows), rhs, labels)
-        if h.dim != int(data["dim"]):
+        if h.dim != _required(data, "dim", int):
             raise ValueError("declared dimension does not match the rows")
         adaptation = tuple(
             AdaptationAttempt(
@@ -150,7 +152,7 @@ def system_from_dict(data: dict) -> SystemFile:
             validated=_optional(data, "validated", bool),
             adaptation=adaptation,
         )
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed system file: {exc!r}") from None
 
 

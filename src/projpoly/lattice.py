@@ -1,18 +1,17 @@
 """Face lattices from vertex-facet incidences, f-vectors and flag numbers.
 
-Faces are vertex-index bitmasks.  The lattice is generated by closing the
-facet vertex sets under intersection; each face's dimension is the affine
-rank of its vertex coordinates (computed geometrically, not by lattice
-height, so it stays meaningful for projected polytopes).
+Faces are vertex-index bitmasks.  The lattice and its grading are fixed by
+the incidences alone (Kaibel-Pfetsch 2002), so no coordinate is read: the
+facets of a face F are the inclusion-maximal sets among F & s over the
+facet vertex sets s, and walking down from the polytope one level at a
+time gives every face its dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .linalg import affine_rank_int, clear_denominators
-from .polytope import VPolytope, _bits
+from .polytope import VPolytope
 
 
 class LatticeError(Exception):
@@ -43,15 +42,11 @@ class FaceLattice:
     def faces_of_dim(self, k: int) -> list[int]:
         return [mask for mask, d in self.faces if d == k]
 
-    def iter_proper(self) -> Iterator[tuple[int, int]]:
-        for mask, d in self.faces:
-            if 0 <= d < self.dim:
-                yield mask, d
-
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * self.dim
-        for _, d in self.iter_proper():
-            counts[d] += 1
+        for _, d in self.faces:
+            if 0 <= d < self.dim:
+                counts[d] += 1
         return tuple(counts)
 
     def euler_ok(self) -> bool:
@@ -64,7 +59,11 @@ class FaceLattice:
 
 
 def face_lattice(v: VPolytope) -> FaceLattice:
-    """Close the facet vertex sets under intersection and grade by dimension."""
+    """Grade the faces level by level, top down, from the incidences.
+
+    Redundant tight rows only add candidates that are not maximal, so they
+    change nothing.
+    """
     n = v.nvertices
     d = v.dim
     max_row = max((max(t) for t in v.incidence if t), default=-1)
@@ -74,24 +73,23 @@ def face_lattice(v: VPolytope) -> FaceLattice:
         for row in tight:
             row_masks[row] |= bit
 
-    seed_masks = sorted(set(row_masks), reverse=True)
+    seeds = set(row_masks)
     full = (1 << n) - 1
-    found: set[int] = {full}
-    frontier = [full]
-    while frontier:
-        fresh: list[int] = []
-        for face in frontier:
-            for seed in seed_masks:
-                g = face & seed
-                if g not in found:
-                    found.add(g)
-                    fresh.append(g)
-        frontier = fresh
-    found.add(0)
-
-    hpoints = [clear_denominators((1,) + p) for p in v.vertices]
-    face_dims = {mask: affine_rank_int([hpoints[i] for i in _bits(mask)]) for mask in found}
-    if face_dims[full] != d:
+    face_dims = {full: d}
+    level = [full]
+    for k in range(d - 1, -2, -1):
+        below: list[int] = []
+        for face in level:
+            candidates = sorted({face & s for s in seeds} - {face}, key=int.bit_count, reverse=True)
+            facets: list[int] = []
+            for g in candidates:
+                if all(g & f != g for f in facets):
+                    facets.append(g)
+                    if g not in face_dims:
+                        face_dims[g] = k
+                        below.append(g)
+        level = below
+    if face_dims.get(0) != -1:
         raise LatticeError("vertex set is not full-dimensional")
     return FaceLattice(d, n, face_dims)
 

@@ -148,13 +148,7 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    return affine_rank_int([clear_denominators((1, *p)) for p in points])
-
-
-def affine_rank_int(hpoints: Sequence[Sequence[int]]) -> int:
-    """Affine dimension of points given as integer rows (1, x), each up to
-    a positive scale."""
-    return len(_bareiss([list(p) for p in hpoints])[0]) - 1
+    return len(_bareiss([list(clear_denominators((1, *p))) for p in points])[0]) - 1
 
 
 # --- exact phase-1 simplex -------------------------------------------------

@@ -35,29 +35,14 @@ class CertificateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    """Coefficient pair used in the block-system positive dependences.
-
-    Both sequences are nonnegative for every integer k and vanish exactly
-    at k = 0.
-    """
-
-    k: int
-    alpha: Fraction
-    beta: Fraction
-
-
+# The coefficients of the block-system positive dependences: both are
+# nonnegative for every integer k and vanish exactly at k = 0.
 def alpha_coeff(k: int) -> Fraction:
     return QQ(2) ** k + QQ(2) ** (-k) - 2
 
 
 def beta_coeff(k: int) -> Fraction:
     return QQ(2) ** k + QQ(5, 4) * QQ(2) ** (-k) - QQ(9, 4)
-
-
-def alpha_beta(k: int) -> AlphaBeta:
-    return AlphaBeta(k, alpha_coeff(k), beta_coeff(k))
 
 
 def zero_sum_check(k: int) -> bool:

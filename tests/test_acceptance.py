@@ -26,7 +26,12 @@ from projpoly.metrics import (
     predicted_flag_paper_literal,
 )
 from projpoly.polytope import convex_hull, h_to_v, product_isomorphic, v_to_h
-from projpoly.projection import alpha_beta, deletion_certificates, zero_sum_check
+from projpoly.projection import (
+    alpha_coeff,
+    beta_coeff,
+    deletion_certificates,
+    zero_sum_check,
+)
 
 EXPECTED_VERTICES = {(4, 2): 16, (6, 2): 36, (8, 2): 64, (4, 3): 64, (6, 3): 216, (4, 4): 256}
 
@@ -98,9 +103,9 @@ def test_criterion_4_counting_identities():
 def test_criterion_5_certificate_suite():
     assert all(zero_sum_check(k) for k in range(-20, 21))
     for k in range(-20, 21):
-        ab = alpha_beta(k)
-        assert ab.alpha >= 0 and ab.beta >= 0
-        assert (ab.alpha == 0) == (k == 0) and (ab.beta == 0) == (k == 0)
+        alpha, beta = alpha_coeff(k), beta_coeff(k)
+        assert alpha >= 0 and beta >= 0
+        assert (alpha == 0) == (k == 0) and (beta == 0) == (k == 0)
     for (n, r) in GRID:
         if r >= 3:
             certs = deletion_certificates(n, r)

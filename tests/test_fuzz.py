@@ -1,15 +1,21 @@
 """Property tests of the three input parsers: on any input each one either
-returns a valid object or raises ``ValueError``, never anything else.
+returns a valid object or raises ``ValueError``, never anything else.  The
+CLI, given fuzzed files, always exits 0, 1 or 2.
 
 The runs are derandomized and keep no example database, so the suite
 draws the same examples on every run.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from projpoly import cli
 from projpoly.cli import MAX_AXIS_VALUES, _parse_range
 from projpoly.io import SystemFile, parse_ine_text, system_from_dict, system_to_dict, to_ine_text
 from projpoly.pipeline import construct_system
@@ -60,6 +66,8 @@ MUTATED_FILES = st.builds(
 @example(data={**BASE, "dim": float("inf")})
 @example(data={**BASE, "labels": [[float("inf"), 0]] * 8})
 @example(data={**BASE, "adaptation": [{"eps": "1", "big_m": "2", "reason": []}]})
+@example(data={**BASE, "dim": 4.9})
+@example(data={**BASE, "labels": [[1.7, 0]] + BASE["labels"][1:]})
 def test_system_from_dict(data):
     try:
         system = system_from_dict(data)
@@ -68,6 +76,11 @@ def test_system_from_dict(data):
     back = system_from_dict(system_to_dict(system))
     assert isinstance(system, SystemFile)
     assert back == system and hash(back) == hash(system)
+    # dim and labels are kept as given, with the same types (JSON tells an
+    # int from a float or a bool).
+    written = system_to_dict(system)
+    for key in ("dim", "labels"):
+        assert json.dumps(written.get(key)) == json.dumps(data.get(key))
 
 
 INE_LINES = st.one_of(
@@ -118,3 +131,42 @@ def test_parse_range(text):
     assert isinstance(values, list)
     assert all(type(v) is int for v in values)
     assert len(values) <= MAX_AXIS_VALUES
+
+
+# The (4,2) system's .ine text with up to three lines replaced; an empty
+# replacement deletes the line.
+BASE_INE = to_ine_text(system_from_dict(BASE).h).splitlines()
+MUTATED_INE = st.builds(
+    lambda edits: "\n".join(edits.get(i, line) for i, line in enumerate(BASE_INE)) + "\n",
+    st.dictionaries(st.integers(0, len(BASE_INE) - 1), INE_LINES, max_size=3),
+)
+CLI_FILES = (
+    MUTATED_FILES.map(lambda data: ("json", json.dumps(data)))
+    | st.text(max_size=20).map(lambda text: ("json", text))
+    | MUTATED_INE.map(lambda text: ("ine", text))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(file=CLI_FILES, export_format=st.sampled_from(["json", "ine"]))
+@example(file=("json", json.dumps({**BASE, "validated": False})), export_format="json")
+@example(
+    file=("json", json.dumps({**BASE, "rhs": ["-100"] + BASE["rhs"][1:]})), export_format="ine"
+)
+def test_cli_exit_codes(file, export_format):
+    suffix, text = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"system.{suffix}"
+        path.write_text(text)
+        out_path = Path(tmp) / f"out.{export_format}"
+        for argv in (
+            ["verify", str(path)],
+            ["analyze", str(path)],
+            ["export", str(path), "-o", str(out_path), "--format", export_format],
+        ):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_INVALID)
+            if code == cli.EXIT_INVALID:
+                assert len(stderr.getvalue().splitlines()) == 1

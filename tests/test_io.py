@@ -60,6 +60,30 @@ def test_json_dim_mismatch_rejected():
         system_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"dim": 4.9},
+        {"dim": "4"},
+        {"dim": 4.0},
+        {"label": [1.7, 0]},
+        {"label": ["1", 0]},
+        {"label": [True, False]},
+        {"label": [1, True]},
+    ],
+    ids=["dim-float", "dim-str", "dim-integral-float", "label-float", "label-str",
+         "label-bools", "label-bool"],
+)
+def test_json_wrongly_typed_dim_or_label_rejected(override):
+    data = system_to_dict(SystemFile(build_deformed_product(choose_parameters(4, 2))))
+    if "dim" in override:
+        data["dim"] = override["dim"]
+    else:
+        data["labels"][0] = override["label"]
+    with pytest.raises(ValueError):
+        system_from_dict(data)
+
+
 def test_require_nr_from_labels():
     system = SystemFile(FIXTURE)
     with pytest.raises(ValueError):

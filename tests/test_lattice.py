@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracle import is_closed_under_intersection, poly_power_coeffs
+from oracle import affine_rank_oracle, is_closed_under_intersection, poly_power_coeffs
 from projpoly.construction import build_plain_product
 from projpoly.lattice import (
     FlagVector4,
@@ -12,7 +12,7 @@ from projpoly.lattice import (
     flag_f03,
 )
 from projpoly.linalg import QMatrix
-from projpoly.polytope import HPolytope, _bits, convex_hull, h_to_v
+from projpoly.polytope import HPolytope, VPolytope, _bits, convex_hull, h_to_v
 
 SQUARE_POLYGON = QMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]])
 HEXAGON_POLYGON = QMatrix.from_rows([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])
@@ -141,3 +141,24 @@ def test_face_dimension_is_affine_rank():
     assert all(m.bit_count() == 2 for m in lat.faces_of_dim(1))
     assert all(m.bit_count() == 4 for m in lat.faces_of_dim(2))
     assert all(len(list(_bits(m))) == 4 for m in lat.faces_of_dim(2))
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
+def test_grading_from_incidences_is_affine_rank(n, r, grid_case):
+    # the incidences alone grade the lattice; coordinates must agree
+    system = grid_case(n, r).system
+    for v, lat in ((system.vertices, face_lattice(system.vertices)),
+                   (system.checker.qv, system.checker.q_lattice)):
+        for mask, dim in lat.faces:
+            assert dim == affine_rank_oracle([v.vertices[i] for i in _bits(mask)])
+
+
+def test_lower_dimensional_vertex_set_rejected():
+    # the unit square's vertices and edge incidences, declared in dimension 3
+    square = VPolytope(
+        tuple((QQ(x), QQ(y), QQ(0)) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))),
+        (frozenset({0, 3}), frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+        dim=3,
+    )
+    with pytest.raises(LatticeError, match="not full-dimensional"):
+        face_lattice(square)

@@ -12,7 +12,6 @@ from projpoly.polytope import HPolytope, h_to_v, product_labeling
 from projpoly.projection import (
     CertificateError,
     ProjectionChecker,
-    alpha_beta,
     alpha_coeff,
     beta_coeff,
     deletion_certificates,
@@ -26,17 +25,17 @@ from projpoly.projection import (
 
 
 def test_alpha_beta_values():
-    assert alpha_beta(0).alpha == 0 and alpha_beta(0).beta == 0
-    assert alpha_beta(1).alpha == QQ(1, 2) and alpha_beta(1).beta == QQ(3, 8)
-    assert alpha_beta(-1).alpha == QQ(1, 2) and alpha_beta(-1).beta == QQ(3, 4)
+    assert alpha_coeff(0) == 0 and beta_coeff(0) == 0
+    assert alpha_coeff(1) == QQ(1, 2) and beta_coeff(1) == QQ(3, 8)
+    assert alpha_coeff(-1) == QQ(1, 2) and beta_coeff(-1) == QQ(3, 4)
 
 
 def test_alpha_beta_nonnegative_zero_only_at_origin():
     for k in range(-20, 21):
-        ab = alpha_beta(k)
-        assert ab.alpha >= 0 and ab.beta >= 0
-        assert (ab.alpha == 0) == (k == 0)
-        assert (ab.beta == 0) == (k == 0)
+        alpha, beta = alpha_coeff(k), beta_coeff(k)
+        assert alpha >= 0 and beta >= 0
+        assert (alpha == 0) == (k == 0)
+        assert (beta == 0) == (k == 0)
 
 
 def test_zero_sum_identity_examples():
