@@ -22,7 +22,6 @@ from .lattice import FaceLattice, FlagVector4, face_lattice, flag_f03
 from .linalg import (
     PositiveCertificate,
     QMatrix,
-    determinant,
     positive_dependence,
     positively_spans,
     rank,
@@ -36,7 +35,6 @@ from .metrics import (
     cone_membership,
     counting_identities,
     fatness,
-    limit_claims,
     phi_coords,
     predicted_flag,
 )

@@ -78,7 +78,7 @@ class SystemFile:
     def checker(self) -> ProjectionChecker:
         """The projection to the last four coordinates: its hull and face
         lattice (raises ``PolytopeError``)."""
-        return ProjectionChecker(self.h, self.vertices, keep=4)
+        return ProjectionChecker(self.h, self.vertices)
 
 
 def system_to_dict(system: SystemFile) -> dict:

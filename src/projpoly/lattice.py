@@ -73,21 +73,23 @@ def face_lattice(v: VPolytope) -> FaceLattice:
         for row in tight:
             row_masks[row] |= bit
 
-    seeds = set(row_masks)
     full = (1 << n) - 1
     face_dims = {full: d}
-    level = [full]
+    # Each face carries the facet sets that meet it properly: only these
+    # cut out a nonempty facet of it or of any face below it.  A face with
+    # none left is a vertex, whose one facet is the empty face.
+    level = [(full, list(set(row_masks) - {full}))]
     for k in range(d - 1, -2, -1):
-        below: list[int] = []
-        for face in level:
-            candidates = sorted({face & s for s in seeds} - {face}, key=int.bit_count, reverse=True)
+        below: list[tuple[int, list[int]]] = []
+        for face, pool in level:
+            candidates = sorted({face & s for s in pool} or [0], key=int.bit_count, reverse=True)
             facets: list[int] = []
             for g in candidates:
                 if all(g & f != g for f in facets):
                     facets.append(g)
                     if g not in face_dims:
                         face_dims[g] = k
-                        below.append(g)
+                        below.append((g, [s for s in pool if s & g not in (0, g)]))
         level = below
     if face_dims.get(0) != -1:
         raise LatticeError("vertex set is not full-dimensional")

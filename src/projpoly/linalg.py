@@ -1,6 +1,6 @@
 """Exact rational linear algebra and positive-span certificates.
 
-Rank and determinant run fraction-free (Bareiss) on denominator-cleared
+Ranks run fraction-free (Bareiss) on denominator-cleared
 integer rows, so no intermediate value is ever rounded.  Positive-dependence
 certificates come from an exact phase-1 simplex with Bland's rule and a
 closed feasible region (coefficients are required to be >= 1, so any feasible
@@ -42,15 +42,8 @@ class QMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
-
-    def __str__(self) -> str:
-        return "\n".join("  ".join(str(x) for x in row) for row in self.entries)
 
 
 def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -59,18 +52,16 @@ def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+def _bareiss(rows: list[list[int]]) -> list[int]:
     """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
     Returns the pivot columns in order, which are the lexicographically
-    first column basis, and the last pivot signed by the row swaps; for a
-    nonsingular square input that is its determinant.
+    first column basis.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
-    sign = 1
     prev = 1
     for c in range(ncols):
         if r == nrows:
@@ -84,7 +75,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
         pivval = rows[r][c]
         for i in range(r + 1, nrows):
             ric = rows[i][c]
@@ -98,12 +88,12 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
         prev = pivval
         pivots.append(c)
         r += 1
-    return pivots, sign * prev
+    return pivots
 
 
 def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of integer rows (fraction-free elimination)."""
-    return len(_bareiss([list(row) for row in rows])[0])
+    return len(_bareiss([list(row) for row in rows]))
 
 
 def rank_rows(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -116,15 +106,6 @@ def rank_rows(rows: Sequence[Sequence[Fraction]]) -> int:
 def rank(m: QMatrix) -> int:
     """Exact rank via fraction-free elimination."""
     return rank_rows(m.entries)
-
-
-def determinant(m: QMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    if not m.is_square:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in m.entries)
-    pivots, det = _bareiss([list(clear_denominators(row)) for row in m.entries])
-    return QQ(det, scale) if len(pivots) == m.rows else QQ(0)
 
 
 def null_vector(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -143,12 +124,12 @@ def null_vector(rows: Sequence[Sequence[int]]) -> list[int]:
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of the greedy row basis: each row that is independent of
     the rows before it."""
-    return _bareiss([list(col) for col in zip(*rows)])[0]
+    return _bareiss([list(col) for col in zip(*rows)])
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    return len(_bareiss([list(clear_denominators((1, *p))) for p in points])[0]) - 1
+    return len(_bareiss([list(clear_denominators((1, *p))) for p in points])) - 1
 
 
 # --- exact phase-1 simplex -------------------------------------------------

@@ -183,16 +183,6 @@ def predicted_flag_paper_literal(n: int, r: int) -> FlagVector4:
     )
 
 
-def limit_claims(n: int, r: int) -> tuple[Fraction, Fraction]:
-    """(fatness, complexity) of the predicted flag vector, exactly.
-
-    Both quantities stay strictly below 9 and 16 and approach them as n
-    and r grow.
-    """
-    flag = predicted_flag(n, r)
-    return fatness(flag), complexity(flag)
-
-
 @dataclass(frozen=True)
 class CountingReport:
     """Prism/cube facet classification of a projected product and the

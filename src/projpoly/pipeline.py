@@ -216,15 +216,17 @@ def verify_system(system: SystemFile) -> VerifyResult:
     # Each kind's faces are enumerated only when its turn comes, so one
     # list of faces is alive at a time.
     counts: dict[str, tuple[int, int]] = {}
-    for kind, enumerate_faces, args in (
-        ("vertex", vertex_faces, (labeling,)),
-        ("edge", enumerate_edges, (labeling, n, r)),
-        ("polygon", enumerate_polygon_faces, (labeling, n, r)),
+    # The labeling has proved P's incidences to be the product's, so each
+    # kind's faces have exactly its dimension.
+    for kind, dim, enumerate_faces, args in (
+        ("vertex", 0, vertex_faces, (labeling,)),
+        ("edge", 1, enumerate_edges, (labeling, n, r)),
+        ("polygon", 2, enumerate_polygon_faces, (labeling, n, r)),
     ):
         faces = enumerate_faces(*args)
         preserved = 0
         for face in faces:
-            rep = checker.check_face(face.vertices, face_id=face.face_id, factor=face.factor)
+            rep = checker.check_face(face.vertices, dim, face_id=face.face_id, factor=face.factor)
             preserved += rep.direct_ok
             if rep.certificate_ok and not rep.direct_ok:
                 result.implication_ok = False

@@ -3,10 +3,12 @@
 A face survives a projection strictly when its image is a face of the
 projected polytope, the restriction of the projection to the face is a
 bijection, and the full preimage of the image is the face itself.  All
-three conditions are checked directly at vertex level on the computed
-lattices.  Independently, the sufficient linear-algebra certificate is
-evaluated: the coordinates that the projection deletes, taken from the
-normals of all facets containing the face, must positively span.
+three conditions are checked directly at vertex level, and no rank is
+computed: the face's dimension comes from its kind in the product
+labeling, and the image's dimension from the projection's face lattice.
+Independently, the sufficient linear-algebra certificate is evaluated: the
+coordinates that the projection deletes, taken from the normals of all
+facets containing the face, must positively span.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from typing import Iterable, Sequence
 
 from .construction import U0, U1, V0, V1, W0, W1, block_row
 from .lattice import FaceLattice, face_lattice, mask_of
-from .linalg import (
-    PositiveCertificate,
-    QMatrix,
-    affine_rank,
-    positively_spans,
-    rank_rows,
-)
+from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
 from .polytope import HPolytope, HullResult, VPolytope, convex_hull
 from .rational import QQ
 
@@ -116,12 +112,12 @@ def deletion_certificates(n: int, r: int) -> list[PositiveCertificate]:
     return certificates
 
 
-def project(v: VPolytope, keep: int = 4) -> list[Point]:
-    """Images of all vertices under projection to the last ``keep``
+def project(v: VPolytope) -> list[Point]:
+    """Images of all vertices under projection to the last four
     coordinates, in vertex order (duplicates retained)."""
-    if keep < 1 or keep > v.dim:
-        raise ValueError(f"cannot keep {keep} of {v.dim} coordinates")
-    return [vx[v.dim - keep :] for vx in v.vertices]
+    if v.dim < 4:
+        raise ValueError(f"cannot keep 4 of {v.dim} coordinates")
+    return [vx[v.dim - 4 :] for vx in v.vertices]
 
 
 @dataclass(frozen=True)
@@ -147,23 +143,18 @@ class ProjectionChecker:
 
     Computes the projected hull, which also reports the vertex
     correspondence and which projected vertices lie on each of its facets,
-    and the hull's face lattice; individual face checks are then cheap set
-    arithmetic plus one positive-span certificate, computed once per
-    distinct input and kept for the checker's lifetime.
+    and the hull's face lattice.  No rank is computed per face: the
+    caller knows the face's dimension from its kind, and once the image is
+    a face of the projection its dimension is read from that lattice.  The
+    face checks are set arithmetic plus one positive-span certificate,
+    computed once per distinct input and kept for the checker's lifetime.
     """
 
-    def __init__(
-        self,
-        ph: HPolytope,
-        pv: VPolytope,
-        keep: int = 4,
-        p_lattice: FaceLattice | None = None,
-    ):
+    def __init__(self, ph: HPolytope, pv: VPolytope):
         self.ph = ph
         self.pv = pv
-        self.p_lattice = p_lattice
-        self.images: list[Point] = project(pv, keep)
-        self.drop_coords = range(pv.dim - keep)
+        self.images: list[Point] = project(pv)
+        self.drop_coords = range(pv.dim - 4)
         self.hull: HullResult = convex_hull(self.images)
         self.qh: HPolytope = self.hull.h
         self.qv: VPolytope = self.hull.v
@@ -184,46 +175,35 @@ class ProjectionChecker:
     def check_face(
         self,
         face_vertices: Iterable[int],
+        dim: int,
         face_id: str = "face",
         factor: int | None = None,
     ) -> PreservationReport:
+        """Check one face of the source polytope, of dimension ``dim``."""
         face = sorted(set(face_vertices))
         face_mask = mask_of(face)
-        if self.p_lattice is not None:
-            if face_mask not in self.p_lattice:
-                raise ValueError(f"{face_id}: vertex set is not a face of the source polytope")
-            dim_g = self.p_lattice.dim_of(face_mask)
-        else:
-            dim_g = affine_rank([self.pv.vertices[i] for i in face])
 
+        # (i) the image is a face of Q.
+        qbits = [self.vertex_map[i] for i in face]
+        missing = None in qbits
+        qmask = 0 if missing else mask_of(qbits)
+        is_face = not missing and qmask in self.q_lattice
+
+        # (ii) bijectivity: distinct images spanning a face of equal
+        # dimension.  When (i) holds the images are the vertices of the
+        # face qmask, so its grade is their affine dimension.
         problems: list[str] = []
-        unique_images = sorted(set(self.images[i] for i in face))
-
-        # (ii) bijectivity: distinct images of equal affine dimension.
-        injective = len(unique_images) == len(face)
+        injective = len({self.images[i] for i in face}) == len(face)
         if not injective:
             problems.append("(ii) projection is not injective on the face's vertices")
-        elif affine_rank(unique_images) != dim_g:
+        elif is_face and self.q_lattice.dim_of(qmask) != dim:
             problems.append("(ii) image has lower affine dimension than the face")
             injective = False
 
-        # (i) the image is a face of Q.
-        qbits: list[int] = []
-        missing = False
-        for img_idx in face:
-            q = self.vertex_map[img_idx]
-            if q is None:
-                missing = True
-            else:
-                qbits.append(q)
-        qmask = mask_of(qbits)
         if missing:
-            is_face = False
             problems.append("(i) some vertex image is not a vertex of the projection")
-        else:
-            is_face = qmask in self.q_lattice
-            if not is_face:
-                problems.append("(i) image vertex set is not a face of the projection")
+        elif not is_face:
+            problems.append("(i) image vertex set is not a face of the projection")
 
         # (iii) the preimage of the image is the face itself.
         preimage_ok = False

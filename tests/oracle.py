@@ -43,6 +43,28 @@ def brute_force_vertices(a_rows, b):
     return verts
 
 
+def determinant_oracle(rows):
+    """Determinant of a square rational matrix by plain Gaussian
+    elimination, tracking row swaps and pivots."""
+    m = [list(map(QQ, row)) for row in rows]
+    n = len(m)
+    det = QQ(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return QQ(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        pv = m[c][c]
+        det *= pv
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / pv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
 def row_reduce_rank(rows):
     """Plain fraction Gaussian-elimination rank."""
     m = [list(map(QQ, row)) for row in rows]

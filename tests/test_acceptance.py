@@ -20,7 +20,6 @@ from projpoly.metrics import (
     complexity_paper_literal,
     fatness,
     gvector,
-    limit_claims,
     phi_coords,
     predicted_flag,
     predicted_flag_paper_literal,
@@ -147,14 +146,16 @@ def test_criterion_6_metrics_fixtures():
 
 
 def test_criterion_7_limit_claims():
-    fat, comp = limit_claims(10**6, 10**3)
+    limit = predicted_flag(10**6, 10**3)
+    fat, comp = fatness(limit), complexity(limit)
     assert fat > QQ(89, 10) and comp > QQ(159, 10)
     for n in (4, 6, 8, 100):
         values = [fatness(predicted_flag(n, r)) for r in range(2, 51)]
         assert all(a < b for a, b in zip(values, values[1:]))
     for n in (4, 6, 8, 100, 10**6):
         for r in (2, 3, 10, 50, 1000):
-            f, c = limit_claims(n, r)
+            flag = predicted_flag(n, r)
+            f, c = fatness(flag), complexity(flag)
             assert f < 9 and c < 16
     print("ACCEPTANCE 7 PASS: predicted fatness/complexity exceed 8.9/15.9 at "
           "(10^6, 10^3), are monotone in r, and stay strictly below 9/16")

@@ -15,7 +15,6 @@ from projpoly.metrics import (
     fatness,
     fatness_paper_literal,
     gvector,
-    limit_claims,
     metrics_report,
     phi_coords,
     predicted_flag,
@@ -180,20 +179,25 @@ def test_counting_identities_rejects_wrong_polygons(grid_case):
     # slips past the shape check but fails the counting identities
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
-    checker = ProjectionChecker(case.system.h, v, keep=4)
+    checker = ProjectionChecker(case.system.h, v)
     report = counting_identities(checker.q_lattice, 4, 2, [])
     assert not report.ok
 
     # n=6: a hexagon prism has 12 vertices and cannot pass as a cube
     case62 = grid_case(6, 2)
     v62 = h_to_v(case62.system.h)
-    checker62 = ProjectionChecker(case62.system.h, v62, keep=4)
+    checker62 = ProjectionChecker(case62.system.h, v62)
     with pytest.raises(CountingError):
         counting_identities(checker62.q_lattice, 6, 2, [])
 
 
+def _fatness_and_complexity(n, r):
+    flag = predicted_flag(n, r)
+    return fatness(flag), complexity(flag)
+
+
 def test_limit_claims_large_parameters():
-    fat, comp = limit_claims(10**6, 10**3)
+    fat, comp = _fatness_and_complexity(10**6, 10**3)
     assert fat > QQ(89, 10)
     assert comp > QQ(159, 10)
     assert fat < 9
@@ -201,7 +205,7 @@ def test_limit_claims_large_parameters():
 
 
 def test_limit_claims_identity_case():
-    fat, comp = limit_claims(4, 2)
+    fat, comp = _fatness_and_complexity(4, 2)
     assert fat == QQ(18, 7)
 
 
@@ -228,7 +232,7 @@ def test_fatness_monotone_in_r():
 def test_fatness_and_complexity_bounded_on_sweep():
     for n in (4, 6, 8, 100, 10**6):
         for r in (2, 3, 10, 50, 1000):
-            fat, comp = limit_claims(n, r)
+            fat, comp = _fatness_and_complexity(n, r)
             assert fat < 9
             assert comp < 16
 

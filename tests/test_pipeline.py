@@ -53,3 +53,43 @@ def test_construct_hands_the_gates_vertices_to_the_system(monkeypatch, params):
     # one enumeration per gate round, none after
     assert len(enumerated) == len(system.adaptation) + 1
     assert system.vertices is enumerated[-1]
+
+
+NOT_A_FACE = (
+    "(i) image vertex set is not a face of the projection; "
+    "(iii) not evaluated: image is not a face; "
+    "certificate: deleted normal coordinates do not positively span"
+)
+NOT_A_VERTEX = (
+    "(i) some vertex image is not a vertex of the projection; "
+    "certificate: deleted normal coordinates do not positively span"
+)
+
+
+def _failing_details(result):
+    return sorted(rep.details for rep in result.polygon_reports if rep.details)
+
+
+def test_gates_accept_a_system_that_verification_rejects():
+    # the construction gates do not test preservation, so this system is
+    # "validated" and still fails four polygons
+    system = construct_system(4, 3, eps=Fraction(1, 16), big_m=Fraction(2**32))
+    assert system.validated
+    result = verify_system(system)
+    assert result.failures == [
+        "edge_preservation",
+        "polygon_preservation_direct",
+        "polygon_preservation_certificate",
+    ]
+    assert (result.edges_preserved, result.edges_total) == (184, 192)
+    assert (result.polygons_direct, result.polygons_certified, result.polygons_total) == (44, 44, 48)
+    assert _failing_details(result) == [NOT_A_FACE] * 4
+
+
+def test_forced_odd_n_system_reports_both_kinds_of_failure():
+    system = construct_system(5, 3, eps=Fraction(1, 40), big_m=Fraction(2**20), force=True)
+    result = verify_system(system)
+    assert (result.vertices_preserved, result.vertices_total) == (122, 125)
+    assert (result.edges_preserved, result.edges_total) == (333, 375)
+    assert (result.polygons_direct, result.polygons_certified, result.polygons_total) == (58, 58, 75)
+    assert _failing_details(result) == sorted([NOT_A_FACE] * 10 + [NOT_A_VERTEX] * 7)

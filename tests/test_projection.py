@@ -3,9 +3,10 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from oracle import affine_rank_oracle
 from projpoly import linalg, projection
 from projpoly.construction import U0, U1, V0, V1, W0, W1
-from projpoly.lattice import face_lattice
+from projpoly.lattice import mask_of
 from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system, verify_system
 from projpoly.polytope import HPolytope, h_to_v, product_labeling
@@ -118,23 +119,24 @@ def test_deletion_certificates_formula_level_r10():
 def test_project_identity_for_r2(grid_case):
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
-    images = project(v, keep=4)
+    images = project(v)
     assert images == list(v.vertices)
 
 
 def test_project_rejects_keep_beyond_dimension():
+    # projection keeps four coordinates, more than the square has
     square = HPolytope(
         QMatrix.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]), (QQ(1),) * 4
     )
     v = h_to_v(square)
     with pytest.raises(ValueError):
-        project(v, keep=3)
+        project(v)
 
 
 def test_projected_vertices_distinct(grid_case):
     case = grid_case(4, 3)
     v = h_to_v(case.system.h)
-    images = project(v, keep=4)
+    images = project(v)
     assert len(set(images)) == len(images) == 64
 
 
@@ -145,60 +147,92 @@ def test_projected_hull_facet_count(grid_case):
 
     case = grid_case(4, 3)
     v = h_to_v(case.system.h)
-    hull = v_to_h(project(v, keep=4))
+    hull = v_to_h(project(v))
     assert hull.nrows == 64
 
 
-UNIT_SQUARE = HPolytope(
-    QMatrix.from_rows([[-1, 0], [1, 0], [0, -1], [0, 1]]),
-    (QQ(0), QQ(1), QQ(0), QQ(1)),
+# [0,1]^5: dropping x0 projects it onto the 4-cube, so every x0-edge
+# collapses onto a vertex of the image.
+UNIT_CUBE5 = HPolytope(
+    QMatrix.from_rows([[s if j == i else 0 for j in range(5)] for i in range(5) for s in (-1, 1)]),
+    (QQ(0), QQ(1)) * 5,
 )
 
 
-def _square_setup():
-    v = h_to_v(UNIT_SQUARE)
-    lat = face_lattice(v)
+def _cube5_setup():
+    v = h_to_v(UNIT_CUBE5)
     by_coord = {vx: i for i, vx in enumerate(v.vertices)}
-    return v, lat, by_coord
+
+    def idx(*ones):
+        return by_coord[tuple(QQ(int(j in ones)) for j in range(5))]
+
+    return ProjectionChecker(UNIT_CUBE5, v), idx
 
 
 def test_projection_to_one_coordinate_fails_condition_iii():
-    # keeping y, the edge y=0 collapses onto the image of the vertex
-    # (0,0), so the preimage of the image is bigger than the vertex
-    v, lat, idx = _square_setup()
-    checker = ProjectionChecker(UNIT_SQUARE, v, keep=1, p_lattice=lat)
-    rep = checker.check_face([idx[(QQ(0), QQ(0))]], face_id="w")
+    # the x0-edge at the origin collapses onto the image of the origin, so
+    # the preimage of that image is bigger than the vertex
+    checker, idx = _cube5_setup()
+    rep = checker.check_face([idx()], 0, face_id="w")
     assert not rep.direct_ok
-    assert "(iii)" in rep.details
+    assert "(iii) preimage of the image contains 1 extra vertices" in rep.details
     assert "(ii)" not in rep.details
     assert not rep.certificate_ok
 
 
 def test_projection_to_one_coordinate_fails_condition_ii():
-    # keeping y, the edge y=0 maps onto a single point, so the map is not
+    # the x0-edge at the origin maps onto a single point, so the map is not
     # a bijection
-    v, lat, idx = _square_setup()
-    checker = ProjectionChecker(UNIT_SQUARE, v, keep=1, p_lattice=lat)
-    rep = checker.check_face([idx[(QQ(0), QQ(0))], idx[(QQ(1), QQ(0))]], face_id="e")
+    checker, idx = _cube5_setup()
+    rep = checker.check_face([idx(), idx(0)], 1, face_id="e")
     assert not rep.direct_ok
-    assert "(ii)" in rep.details
+    assert "(ii) projection is not injective" in rep.details
 
 
 def test_projection_checker_rejects_non_face():
-    v, lat, idx = _square_setup()
-    diagonal = [idx[(QQ(0), QQ(0))], idx[(QQ(1), QQ(1))]]
-    checker = ProjectionChecker(UNIT_SQUARE, v, keep=1, p_lattice=lat)
-    with pytest.raises(ValueError):
-        checker.check_face(diagonal)
+    # a diagonal of a square 2-face maps onto a diagonal of a square of the
+    # 4-cube, which is no face of it
+    checker, idx = _cube5_setup()
+    rep = checker.check_face([idx(), idx(1, 2)], 1, face_id="d")
+    assert not rep.direct_ok
+    assert "(i) image vertex set is not a face of the projection" in rep.details
+
+
+def test_projection_checker_compares_the_image_dimension():
+    # an x1-edge survives the projection as an edge, so claiming it is a
+    # polygon fails condition (ii) on the image's dimension
+    checker, idx = _cube5_setup()
+    assert "(ii)" not in checker.check_face([idx(), idx(1)], 1).details
+    rep = checker.check_face([idx(), idx(1)], 2, face_id="e")
+    assert not rep.direct_ok
+    assert "(ii) image has lower affine dimension than the face" in rep.details
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
+def test_face_dimensions_agree_with_affine_rank_oracle(n, r, grid_case):
+    # the dimensions the checker reads combinatorially are the geometric
+    # ones: the face kind for P, the projection's lattice for the image
+    system = grid_case(n, r).system
+    checker, labeling = system.checker, system.labeling
+    for dim, faces in (
+        (0, vertex_faces(labeling)),
+        (1, enumerate_edges(labeling, n, r)),
+        (2, enumerate_polygon_faces(labeling, n, r)),
+    ):
+        for face in faces:
+            assert affine_rank_oracle([system.vertices.vertices[i] for i in face.vertices]) == dim
+            qmask = mask_of(checker.vertex_map[i] for i in face.vertices)
+            images = [checker.images[i] for i in face.vertices]
+            assert affine_rank_oracle(images) == checker.q_lattice.dim_of(qmask)
 
 
 def test_all_polygon_faces_strictly_preserved(grid_case):
     case = grid_case(4, 3)
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
-    checker = ProjectionChecker(case.system.h, v, keep=4)
+    checker = ProjectionChecker(case.system.h, v)
     for face in enumerate_polygon_faces(labeling, 4, 3):
-        rep = checker.check_face(face.vertices, face_id=face.face_id, factor=face.factor)
+        rep = checker.check_face(face.vertices, 2, face_id=face.face_id, factor=face.factor)
         assert rep.direct_ok, rep.details
         assert rep.certificate_ok, rep.details
 
@@ -270,18 +304,18 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     assert verify_system(system).ok
     checker, labeling = system.checker, system.labeling
     faces = (
-        vertex_faces(labeling)
-        + enumerate_edges(labeling, 4, 3)
-        + enumerate_polygon_faces(labeling, 4, 3)
+        [(0, face) for face in vertex_faces(labeling)]
+        + [(1, face) for face in enumerate_edges(labeling, 4, 3)]
+        + [(2, face) for face in enumerate_polygon_faces(labeling, 4, 3)]
     )
     distinct = set()
-    for face in faces:
+    for dim, face in faces:
         common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
         vectors = [
             tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in sorted(common)
         ]
         distinct.add(frozenset(vectors))
         direct = linalg.positively_spans(vectors, len(checker.drop_coords)).kind == "spanning"
-        assert checker.check_face(face.vertices, face_id=face.face_id).certificate_ok == direct
+        assert checker.check_face(face.vertices, dim, face_id=face.face_id).certificate_ok == direct
     assert len(distinct) < len(faces)
     assert Counter(inputs) == Counter(distinct)
