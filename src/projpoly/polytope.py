@@ -1,9 +1,17 @@
 """Exact conversions between inequality and vertex descriptions.
 
 ``h_to_v`` runs the double description method on the homogenization cone
-{(x, t) : Ax - tb <= 0, t >= 0} with integer-scaled rows, primitive integer
-rays, and the rank-based adjacency test.  ``v_to_h`` polarizes about the
-vertex barycenter and reuses ``h_to_v``; both directions are exact.
+{(x, t) : Ax - tb <= 0, t >= 0} with integer-scaled rows and primitive
+integer rays.  ``v_to_h`` polarizes about the vertex barycenter and reuses
+``h_to_v``; both directions are exact.
+
+Adjacency is decided from incidences alone.  An index from each row to
+the bitmask of rays tight on it finds, for each ray on the positive side
+of a new row, the rays on the negative side that share at least dim - 2
+tight rows with it (bit-sliced counters, no scan over all pairs).  Two
+such rays are adjacent iff no third ray is tight on every row they share
+(the combinatorial test of Fukuda and Prodon, "Double description method
+revisited", 1996), which is exact for the extreme rays of a pointed cone.
 
 Inequalities are inserted in cdd's "lexmin" order, lexicographic on the
 integer rows (b, -a), after a greedy full-rank initial basis chosen in
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -26,8 +35,6 @@ from .linalg import (
     nonneg_solution,
     null_vector,
     rank,
-    rank_int_rows,
-    rank_rows,
 )
 from .rational import QQ
 
@@ -100,7 +107,7 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _bits(mask: int):
@@ -131,8 +138,15 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
     basis_idx = [order[i] for i in independent_rows([rows[h] for h in order])]
     if len(basis_idx) < dim:
         raise ValueError("cone is not pointed (rows do not have full column rank)")
-    rays: list[tuple[int, ...]] = []
-    tights: list[int] = []
+
+    # A ray keeps the id it was created with; a dropped ray's entries
+    # become None.  ``live`` lists the current ids in increasing order, so
+    # after each insertion it is "kept rays, then new rays", and
+    # ``holders[j]`` is the bitmask of ray ids tight on row j (dropped ids
+    # included; every use masks them out).
+    rays: list[tuple[int, ...] | None] = []
+    tights: list[int | None] = []
+    holders = [0] * nrows
     for rj in basis_idx:
         others = [i for i in basis_idx if i != rj]
         ray = null_vector([rows[i] for i in others])
@@ -140,54 +154,82 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
             ray = [-x for x in ray]
         rays.append(_primitive(ray))
         tights.append(sum(1 << i for i in others))
+    alive = (1 << dim) - 1
+    for j, rj in enumerate(basis_idx):
+        holders[rj] = alive ^ (1 << j)
+    live = list(range(dim))
 
     in_basis = set(basis_idx)
-    adjacency_rank = dim - 2
+    # Two rays of the cone are adjacent only if they share at least
+    # dim - 2 tight rows.
+    threshold = dim - 2
     for h in order:
         if h in in_basis:
             continue
-        if not rays:
+        if not live:
             break
         row = rows[h]
-        vals = [_dot(row, r) for r in rays]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        if not plus:
-            hbit = 1 << h
-            for i, v in enumerate(vals):
-                if v == 0:
-                    tights[i] |= hbit
-            continue
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_tights: list[int] = []
         hbit = 1 << h
+        vals = {i: _dot(row, rays[i]) for i in live}
+        plus: list[int] = []
+        minus = zero = 0
+        for i in live:
+            v = vals[i]
+            if v > 0:
+                plus.append(i)
+            elif v < 0:
+                minus |= 1 << i
+            else:
+                zero |= 1 << i
+                tights[i] |= hbit
+        holders[h] = zero
+        if not plus:
+            continue
+        new_ids: list[int] = []
         for p in plus:
             tp = tights[p]
             vp = vals[p]
             rp = rays[p]
-            for q in minus:
+            # Candidates: the minus rays sharing at least ``threshold``
+            # rows with p, from bit-sliced counters over p's rows
+            # (at_least[k] holds the rays counted k + 1 times or more).
+            if threshold:
+                at_least = [0] * threshold
+                for j in _bits(tp):
+                    m = holders[j] & minus
+                    for k in range(threshold - 1, 0, -1):
+                        at_least[k] |= at_least[k - 1] & m
+                    at_least[0] |= m
+                candidates = at_least[-1]
+            else:
+                candidates = minus
+            others = alive ^ (1 << p)
+            for q in _bits(candidates):
+                # Combinatorial adjacency test (Fukuda-Prodon 1996): p and
+                # q are adjacent iff no third ray of the cone is tight on
+                # every row the two share.
                 common = tp & tights[q]
-                if common.bit_count() < adjacency_rank:
-                    continue
-                if rank_int_rows([rows[i] for i in _bits(common)]) != adjacency_rank:
+                rest = others ^ (1 << q)
+                for j in _bits(common):
+                    rest &= holders[j]
+                    if not rest:
+                        break
+                if rest:
                     continue
                 vq = vals[q]
                 rq = rays[q]
-                combo = [vp * y - vq * x for x, y in zip(rp, rq)]
-                new_rays.append(_primitive(combo))
-                new_tights.append(common | hbit)
-        kept_rays: list[tuple[int, ...]] = []
-        kept_tights: list[int] = []
-        for i, v in enumerate(vals):
-            if v < 0:
-                kept_rays.append(rays[i])
-                kept_tights.append(tights[i])
-            elif v == 0:
-                kept_rays.append(rays[i])
-                kept_tights.append(tights[i] | hbit)
-        rays = kept_rays + new_rays
-        tights = kept_tights + new_tights
-    return rays, tights
+                new = len(rays)
+                rays.append(_primitive([vp * y - vq * x for x, y in zip(rp, rq)]))
+                tights.append(common | hbit)
+                bit = 1 << new
+                for j in _bits(common | hbit):
+                    holders[j] |= bit
+                new_ids.append(new)
+        for p in plus:
+            rays[p] = tights[p] = None
+        live = [i for i in live if vals[i] <= 0] + new_ids
+        alive = minus | zero | sum(1 << i for i in new_ids)
+    return [rays[i] for i in live], [tights[i] for i in live]
 
 
 def _column(m: QMatrix, j: int) -> list[Fraction]:
@@ -206,6 +248,14 @@ def _is_feasible(A: QMatrix, b: Sequence[Fraction]) -> bool:
     return nonneg_solution(cols, list(b)) is not None
 
 
+def _cone_rows(p: HPolytope) -> list[tuple[int, ...]]:
+    """Integer rows (a, -b) of the homogenization cone of {x : Ax <= b},
+    then the row of -t <= 0."""
+    rows = [clear_denominators(tuple(arow) + (-bval,)) for arow, bval in zip(p.A.entries, p.b)]
+    rows.append(tuple([0] * p.dim + [-1]))
+    return rows
+
+
 def h_to_v(p: HPolytope) -> VPolytope:
     """Exact vertex enumeration of a bounded full-dimensional {x : Ax <= b}.
 
@@ -221,12 +271,7 @@ def h_to_v(p: HPolytope) -> VPolytope:
             raise UnboundedPolytopeError("unbounded")
         raise EmptyPolytopeError("empty")
 
-    rows: list[tuple[int, ...]] = []
-    for arow, bval in zip(p.A.entries, p.b):
-        rows.append(clear_denominators(tuple(arow) + (-bval,)))
-    rows.append(tuple([0] * d + [-1]))
-
-    rays, tights = _dd_extreme_rays(rows)
+    rays, tights = _dd_extreme_rays(_cone_rows(p))
 
     vertices: list[Point] = []
     incidence: list[frozenset[int]] = []
@@ -269,7 +314,8 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     Translates the point barycenter to the origin (always interior for a
     full-dimensional set, exact in rational arithmetic) and enumerates the
     vertices of the polar, which are exactly the facets of the hull; the
-    polar's incidences say which points lie on which facet.
+    polar's incidences say which points lie on which facet, and so which
+    points are vertices.
     """
     pts = [tuple(QQ(x) for x in p) for p in points]
     if not pts:
@@ -303,19 +349,28 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
 
     point_tight: list[set[int]] = [set() for _ in unique]
     facet_points: list[int] = []
+    facet_unique: list[int] = []
     for facet_idx, tight in enumerate(polar_v.incidence):
-        mask = 0
+        mask = unique_mask = 0
         for point_idx in tight:
             point_tight[point_idx].add(facet_idx)
             mask |= copies[point_idx]
+            unique_mask |= 1 << point_idx
         facet_points.append(mask)
+        facet_unique.append(unique_mask)
 
+    # The facets through a distinct point cut out the smallest face
+    # containing it.  That face is the convex hull of the input points on
+    # it, so the point is a vertex iff it is the only distinct point there.
     vertices: list[Point] = []
     incidence: list[frozenset[int]] = []
     unique_vertex: list[int | None] = []
     for i, p in enumerate(unique):
         tight = point_tight[i]
-        if tight and rank_rows([normals[j] for j in sorted(tight)]) == d:
+        face = -1
+        for j in tight:
+            face &= facet_unique[j]
+        if face == 1 << i:
             unique_vertex.append(len(vertices))
             vertices.append(p)
             incidence.append(frozenset(tight))

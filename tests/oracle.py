@@ -3,13 +3,18 @@
 Everything here is deliberately implemented with different algorithms than
 the library paths under test: plain Gaussian elimination instead of
 fraction-free elimination, subset enumeration instead of double
-description, and Caratheodory-style enumeration instead of simplex.
+description, Caratheodory-style enumeration instead of simplex, and a
+rank test instead of the combinatorial adjacency test of the double
+description method.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as QQ
 from itertools import combinations
+
+from projpoly.linalg import independent_rows, null_vector, rank_int_rows
+from projpoly.polytope import _primitive
 
 
 def gauss_solve(rows, rhs):
@@ -178,3 +183,51 @@ def poly_power_coeffs(n, r):
                 out[i + j] += c * bcoef
         coeffs = out
     return coeffs
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def dd_rank_oracle(rows):
+    """Extreme rays and tight-row masks of {z : M z <= 0}, in the order of
+    ``polytope._dd_extreme_rays``: the same insertion order and initial
+    basis, but every plus x minus pair is scanned and two rays are adjacent
+    iff the rows tight on both have rank dim - 2."""
+    dim = len(rows[0])
+    keys = [tuple(-x for x in row[-1:] + row[:-1]) for row in rows]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    basis_idx = [order[i] for i in independent_rows([rows[h] for h in order])]
+    if len(basis_idx) < dim:
+        raise ValueError("cone is not pointed (rows do not have full column rank)")
+    rays, tights = [], []
+    for rj in basis_idx:
+        others = [i for i in basis_idx if i != rj]
+        ray = null_vector([rows[i] for i in others])
+        if sum(a * x for a, x in zip(rows[rj], ray)) > 0:
+            ray = [-x for x in ray]
+        rays.append(_primitive(ray))
+        tights.append(sum(1 << i for i in others))
+    for h in order:
+        if h in basis_idx or not rays:
+            continue
+        hbit = 1 << h
+        vals = [sum(a * x for a, x in zip(rows[h], ray)) for ray in rays]
+        new_rays, new_tights = [], []
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = tights[p] & tights[q]
+                if common.bit_count() < dim - 2:
+                    continue
+                if rank_int_rows([rows[i] for i in _bits(common)]) != dim - 2:
+                    continue
+                new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rays[p], rays[q])]))
+                new_tights.append(common | hbit)
+        kept = [i for i, v in enumerate(vals) if v <= 0]
+        rays = [rays[i] for i in kept] + new_rays
+        tights = [tights[i] | (hbit if vals[i] == 0 else 0) for i in kept] + new_tights
+    return rays, tights

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracle import affine_rank_oracle, brute_force_vertices, is_irredundant
+from oracle import affine_rank_oracle, brute_force_vertices, dd_rank_oracle, is_irredundant
+from projpoly import linalg
 from projpoly.construction import (
     ConstructionParams,
     build_deformed_product,
@@ -18,6 +21,8 @@ from projpoly.polytope import (
     EmptyPolytopeError,
     HPolytope,
     UnboundedPolytopeError,
+    _cone_rows,
+    _dd_extreme_rays,
     _primitive,
     convex_hull,
     h_to_v,
@@ -269,3 +274,107 @@ def test_non_simple_polytope_is_not_a_product():
     )
     v = h_to_v(h)
     assert not product_isomorphic(v, h.labels, 4, 2)
+
+
+def test_h_to_v_segment():
+    v = h_to_v(HPolytope(QMatrix.from_rows([[1], [-1]]), (QQ(1), QQ(0))))
+    assert v.vertices == ((QQ(1),), (QQ(0),))
+    assert v.incidence == (frozenset({0}), frozenset({1}))
+
+
+def test_convex_hull_of_collinear_points():
+    hull = convex_hull([(QQ(0),), (QQ(1),), (QQ(1, 2),), (QQ(1),)])
+    assert hull.point_vertex == (0, 1, None, 1)
+    assert hull.facet_points == (0b1010, 0b0001)
+
+
+# --- the double description against its rank-test oracle --------------------
+
+
+def _polar_rows(points) -> list[tuple[int, ...]]:
+    """Cone rows of the polar of conv(points) about the barycenter of the
+    distinct points, as ``convex_hull`` builds them."""
+    unique = list(dict.fromkeys(tuple(QQ(x) for x in p) for p in points))
+    d = len(unique[0])
+    center = [sum(p[j] for p in unique) / len(unique) for j in range(d)]
+    shifted = tuple(tuple(x - c for x, c in zip(p, center)) for p in unique)
+    return _cone_rows(HPolytope(QMatrix(shifted), (QQ(1),) * len(shifted)))
+
+
+def _h_polytope(rows) -> HPolytope:
+    return HPolytope(QMatrix.from_rows(rows), (QQ(1),) * len(rows))
+
+
+def _signs(k):
+    return [[(-1) ** (m >> i & 1) for i in range(k)] for m in range(2**k)]
+
+
+def _unit(i, s=1):
+    return [s if j == i else 0 for j in range(4)]
+
+
+CUBE4 = [_unit(i, s) for i in range(4) for s in (1, -1)]
+CROSS4 = _signs(4)
+CELL24 = [
+    [a if k == i else b if k == j else 0 for k in range(4)]
+    for i in range(4) for j in range(i + 1, 4) for a, b in _signs(2)
+]
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
+def test_dd_matches_rank_oracle_on_source_and_projected_hull(grid_case, n, r):
+    system = grid_case(n, r).system
+    for rows in (_cone_rows(system.h), _polar_rows(system.checker.images)):
+        assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
+
+
+@pytest.mark.parametrize("facets", [CUBE4, CROSS4, CELL24], ids=["cube", "cross", "24-cell"])
+def test_dd_matches_rank_oracle_on_degenerate_4_polytopes(facets):
+    # every vertex of the cross-polytope lies on 8 facets, of the 24-cell on 6
+    h = _h_polytope(facets)
+    for rows in (_cone_rows(h), _polar_rows(h_to_v(h).vertices)):
+        assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
+
+
+@st.composite
+def small_grid_points(draw):
+    d = draw(st.integers(2, 5))
+    point = st.tuples(*[st.integers(-3, 3)] * d)
+    return draw(st.lists(point, min_size=d + 1, max_size=d + 8))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(points=small_grid_points())
+def test_dd_matches_rank_oracle_on_small_grid_point_sets(points):
+    assume(affine_rank_oracle(points) == len(points[0]))
+    rows = _polar_rows(points)
+    assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
+
+
+# --- scaling guard: elimination calls do not grow with the row count --------
+
+
+def _bareiss_calls(monkeypatch, fn, *args) -> int:
+    calls = []
+    original = linalg._bareiss
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss", counting)
+    fn(*args)
+    return len(calls)
+
+
+@pytest.mark.parametrize("n,r,calls", [(4, 3, 10), (6, 3, 10), (4, 4, 12)])
+def test_h_to_v_eliminations_follow_the_cone_dimension(grid_case, monkeypatch, n, r, calls):
+    # rank of A, the initial basis, one null vector per basis ray and the
+    # final affine rank: cone dimension 2r + 1, plus 3
+    assert _bareiss_calls(monkeypatch, h_to_v, grid_case(n, r).system.h) == calls
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
+def test_4d_hull_eliminations_are_fixed(grid_case, monkeypatch, n, r):
+    images = grid_case(n, r).system.checker.images
+    assert _bareiss_calls(monkeypatch, convex_hull, images) == 9
