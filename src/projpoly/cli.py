@@ -64,9 +64,25 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+class _OutputError(Exception):
+    """An output path could not be written; reported as invalid input."""
+
+
+def _write(path: str, save, *args) -> None:
+    """``save(path, *args)``, with an unwritable path as ``_OutputError``."""
+    try:
+        save(path, *args)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    _write(path, lambda p: Path(p).write_text(text))
+
+
 def _write_report(path: str | None, data: dict) -> None:
     if path:
-        Path(path).write_text(pio.dumps_json(data))
+        _write_text(path, pio.dumps_json(data))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -83,9 +99,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    pio.save_system(args.output, system)
+    _write(args.output, pio.save_system, system)
     if args.ine:
-        pio.save_ine(args.ine, system.h)
+        _write(args.ine, pio.save_ine, system.h)
     print(
         f"constructed n={system.n} r={system.r} eps={system.eps} M={system.big_m} "
         f"({system.h.nrows}x{system.h.dim} system, validated={system.validated}) -> {args.output}"
@@ -202,6 +218,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         pairs = len(set(n_values)) * len(set(r_values))
         if pairs > MAX_GRID_PAIRS:
             raise ValueError(f"{pairs} (n, r) pairs; at most {MAX_GRID_PAIRS} are allowed")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -219,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             lines.append(",".join(str(flat[f]) for f in _SWEEP_FIELDS))
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     failed = [row for row in rows if row.geometric.startswith("FAIL")]
@@ -233,9 +251,9 @@ def cmd_export(args: argparse.Namespace) -> int:
         print(f"error: cannot load {args.input}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.format == "ine":
-        pio.save_ine(args.output, system.h)
+        _write(args.output, pio.save_ine, system.h)
     else:
-        pio.save_system(args.output, system)
+        _write(args.output, pio.save_system, system)
     print(f"exported {args.input} -> {args.output} ({args.format})")
     return EXIT_OK
 
@@ -293,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ConstructionError, PolytopeError) as exc:

@@ -4,7 +4,11 @@ Ranks run fraction-free (Bareiss) on denominator-cleared
 integer rows, so no intermediate value is ever rounded.  Positive-dependence
 certificates come from an exact phase-1 simplex with Bland's rule and a
 closed feasible region (coefficients are required to be >= 1, so any feasible
-point is a strictly positive certificate).
+point is a strictly positive certificate).  The simplex is fraction-free as
+well (integer pivoting in the manner of Edmonds 1967 and Bareiss 1968): each
+equation is scaled to integers once, each pivot is an integer
+cross-multiplication followed by division by the row's gcd, and a
+``Fraction`` is built only for the coefficients it returns.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .rational import QQ
@@ -46,10 +51,16 @@ class QMatrix:
         return self.entries[i]
 
 
+def _scaled_row(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer row and its positive scale: the entries times the lcm of
+    their denominators."""
+    scale = math.lcm(*(x.denominator for x in entries))
+    return [x.numerator * (scale // x.denominator) for x in entries], scale
+
+
 def clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational row by the lcm of its denominators (positive scale)."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (scale // x.denominator) for x in row)
+    return tuple(_scaled_row(row)[0])
 
 
 def _bareiss(rows: list[list[int]]) -> list[int]:
@@ -129,10 +140,16 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    return len(_bareiss([list(clear_denominators((1, *p))) for p in points])) - 1
+    return len(_bareiss([_scaled_row((1, *p))[0] for p in points])) - 1
 
 
 # --- exact phase-1 simplex -------------------------------------------------
+
+
+def _primitive_row(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a positive number)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def nonneg_solution(
@@ -140,9 +157,21 @@ def nonneg_solution(
 ) -> tuple[Fraction, ...] | None:
     """Exact coefficients mu >= 0 with sum(mu_j * vectors[j]) == target.
 
-    Phase-1 simplex over the rationals with Bland's rule (lowest index on
-    both entering and leaving choices), hence deterministic and cycle-free.
-    Returns None when the system is infeasible.
+    Phase-1 simplex with Bland's rule (lowest index on both entering and
+    leaving choices), hence deterministic and cycle-free.  Returns None when
+    the system is infeasible.
+
+    The tableau is fraction-free.  Equation i is scaled by the lcm s_i of
+    its denominators and its artificial column gets the entry s_i, so the
+    artificial variables, the phase-1 objective and every rational tableau
+    B^-1 A are those of the plain rational simplex.  Each integer row stands
+    for its rational row divided by the row's (positive) entry in its basic
+    column.  A pivot on column e of row l replaces every other row by
+    ``p * row - row[e] * row_l`` with ``p = row_l[e] > 0`` and divides out
+    the gcd; the objective row, whose scale never matters because only the
+    signs of its entries are read, is updated the same way.  Ratio tests
+    and their ties compare integers by cross-multiplication, and mu is read
+    as ``rhs / basic entry`` at the end.
     """
     k = len(vectors)
     d = len(target)
@@ -152,61 +181,66 @@ def nonneg_solution(
     if d == 0:
         return tuple(QQ(0) for _ in range(k))
 
-    # Rows: structural columns, artificial identity, rhs; rhs made nonnegative.
-    tableau: list[list[Fraction]] = []
+    # Rows: structural columns, artificial column scale * e_i, rhs; rhs made
+    # nonnegative.
+    tableau: list[list[int]] = []
+    scales: list[int] = []
     for i in range(d):
-        row = [QQ(vectors[j][i]) for j in range(k)]
-        rhs = QQ(target[i])
-        if rhs < 0:
+        row, scale = _scaled_row([v[i] for v in vectors] + [target[i]])
+        if row[-1] < 0:
             row = [-x for x in row]
-            rhs = -rhs
-        for a in range(d):
-            row.append(QQ(1) if a == i else QQ(0))
-        row.append(rhs)
+        row[k:k] = [scale if a == i else 0 for a in range(d)]
         tableau.append(row)
+        scales.append(scale)
     basis = [k + i for i in range(d)]
     ncols = k + d
 
-    # Objective: minimize the sum of artificials.  obj[j] holds the reduced
-    # cost of column j; obj[-1] holds minus the current objective value.
-    obj = [QQ(0)] * (ncols + 1)
-    for j in range(ncols):
-        obj[j] = (QQ(1) if j >= k else QQ(0)) - sum(tableau[i][j] for i in range(d))
-    obj[ncols] = -sum(tableau[i][ncols] for i in range(d))
+    # Objective: minimize the sum of artificials.  obj[j] is a positive
+    # multiple of the reduced cost of column j; obj[-1] is the same multiple
+    # of minus the current objective value.  The artificial columns start at
+    # reduced cost 1 - 1 = 0.
+    common = math.lcm(*scales)
+    obj = [0] * (ncols + 1)
+    for row, scale in zip(tableau, scales):
+        w = common // scale
+        for j in (*range(k), ncols):
+            obj[j] -= w * row[j]
+    obj = _primitive_row(obj)
 
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
-        for i in range(d):
-            coeff = tableau[i][enter]
+        leave = -1
+        best_rhs = best_coeff = 0
+        for i, row in enumerate(tableau):
+            coeff = row[enter]
             if coeff > 0:
-                ratio = tableau[i][ncols] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
+                if leave < 0:
+                    leave, best_rhs, best_coeff = i, row[ncols], coeff
+                    continue
+                # row[ncols] / coeff against best_rhs / best_coeff.
+                lhs, rhs = row[ncols] * best_coeff, best_rhs * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coeff = i, row[ncols], coeff
+        if leave < 0:
             raise RuntimeError("phase-1 simplex cannot be unbounded")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
         prow = tableau[leave]
-        for i in range(d):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], prow)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, prow)]
+        pivot = prow[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != leave and f != 0:
+                tableau[i] = _primitive_row([pivot * x - f * y for x, y in zip(row, prow)])
+        f = obj[enter]
+        obj = _primitive_row([pivot * x - f * y for x, y in zip(obj, prow)])
         basis[leave] = enter
 
     if obj[ncols] != 0:
         return None
     mu = [QQ(0)] * k
-    for i, var in enumerate(basis):
+    for row, var in zip(tableau, basis):
         if var < k:
-            mu[var] = tableau[i][ncols]
+            mu[var] = QQ(row[ncols], row[var])
     return tuple(mu)
 
 
@@ -230,6 +264,35 @@ class PositiveCertificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
 
+def _equations(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[list[int], int]]:
+    """Equation i of sum(c_j * vectors[j]) == 0: coordinate i of every
+    vector as an integer row, with the positive scale that cleared it."""
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError("vector length does not match dim")
+    return [_scaled_row([v[i] for v in vectors]) for i in range(dim)]
+
+
+def _dependence(
+    vectors: Sequence[Sequence[Fraction]], equations: list[tuple[list[int], int]]
+) -> PositiveCertificate:
+    """Strictly positive dependence of nonempty vectors, given their
+    equations (see ``positive_dependence``)."""
+    # The target -sum(vectors) has, in equation i, a denominator dividing
+    # the equation's scale, so the simplex scales each equation as here.
+    target = [QQ(-sum(row), scale) for row, scale in equations]
+    mu = nonneg_solution(vectors, target)
+    if mu is None:
+        return PositiveCertificate("none")
+    lam = tuple(m + 1 for m in mu)
+    # Exact self-check on the integer equations, with lam cleared too.
+    weights, _ = _scaled_row(lam)
+    for row, _ in equations:
+        if sum(map(mul, weights, row)) != 0:
+            raise RuntimeError("simplex returned an invalid dependence certificate")
+    return PositiveCertificate("dependence", lam)
+
+
 def positive_dependence(vectors: Sequence[Sequence[Fraction]], dim: int) -> PositiveCertificate:
     """Strictly positive coefficients with zero weighted sum, if any exist.
 
@@ -237,34 +300,23 @@ def positive_dependence(vectors: Sequence[Sequence[Fraction]], dim: int) -> Posi
     mu = lambda - 1 keeps the region closed); any feasible point certifies
     strict positivity.
     """
-    vecs = [tuple(QQ(x) for x in v) for v in vectors]
-    for v in vecs:
-        if len(v) != dim:
-            raise ValueError("vector length does not match dim")
-    if not vecs:
+    equations = _equations(vectors, dim)
+    if not vectors:
         return PositiveCertificate("none")
-    target = tuple(-sum(v[i] for v in vecs) for i in range(dim))
-    mu = nonneg_solution(vecs, target)
-    if mu is None:
-        return PositiveCertificate("none")
-    lam = tuple(m + 1 for m in mu)
-    for i in range(dim):
-        total = sum(c * v[i] for c, v in zip(lam, vecs))
-        if total != 0:
-            raise RuntimeError("simplex returned an invalid dependence certificate")
-    return PositiveCertificate("dependence", lam)
+    return _dependence(vectors, equations)
 
 
 def positively_spans(vectors: Sequence[Sequence[Fraction]], dim: int) -> PositiveCertificate:
     """Spanning certificate: full rank plus positive dependence.
 
     A set positively spans iff it spans the space and is positively
-    dependent; the certificate carries the dependence coefficients.
+    dependent; the certificate carries the dependence coefficients.  The
+    rank is that of the integer equations, the transpose of the vectors.
     """
-    vecs = [tuple(QQ(x) for x in v) for v in vectors]
-    if rank_rows(vecs) != dim:
+    equations = _equations(vectors, dim)
+    if not vectors or rank_int_rows([row for row, _ in equations]) != dim:
         return PositiveCertificate("none")
-    dep = positive_dependence(vecs, dim)
+    dep = _dependence(vectors, equations)
     if dep.kind == "none":
         return PositiveCertificate("none")
     return PositiveCertificate("spanning", dep.coefficients)

@@ -138,6 +138,13 @@ class PreservationReport:
         }
 
 
+def _intern(values: Sequence[Point]) -> list[int]:
+    """An integer id per value, in order of first appearance; equal values
+    get equal ids."""
+    ids: dict[Point, int] = {}
+    return [ids.setdefault(value, len(ids)) for value in values]
+
+
 class ProjectionChecker:
     """Shared state for checking many faces of one projection.
 
@@ -163,8 +170,17 @@ class ProjectionChecker:
         # a vertex of Q).
         self.vertex_map = self.hull.point_vertex
         self.all_p_mask = (1 << pv.nvertices) - 1
-        # Certificate verdict per distinct set of deleted normal coordinates.
-        self._spans: dict[frozenset[Point], bool] = {}
+        # Each facet row's deleted normal coordinates and each vertex image
+        # as an integer id, equal ids for equal vectors, so that the per-face
+        # work hashes no Fraction.
+        self._drop_vectors: list[Point] = [
+            tuple(row[c] for c in self.drop_coords) for row in ph.A.entries
+        ]
+        self._drop_ids = _intern(self._drop_vectors)
+        self._image_ids = _intern(self.images)
+        # Certificate verdict per distinct set of deleted normal coordinates,
+        # keyed by their ids.
+        self._spans: dict[frozenset[int], bool] = {}
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
@@ -193,7 +209,7 @@ class ProjectionChecker:
         # dimension.  When (i) holds the images are the vertices of the
         # face qmask, so its grade is their affine dimension.
         problems: list[str] = []
-        injective = len({self.images[i] for i in face}) == len(face)
+        injective = len({self._image_ids[i] for i in face}) == len(face)
         if not injective:
             problems.append("(ii) projection is not injective on the face's vertices")
         elif is_face and self.q_lattice.dim_of(qmask) != dim:
@@ -232,14 +248,13 @@ class ProjectionChecker:
         for i in face:
             inc = self.pv.incidence[i]
             common = inc if common is None else common & inc
-        vectors = [
-            tuple(self.ph.A.row(j)[c] for c in self.drop_coords) for j in sorted(common or ())
-        ]
+        rows = common or frozenset()
         # Positive spanning depends only on the set of vectors, so each
         # distinct set runs one LP per checker.
-        key = frozenset(vectors)
+        key = frozenset(map(self._drop_ids.__getitem__, rows))
         certificate_ok = self._spans.get(key)
         if certificate_ok is None:
+            vectors = [self._drop_vectors[j] for j in sorted(rows)]
             cert = positively_spans(vectors, len(self.drop_coords))
             certificate_ok = self._spans[key] = cert.kind == "spanning"
         if not certificate_ok:

@@ -3,15 +3,18 @@
 Everything here is deliberately implemented with different algorithms than
 the library paths under test: plain Gaussian elimination instead of
 fraction-free elimination, subset enumeration instead of double
-description, Caratheodory-style enumeration instead of simplex, and a
+description, Caratheodory-style enumeration instead of simplex, a
 rank test instead of the combinatorial adjacency test of the double
-description method.
+description method, and a ``Fraction`` tableau instead of the integer
+simplex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from functools import cache
 from itertools import combinations
+from random import Random
 
 from projpoly.linalg import independent_rows, null_vector, rank_int_rows
 from projpoly.polytope import _primitive
@@ -154,6 +157,99 @@ def positively_spans_oracle(vectors, dim):
             if not in_cone(vectors, target, dim):
                 return False
     return True
+
+
+@cache
+def span_oracle_cases():
+    """200 random vector sets with the verdict of ``positively_spans_oracle``
+    on each, as ``(vectors, dim, spans)``.
+
+    The subset-enumeration oracle is slow, so its verdicts are computed once
+    per test run for every test that compares against them.
+    """
+    rng = Random(20260810)
+    cases = []
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        count = rng.randint(1, 8)
+        vectors = [tuple(QQ(rng.randint(-5, 5)) for _ in range(dim)) for _ in range(count)]
+        cases.append((vectors, dim, positively_spans_oracle(vectors, dim)))
+    return tuple(cases)
+
+
+def nonneg_solution_oracle(vectors, target):
+    """Exact coefficients mu >= 0 with sum(mu_j * vectors[j]) == target,
+    or None when infeasible.
+
+    The phase-1 simplex that ``linalg.nonneg_solution`` replaced: the same
+    Bland's rule on a ``Fraction`` tableau with unit artificial columns and
+    a division by the pivot in every step.  The integer tableau must reach
+    the same basis and the same coefficients.
+    """
+    k = len(vectors)
+    d = len(target)
+    for v in vectors:
+        if len(v) != d:
+            raise ValueError("vector length does not match target length")
+    if d == 0:
+        return tuple(QQ(0) for _ in range(k))
+
+    # Rows: structural columns, artificial identity, rhs; rhs made nonnegative.
+    tableau = []
+    for i in range(d):
+        row = [QQ(vectors[j][i]) for j in range(k)]
+        rhs = QQ(target[i])
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        for a in range(d):
+            row.append(QQ(1) if a == i else QQ(0))
+        row.append(rhs)
+        tableau.append(row)
+    basis = [k + i for i in range(d)]
+    ncols = k + d
+
+    # Objective: minimize the sum of artificials.  obj[j] holds the reduced
+    # cost of column j; obj[-1] holds minus the current objective value.
+    obj = [QQ(0)] * (ncols + 1)
+    for j in range(ncols):
+        obj[j] = (QQ(1) if j >= k else QQ(0)) - sum(tableau[i][j] for i in range(d))
+    obj[ncols] = -sum(tableau[i][ncols] for i in range(d))
+
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(d):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][ncols] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise RuntimeError("phase-1 simplex cannot be unbounded")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [x / pivot for x in tableau[leave]]
+        prow = tableau[leave]
+        for i in range(d):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], prow)]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, prow)]
+        basis[leave] = enter
+
+    if obj[ncols] != 0:
+        return None
+    mu = [QQ(0)] * k
+    for i, var in enumerate(basis):
+        if var < k:
+            mu[var] = tableau[i][ncols]
+    return tuple(mu)
 
 
 def is_irredundant(h, vertices):

@@ -6,12 +6,11 @@ inline.
 """
 
 import json
-import random
 from fractions import Fraction as QQ
 from itertools import combinations, product
 
 from conftest import GRID, run_case
-from oracle import is_irredundant, positively_spans_oracle
+from oracle import is_irredundant, span_oracle_cases
 from projpoly.cli import main
 from projpoly.lattice import FlagVector4, face_lattice
 from projpoly.linalg import positively_spans
@@ -163,14 +162,8 @@ def test_criterion_7_limit_claims():
 
 def test_criterion_8_property_suites(tmp_path, capsys):
     # positive-span agreement with the condition-(i) oracle
-    rng = random.Random(20260810)
-    for _ in range(200):
-        dim = rng.randint(1, 4)
-        count = rng.randint(1, 8)
-        vectors = [tuple(QQ(rng.randint(-5, 5)) for _ in range(dim)) for _ in range(count)]
-        assert (positively_spans(vectors, dim).kind == "spanning") == positively_spans_oracle(
-            vectors, dim
-        )
+    for vectors, dim, spans in span_oracle_cases():
+        assert (positively_spans(vectors, dim).kind == "spanning") == spans
 
     # double-description round trips and Euler on every grid lattice
     for (n, r) in GRID:

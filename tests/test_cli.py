@@ -295,3 +295,33 @@ def test_sweep_clamps_jobs(monkeypatch, capsys, cpus, workers):
     assert code == 0
     assert sizes == [workers]
     assert len(stdout.splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "4", "--r", "2", "-o", "{bad}"],
+    ["construct", "--n", "4", "--r", "2", "-o", "{tmp}/ok.json", "--ine", "{bad}"],
+    ["verify", "{system}", "--report", "{bad}"],
+    ["analyze", "{system}", "--report", "{bad}"],
+    ["export", "{system}", "--format", "json", "-o", "{bad}"],
+    ["export", "{system}", "--format", "ine", "-o", "{bad}"],
+    ["sweep", "--n", "4", "--r", "2", "-o", "{bad}"],
+    ["sweep", "--n", "4", "--r", "2", "--format", "json", "-o", "{tmp}"],
+], ids=["construct", "construct-ine", "verify", "analyze", "export-json", "export-ine",
+        "sweep", "sweep-directory"])
+def test_unwritable_output_is_invalid_input(tmp_path, capsys, argv):
+    system = tmp_path / "p42.json"
+    assert main(["construct", "--n", "4", "--r", "2", "-o", str(system)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "missing" / "out"
+    code, _, stderr = run(capsys, *(a.format(bad=bad, system=system, tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert stderr.startswith("error: cannot write ")
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(capsys, jobs):
+    code, stdout, stderr = run(capsys, "sweep", "--n", "4", "--r", "2", "--jobs", jobs)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "--jobs" in stderr

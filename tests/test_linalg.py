@@ -3,12 +3,15 @@ import random
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import determinant_oracle, positively_spans_oracle, row_reduce_rank
+from oracle import determinant_oracle, nonneg_solution_oracle, row_reduce_rank, span_oracle_cases
 from projpoly.construction import U0, U1, V0, W0, W1
 from projpoly.linalg import (
     PositiveCertificate,
     QMatrix,
+    nonneg_solution,
     positive_dependence,
     positively_spans,
     rank,
@@ -92,16 +95,9 @@ def test_certificate_kind_validation():
 
 
 def test_positively_spans_agrees_with_unit_vector_oracle():
-    rng = random.Random(20260810)
     agreements = 0
-    for _ in range(200):
-        dim = rng.randint(1, 4)
-        count = rng.randint(1, 8)
-        vectors = [
-            tuple(QQ(rng.randint(-5, 5)) for _ in range(dim)) for _ in range(count)
-        ]
+    for vectors, dim, expected in span_oracle_cases():
         cert = positively_spans(vectors, dim)
-        expected = positively_spans_oracle(vectors, dim)
         assert (cert.kind == "spanning") == expected, (vectors, dim)
         if cert.kind == "spanning":
             # the certificate itself must be exact: positive weights, zero sum
@@ -131,3 +127,70 @@ def test_results_stay_reduced():
     for c in cert.coefficients:
         assert c.denominator > 0
         assert math.gcd(c.numerator, c.denominator) == 1
+
+
+# --- the integer simplex against the Fraction simplex it replaced -----------
+
+
+def _qq_rows(rows):
+    return [tuple(QQ(x) for x in row) for row in rows]
+
+
+@pytest.mark.parametrize("vectors,target,expected", [
+    # column 0 enters with equal ratios 2/1 in both rows: the lower basis
+    # index (row 0's artificial) leaves
+    ([(1, 1), (2, 0), (0, 2)], (2, 2), (2, 0, 0)),
+    # a ratio tie once the basis is no longer in row order: Bland's rule
+    # takes the row whose basic variable has the lower index, which is not
+    # the first tied row, and a first-row choice ends at another vertex
+    ([(1, 0, 1), (1, 2, 1), (2, -2, 0), (1, 1, -2)], (1, 0, 0),
+     (QQ(1, 2), 0, QQ(1, 8), QQ(1, 4))),
+    ([(), ()], (), (0, 0)),
+    ([], (), ()),
+    ([(1, 0), (0, 1)], (-1, 0), None),
+    ([], (1, 0), None),
+    ([(-1, 0), (0, -2)], (-3, -4), (3, 2)),
+    ([(0, 0), (1, 1)], (2, 2), (0, 2)),
+    ([(1, 2), (1, 2), (0, 1)], (2, 5), (2, 0, 1)),
+    ([(QQ(1, 2), QQ(1, 3)), (QQ(1, 5), QQ(-1, 7)), (QQ(-1, 4), QQ(2, 9))],
+     (QQ(1, 6), QQ(1, 10)), (QQ(46, 145), QQ(7, 174), 0)),
+], ids=["bland-tie", "bland-tie-out-of-row-order", "d0", "d0-k0", "infeasible", "k0-infeasible", "negative-rhs",
+        "zero-vector", "duplicate-vectors", "mixed-denominators"])
+def test_nonneg_solution_examples_match_fraction_simplex(vectors, target, expected):
+    vectors, target = _qq_rows(vectors), tuple(QQ(x) for x in target)
+    got = nonneg_solution(vectors, target)
+    assert got == nonneg_solution_oracle(vectors, target) == expected
+    if got is not None:
+        assert all(type(c) is QQ for c in got)
+
+
+# Small numerators and denominators, so that ratio ties and zero entries
+# are common.
+_entries = st.builds(QQ, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3, 6)))
+
+
+@st.composite
+def lp_systems(draw):
+    d = draw(st.integers(0, 5))
+    vectors = draw(st.lists(st.tuples(*[_entries] * d), max_size=9))
+    if vectors and draw(st.booleans()):
+        vectors.append(draw(st.sampled_from(vectors)))
+    target = draw(st.tuples(*[_entries] * d))
+    return vectors, target
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(system=lp_systems())
+def test_nonneg_solution_matches_fraction_simplex(system):
+    vectors, target = system
+    assert nonneg_solution(vectors, target) == nonneg_solution_oracle(vectors, target)
+
+
+def test_positive_dependence_is_the_fraction_simplex_plus_one():
+    for vectors, dim, _ in span_oracle_cases():
+        mu = nonneg_solution_oracle(vectors, [-sum(v[i] for v in vectors) for i in range(dim)])
+        cert = positive_dependence(vectors, dim)
+        if mu is None:
+            assert cert.kind == "none"
+        else:
+            assert cert.coefficients == tuple(m + 1 for m in mu)

@@ -3,7 +3,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from oracle import affine_rank_oracle
+from oracle import affine_rank_oracle, nonneg_solution_oracle
 from projpoly import linalg, projection
 from projpoly.construction import U0, U1, V0, V1, W0, W1
 from projpoly.lattice import mask_of
@@ -319,3 +319,53 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
         assert checker.check_face(face.vertices, dim, face_id=face.face_id).certificate_ok == direct
     assert len(distinct) < len(faces)
     assert Counter(inputs) == Counter(distinct)
+
+
+def _distinct_certificate_inputs(system, n, r):
+    """Every distinct certificate input of the system's checker, as the
+    vectors in the facet-row order that ``check_face`` passes."""
+    checker, labeling = system.checker, system.labeling
+    faces = (
+        vertex_faces(labeling) + enumerate_edges(labeling, n, r)
+        + enumerate_polygon_faces(labeling, n, r)
+    )
+    inputs = {}
+    for face in faces:
+        common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
+        vectors = [
+            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in sorted(common)
+        ]
+        inputs.setdefault(frozenset(vectors), vectors)
+    return list(inputs.values())
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (6, 3), (4, 4)])
+def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
+    system = grid_case(n, r).system
+    dim = len(system.checker.drop_coords)
+    inputs = _distinct_certificate_inputs(system, n, r)
+    assert len(inputs) == len(system.checker._spans)
+    for vectors in inputs:
+        target = [-sum(v[i] for v in vectors) for i in range(dim)]
+        assert linalg.nonneg_solution(vectors, target) == nonneg_solution_oracle(vectors, target)
+
+
+def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
+    system = grid_case(4, 3).system
+    checker, labeling = system.checker, system.labeling
+    faces = (
+        [(0, face) for face in vertex_faces(labeling)]
+        + [(1, face) for face in enumerate_edges(labeling, 4, 3)]
+        + [(2, face) for face in enumerate_polygon_faces(labeling, 4, 3)]
+    )
+    expected = [checker.check_face(face.vertices, dim) for dim, face in faces]
+    hashes = []
+    original = QQ.__hash__
+
+    def counting(self):
+        hashes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QQ, "__hash__", counting)
+    assert [checker.check_face(face.vertices, dim) for dim, face in faces] == expected
+    assert hashes == []
