@@ -9,6 +9,7 @@ failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -68,21 +69,32 @@ class _OutputError(Exception):
     """An output path could not be written; reported as invalid input."""
 
 
-def _write(path: str, save, *args) -> None:
-    """``save(path, *args)``, with an unwritable path as ``_OutputError``."""
+def _write_outputs(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text) pair.
+
+    Every path is opened for appending before any text is written, so an
+    unwritable path raises ``_OutputError`` with no output written and no
+    file left behind that was not there before.
+    """
+    created: list[str] = []
     try:
-        save(path, *args)
+        for path, _ in outputs:
+            existed = os.path.lexists(path)
+            with open(path, "a"):
+                pass
+            if not existed:
+                created.append(path)
+        for path, text in outputs:
+            Path(path).write_text(text)
     except OSError as exc:
+        for new in created:
+            Path(new).unlink(missing_ok=True)
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    _write(path, lambda p: Path(p).write_text(text))
 
 
 def _write_report(path: str | None, data: dict) -> None:
     if path:
-        _write_text(path, pio.dumps_json(data))
+        _write_outputs((path, pio.dumps_json(data)))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -99,9 +111,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    _write(args.output, pio.save_system, system)
+    outputs = [(args.output, pio.dumps_json(pio.system_to_dict(system)))]
     if args.ine:
-        _write(args.ine, pio.save_ine, system.h)
+        outputs.append((args.ine, pio.to_ine_text(system.h)))
+    _write_outputs(*outputs)
     print(
         f"constructed n={system.n} r={system.r} eps={system.eps} M={system.big_m} "
         f"({system.h.nrows}x{system.h.dim} system, validated={system.validated}) -> {args.output}"
@@ -165,7 +178,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         fa = result.flag_actual
         print(f"flag vector actual:    ({fa.f0}, {fa.f1}, {fa.f2}, {fa.f3}; {fa.f03})")
     fp = result.flag_predicted
-    print(f"flag vector predicted: ({fp.f0}, {fp.f1}, {fp.f2}, {fp.f3}; {fp.f03})")
+    if fp is not None:
+        print(f"flag vector predicted: ({fp.f0}, {fp.f1}, {fp.f2}, {fp.f3}; {fp.f03})")
+    else:
+        print("flag vector predicted: unavailable")
     print(f"flag match: {'yes' if result.flag_match else 'NO'}")
     rep = result.report
     if rep:
@@ -185,8 +201,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"discrepancy {lit['fatness_discrepancy']}")
         print(f"  complexity (no -20 form) = {lit['complexity']}, "
               f"discrepancy {lit['complexity_discrepancy']}")
-        print(f"  printed f2 term predicts {lit['predicted_f2']} 2-faces vs "
-              f"{lit['actual_f2']} actual (discrepancy {lit['predicted_f2_discrepancy']})")
+        if "predicted_f2" in lit:
+            print(f"  printed f2 term predicts {lit['predicted_f2']} 2-faces vs "
+                  f"{lit['actual_f2']} actual (discrepancy {lit['predicted_f2_discrepancy']})")
     _write_report(args.report, result.as_dict())
     if result.ok:
         print("ANALYZE OK")
@@ -237,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             lines.append(",".join(str(flat[f]) for f in _SWEEP_FIELDS))
         text = "\n".join(lines) + "\n"
     if args.output:
-        _write_text(args.output, text)
+        _write_outputs((args.output, text))
     else:
         sys.stdout.write(text)
     failed = [row for row in rows if row.geometric.startswith("FAIL")]
@@ -251,9 +268,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         print(f"error: cannot load {args.input}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.format == "ine":
-        _write(args.output, pio.save_ine, system.h)
+        text = pio.to_ine_text(system.h)
     else:
-        _write(args.output, pio.save_system, system)
+        text = pio.dumps_json(pio.system_to_dict(system))
+    _write_outputs((args.output, text))
     print(f"exported {args.input} -> {args.output} ({args.format})")
     return EXIT_OK
 

@@ -213,9 +213,5 @@ def parse_ine_text(text: str) -> HPolytope:
     return HPolytope(QMatrix(tuple(rows)), tuple(rhs))
 
 
-def save_ine(path: str | Path, h: HPolytope) -> None:
-    Path(path).write_text(to_ine_text(h))
-
-
 def load_ine(path: str | Path) -> HPolytope:
     return parse_ine_text(Path(path).read_text())

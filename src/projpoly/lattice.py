@@ -76,8 +76,8 @@ def face_lattice(v: VPolytope) -> FaceLattice:
     full = (1 << n) - 1
     face_dims = {full: d}
     # Each face carries the facet sets that meet it properly: only these
-    # cut out a nonempty facet of it or of any face below it.  A face with
-    # none left is a vertex, whose one facet is the empty face.
+    # cut out a nonempty facet of it or of any face below it.  A vertex
+    # meets none, and its one facet is the empty face.
     level = [(full, list(set(row_masks) - {full}))]
     for k in range(d - 1, -2, -1):
         below: list[tuple[int, list[int]]] = []
@@ -85,11 +85,14 @@ def face_lattice(v: VPolytope) -> FaceLattice:
             candidates = sorted({face & s for s in pool} or [0], key=int.bit_count, reverse=True)
             facets: list[int] = []
             for g in candidates:
-                if all(g & f != g for f in facets):
+                for f in facets:
+                    if g & f == g:
+                        break
+                else:
                     facets.append(g)
                     if g not in face_dims:
                         face_dims[g] = k
-                        below.append((g, [s for s in pool if s & g not in (0, g)]))
+                        below.append((g, [s for s in pool if s & g not in (0, g)] if k else []))
         level = below
     if face_dims.get(0) != -1:
         raise LatticeError("vertex set is not full-dimensional")

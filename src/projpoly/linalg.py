@@ -138,18 +138,14 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     return _bareiss([list(col) for col in zip(*rows)])
 
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    return len(_bareiss([_scaled_row((1, *p))[0] for p in points])) - 1
+def primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (the row itself when that
+    gcd is 0 or 1)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 # --- exact phase-1 simplex -------------------------------------------------
-
-
-def _primitive_row(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (a positive number)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def nonneg_solution(
@@ -205,7 +201,7 @@ def nonneg_solution(
         w = common // scale
         for j in (*range(k), ncols):
             obj[j] -= w * row[j]
-    obj = _primitive_row(obj)
+    obj = primitive(obj)
 
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
@@ -230,9 +226,9 @@ def nonneg_solution(
         for i, row in enumerate(tableau):
             f = row[enter]
             if i != leave and f != 0:
-                tableau[i] = _primitive_row([pivot * x - f * y for x, y in zip(row, prow)])
+                tableau[i] = primitive([pivot * x - f * y for x, y in zip(row, prow)])
         f = obj[enter]
-        obj = _primitive_row([pivot * x - f * y for x, y in zip(obj, prow)])
+        obj = primitive([pivot * x - f * y for x, y in zip(obj, prow)])
         basis[leave] = enter
 
     if obj[ncols] != 0:

@@ -20,6 +20,7 @@ from .construction import (
     AdaptationAttempt,
     ConstructionError,
     ConstructionParams,
+    InvalidParameterError,
     check_parameters,
     choose_parameters,
 )
@@ -292,18 +293,24 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
     """Hull of the projection, flag vector, metrics, counting identities."""
     n, r = system.require_nr()
     result = AnalyzeResult(n=n, r=r)
-    result.flag_predicted = predicted_flag(n, r)
+    # The closed form covers even n only; an odd-n system (``construct
+    # --force``) still gets its geometry analyzed.
+    try:
+        result.flag_predicted = predicted_flag(n, r)
+    except InvalidParameterError as exc:
+        result.failures.append(f"flag_predicted: unavailable: {exc}")
 
     _, labeling, checker = _geometry(system, result.failures)
     if checker is None:
         return result
+    # The flag vector of the projection needs only its lattice.
+    result.flag_actual = FlagVector4.from_lattice(checker.q_lattice)
     if not checker.vertex_bijection_ok():
         result.failures.append("projected vertices are not in bijection with the source")
         return result
 
-    result.flag_actual = FlagVector4.from_lattice(checker.q_lattice)
     result.flag_match = result.flag_actual == result.flag_predicted
-    if not result.flag_match:
+    if result.flag_predicted is not None and not result.flag_match:
         result.failures.append("flag_vector_mismatch")
 
     polygon_masks = []
@@ -322,7 +329,7 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
 
     flag = result.flag_actual
     result.report = metrics_report(flag, paper_literal=paper_literal)
-    if paper_literal:
+    if paper_literal and result.flag_predicted is not None:
         literal = predicted_flag_paper_literal(n, r)
         result.report["paper_literal"]["predicted_f2"] = literal.f2
         result.report["paper_literal"]["actual_f2"] = flag.f2

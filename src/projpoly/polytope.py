@@ -2,8 +2,18 @@
 
 ``h_to_v`` runs the double description method on the homogenization cone
 {(x, t) : Ax - tb <= 0, t >= 0} with integer-scaled rows and primitive
-integer rays.  ``v_to_h`` polarizes about the vertex barycenter and reuses
-``h_to_v``; both directions are exact.
+integer rays.  ``convex_hull`` (and ``v_to_h``) enumerates the same way
+the polar about the barycenter of the points, which are put on one
+integer grid first: every point times the lcm of all denominators.
+Distinct points, the barycenter and the polar's cone rows are all
+integers, and a ``Fraction`` is built only for the facet coefficients
+returned.  Both directions are exact.
+
+Neither direction runs an extra rank computation around the DD.  Its
+greedy initial basis decides whether the cone is pointed (for ``h_to_v``,
+rank A = d; for ``convex_hull``, points that span affinely), and a
+polytope is full-dimensional iff every row tight at all of its vertices
+is 0 . x <= 0.
 
 Adjacency is decided from incidences alone.  An index from each row to
 the bitmask of rays tight on it finds, for each ray on the positive side
@@ -24,17 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .linalg import (
     QMatrix,
-    affine_rank,
     clear_denominators,
     independent_rows,
     nonneg_solution,
     null_vector,
-    rank,
+    primitive,
 )
 from .rational import QQ
 
@@ -97,19 +106,6 @@ class VPolytope:
         return len(self.vertices)
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(x // g for x in vec)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -117,12 +113,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
+def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]] | None:
     """Extreme rays of the pointed cone {z : M z <= 0} over integer rows.
 
-    Requires full column rank (the cone is pointed).  Returns primitive
-    integer rays and, per ray, the bitmask of rows it satisfies with
-    equality.
+    Returns primitive integer rays and, per ray, the bitmask of rows it
+    satisfies with equality; None when the rows do not have full column
+    rank (the cone is not pointed).
     """
     dim = len(rows[0])
     nrows = len(rows)
@@ -137,22 +133,22 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
     order = sorted(range(nrows), key=keys.__getitem__)
     basis_idx = [order[i] for i in independent_rows([rows[h] for h in order])]
     if len(basis_idx) < dim:
-        raise ValueError("cone is not pointed (rows do not have full column rank)")
+        return None
 
     # A ray keeps the id it was created with; a dropped ray's entries
     # become None.  ``live`` lists the current ids in increasing order, so
     # after each insertion it is "kept rays, then new rays", and
     # ``holders[j]`` is the bitmask of ray ids tight on row j (dropped ids
     # included; every use masks them out).
-    rays: list[tuple[int, ...] | None] = []
+    rays: list[list[int] | None] = []
     tights: list[int | None] = []
     holders = [0] * nrows
     for rj in basis_idx:
         others = [i for i in basis_idx if i != rj]
         ray = null_vector([rows[i] for i in others])
-        if _dot(rows[rj], ray) > 0:
+        if sum(map(mul, rows[rj], ray)) > 0:
             ray = [-x for x in ray]
-        rays.append(_primitive(ray))
+        rays.append(primitive(ray))
         tights.append(sum(1 << i for i in others))
     alive = (1 << dim) - 1
     for j, rj in enumerate(basis_idx):
@@ -170,11 +166,18 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
             break
         row = rows[h]
         hbit = 1 << h
-        vals = {i: _dot(row, rays[i]) for i in live}
+        # The row's value on every live ray, in the order of ``live``; a
+        # sparse row reads only its nonzero columns.
+        cols = [j for j, x in enumerate(row) if x]
+        if 1 < len(cols) < dim:
+            pick = itemgetter(*cols)
+            coeffs = [row[j] for j in cols]
+            vals = [sum(map(mul, coeffs, pick(rays[i]))) for i in live]
+        else:
+            vals = [sum(map(mul, row, rays[i])) for i in live]
         plus: list[int] = []
         minus = zero = 0
-        for i in live:
-            v = vals[i]
+        for i, v in zip(live, vals):
             if v > 0:
                 plus.append(i)
             elif v < 0:
@@ -185,10 +188,11 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
         holders[h] = zero
         if not plus:
             continue
+        value = dict(zip(live, vals))
         new_ids: list[int] = []
         for p in plus:
             tp = tights[p]
-            vp = vals[p]
+            vp = value[p]
             rp = rays[p]
             # Candidates: the minus rays sharing at least ``threshold``
             # rows with p, from bit-sliced counters over p's rows
@@ -216,10 +220,10 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
                         break
                 if rest:
                     continue
-                vq = vals[q]
+                vq = value[q]
                 rq = rays[q]
                 new = len(rays)
-                rays.append(_primitive([vp * y - vq * x for x, y in zip(rp, rq)]))
+                rays.append(primitive([vp * y - vq * x for x, y in zip(rp, rq)]))
                 tights.append(common | hbit)
                 bit = 1 << new
                 for j in _bits(common | hbit):
@@ -227,7 +231,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
                 new_ids.append(new)
         for p in plus:
             rays[p] = tights[p] = None
-        live = [i for i in live if vals[i] <= 0] + new_ids
+        live = [i for i, v in zip(live, vals) if v <= 0] + new_ids
         alive = minus | zero | sum(1 << i for i in new_ids)
     return [rays[i] for i in live], [tights[i] for i in live]
 
@@ -266,12 +270,14 @@ def h_to_v(p: HPolytope) -> VPolytope:
     m = p.nrows
     if d == 0 or m == 0:
         raise DegeneratePolytopeError("degenerate")
-    if rank(p.A) < d:
+    rows = _cone_rows(p)
+    dd = _dd_extreme_rays(rows)
+    if dd is None:
+        # The cone rows have full column rank iff rank A = d.
         if _is_feasible(p.A, p.b):
             raise UnboundedPolytopeError("unbounded")
         raise EmptyPolytopeError("empty")
-
-    rays, tights = _dd_extreme_rays(_cone_rows(p))
+    rays, tights = dd
 
     vertices: list[Point] = []
     incidence: list[frozenset[int]] = []
@@ -287,7 +293,14 @@ def h_to_v(p: HPolytope) -> VPolytope:
         raise EmptyPolytopeError("empty")
     if saw_recession:
         raise UnboundedPolytopeError("unbounded")
-    if affine_rank(vertices) < d:
+    # The affine hull of a nonempty polyhedron is cut out by the rows tight
+    # on all of it, its implicit equalities (Schrijver, "Theory of Linear
+    # and Integer Programming", 1986, section 8.2), so the vertices span
+    # R^d iff every row tight at all of them is 0 . x <= 0.
+    everywhere = -1
+    for tight in tights:
+        everywhere &= tight
+    if any(any(rows[j]) for j in _bits(everywhere)):
         raise DegeneratePolytopeError("degenerate")
     return VPolytope(tuple(vertices), tuple(incidence), d)
 
@@ -312,50 +325,76 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     """Irredundant facet description and vertex set of conv(points).
 
     Translates the point barycenter to the origin (always interior for a
-    full-dimensional set, exact in rational arithmetic) and enumerates the
-    vertices of the polar, which are exactly the facets of the hull; the
-    polar's incidences say which points lie on which facet, and so which
-    points are vertices.
+    full-dimensional set) and enumerates the vertices of the polar, which
+    are exactly the facets of the hull; the polar's incidences say which
+    points lie on which facet, and so which points are vertices.
+
+    Everything between the input and the facet rationals runs on one
+    integer grid: the points times the lcm L of all their denominators.
+    With N distinct grid points g_i, S = sum g_i and D = N * L, the
+    barycenter is S / D, and polar row i, the primitive integer direction
+    of (N * g_i - S, -D), is the cone row of (g_i / L - S / D) . y <= 1.
     """
-    pts = [tuple(QQ(x) for x in p) for p in points]
+    pts = [[QQ(x) for x in p] for p in points]
     if not pts:
         raise DegeneratePolytopeError("degenerate")
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("points have unequal lengths")
-
-    # Distinct points, each with the bitmask of input points equal to it.
-    seen: dict[Point, int] = {}
-    unique: list[Point] = []
-    copies: list[int] = []
-    for i, p in enumerate(pts):
-        if p not in seen:
-            seen[p] = len(unique)
-            unique.append(p)
-            copies.append(0)
-        copies[seen[p]] |= 1 << i
-
-    if len(unique) < d + 1 or affine_rank(unique) < d:
+    if d == 0:
         raise DegeneratePolytopeError("degenerate")
 
-    center = tuple(sum(p[j] for p in unique) / len(unique) for j in range(d))
-    shifted = [tuple(x - c for x, c in zip(p, center)) for p in unique]
-    polar = HPolytope(QMatrix(tuple(shifted)), tuple(QQ(1) for _ in shifted))
-    polar_v = h_to_v(polar)
+    # Distinct grid points, each with its first input point and the
+    # bitmask of input points equal to it.
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    seen: dict[tuple[int, ...], int] = {}
+    grid: list[tuple[int, ...]] = []
+    first: list[int] = []
+    copies: list[int] = []
+    point_unique: list[int] = []
+    for i, p in enumerate(pts):
+        key = tuple(x.numerator * (scale // x.denominator) for x in p)
+        u = seen.setdefault(key, len(grid))
+        if u == len(grid):
+            grid.append(key)
+            first.append(i)
+            copies.append(0)
+        copies[u] |= 1 << i
+        point_unique.append(u)
 
-    normals = polar_v.vertices
-    rhs = tuple(QQ(1) + sum(a * c for a, c in zip(normal, center)) for normal in normals)
-    hull_h = HPolytope(QMatrix(tuple(normals)), rhs)
+    count = len(grid)
+    total = [sum(col) for col in zip(*grid)]
+    denom = count * scale
+    rows = [primitive([count * x - s for x, s in zip(g, total)] + [-denom]) for g in grid]
+    rows.append([0] * d + [-1])
+    # The cone rows have full column rank iff the points span R^d
+    # affinely.  Then the polar is bounded and full-dimensional, so every
+    # ray has t > 0.
+    dd = _dd_extreme_rays(rows)
+    if dd is None:
+        raise DegeneratePolytopeError("degenerate")
+    rays, tights = dd
 
-    point_tight: list[set[int]] = [set() for _ in unique]
+    # Facet j is a . y <= 1 + a . S / D with a = ray[:d] / t.
+    normals: list[Point] = []
+    rhs: list[Fraction] = []
+    for ray in rays:
+        t = ray[d]
+        normals.append(tuple(QQ(ray[i], t) for i in range(d)))
+        td = t * denom
+        rhs.append(QQ(td + sum(map(mul, ray, total)), td))
+    hull_h = HPolytope(QMatrix(tuple(normals)), tuple(rhs))
+
+    every_point = (1 << count) - 1
+    point_tight: list[list[int]] = [[] for _ in grid]
     facet_points: list[int] = []
     facet_unique: list[int] = []
-    for facet_idx, tight in enumerate(polar_v.incidence):
-        mask = unique_mask = 0
-        for point_idx in tight:
-            point_tight[point_idx].add(facet_idx)
+    for facet_idx, tight in enumerate(tights):
+        unique_mask = tight & every_point
+        mask = 0
+        for point_idx in _bits(unique_mask):
+            point_tight[point_idx].append(facet_idx)
             mask |= copies[point_idx]
-            unique_mask |= 1 << point_idx
         facet_points.append(mask)
         facet_unique.append(unique_mask)
 
@@ -365,19 +404,18 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     vertices: list[Point] = []
     incidence: list[frozenset[int]] = []
     unique_vertex: list[int | None] = []
-    for i, p in enumerate(unique):
-        tight = point_tight[i]
+    for i, tight in enumerate(point_tight):
         face = -1
         for j in tight:
             face &= facet_unique[j]
         if face == 1 << i:
             unique_vertex.append(len(vertices))
-            vertices.append(p)
+            vertices.append(tuple(pts[first[i]]))
             incidence.append(frozenset(tight))
         else:
             unique_vertex.append(None)
     hull_v = VPolytope(tuple(vertices), tuple(incidence), d)
-    point_vertex = tuple(unique_vertex[seen[p]] for p in pts)
+    point_vertex = tuple(unique_vertex[u] for u in point_unique)
     return HullResult(hull_h, hull_v, point_vertex, tuple(facet_points))
 
 

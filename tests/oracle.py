@@ -5,8 +5,9 @@ the library paths under test: plain Gaussian elimination instead of
 fraction-free elimination, subset enumeration instead of double
 description, Caratheodory-style enumeration instead of simplex, a
 rank test instead of the combinatorial adjacency test of the double
-description method, and a ``Fraction`` tableau instead of the integer
-simplex.
+description method, a ``Fraction`` tableau instead of the integer
+simplex, and a ``Fraction`` polar instead of the integer grid of the
+convex hull.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from functools import cache
 from itertools import combinations
 from random import Random
 
-from projpoly.linalg import independent_rows, null_vector, rank_int_rows
-from projpoly.polytope import _primitive
+from projpoly.linalg import QMatrix, clear_denominators, independent_rows, null_vector, primitive, rank_int_rows
+from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
 
 
 def gauss_solve(rows, rhs):
@@ -252,6 +253,59 @@ def nonneg_solution_oracle(vectors, target):
     return tuple(mu)
 
 
+def _fraction_polar(points):
+    """Distinct points as ``Fraction`` tuples in input order, their
+    barycenter, and the points shifted by it."""
+    unique = list(dict.fromkeys(tuple(QQ(x) for x in p) for p in points))
+    d = len(unique[0])
+    center = tuple(sum(p[j] for p in unique) / len(unique) for j in range(d))
+    shifted = tuple(tuple(x - c for x, c in zip(p, center)) for p in unique)
+    return unique, center, shifted
+
+
+def polar_rows_oracle(points):
+    """The DD input rows of conv(points) from the ``Fraction`` front end
+    that ``polytope.convex_hull`` replaced: the polar {a : a . (p - c) <= 1}
+    about the barycenter c of the distinct points, each cone row
+    (p - c, -1) cleared of denominators, then the row of -t <= 0."""
+    _, center, shifted = _fraction_polar(points)
+    return [clear_denominators(s + (QQ(-1),)) for s in shifted] + [(0,) * len(center) + (-1,)]
+
+
+def convex_hull_oracle(points):
+    """``polytope.convex_hull`` as it was before its integer grid: the
+    ``Fraction`` polar through ``h_to_v``, facet right-hand sides
+    1 + a . c, and the point maps from the polar's incidences."""
+    pts = [tuple(QQ(x) for x in p) for p in points]
+    unique, center, shifted = _fraction_polar(pts)
+    d = len(center)
+    polar = h_to_v(HPolytope(QMatrix(shifted), (QQ(1),) * len(shifted)))
+    rhs = tuple(1 + sum(a * c for a, c in zip(normal, center)) for normal in polar.vertices)
+    index = {p: i for i, p in enumerate(unique)}
+    point_facets = [{j for j, tight in enumerate(polar.incidence) if i in tight} for i in range(len(unique))]
+    facet_points = tuple(
+        sum(1 << k for k, p in enumerate(pts) if index[p] in tight) for tight in polar.incidence
+    )
+    vertices, incidence, unique_vertex = [], [], []
+    for i, p in enumerate(unique):
+        # p is a vertex iff it is the only distinct point on every facet through it
+        face = set(range(len(unique)))
+        for j in point_facets[i]:
+            face &= polar.incidence[j]
+        if face == {i}:
+            unique_vertex.append(len(vertices))
+            vertices.append(p)
+            incidence.append(frozenset(point_facets[i]))
+        else:
+            unique_vertex.append(None)
+    return HullResult(
+        HPolytope(QMatrix(polar.vertices), rhs),
+        VPolytope(tuple(vertices), tuple(incidence), d),
+        tuple(unique_vertex[index[p]] for p in pts),
+        facet_points,
+    )
+
+
 def is_irredundant(h, vertices):
     """Every row must be tight at d affinely independent vertices."""
     d = h.dim
@@ -302,7 +356,7 @@ def dd_rank_oracle(rows):
         ray = null_vector([rows[i] for i in others])
         if sum(a * x for a, x in zip(rows[rj], ray)) > 0:
             ray = [-x for x in ray]
-        rays.append(_primitive(ray))
+        rays.append(primitive(ray))
         tights.append(sum(1 << i for i in others))
     for h in order:
         if h in basis_idx or not rays:
@@ -321,7 +375,7 @@ def dd_rank_oracle(rows):
                     continue
                 if rank_int_rows([rows[i] for i in _bits(common)]) != dim - 2:
                     continue
-                new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rays[p], rays[q])]))
+                new_rays.append(primitive([vp * y - vq * x for x, y in zip(rays[p], rays[q])]))
                 new_tights.append(common | hbit)
         kept = [i for i, v in enumerate(vals) if v <= 0]
         rays = [rays[i] for i in kept] + new_rays

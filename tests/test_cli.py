@@ -317,6 +317,37 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys, argv):
     assert code == 2
     assert stderr.startswith("error: cannot write ")
     assert stderr.count("\n") == 1
+    # an invalid-input exit writes none of the outputs
+    assert not (tmp_path / "ok.json").exists()
+
+
+def test_construct_ine_failure_keeps_existing_output(tmp_path, capsys):
+    out = tmp_path / "ok.json"
+    out.write_text("before")
+    code, _, _ = run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out),
+                     "--ine", str(tmp_path / "missing" / "x.ine"))
+    assert code == 2
+    assert out.read_text() == "before"
+
+
+def test_analyze_of_forced_odd_n_system_reports_its_geometry(tmp_path, capsys):
+    # the closed-form prediction needs even n; the geometry is still analyzed
+    path, report = tmp_path / "p53.json", tmp_path / "analyze.json"
+    assert main(["construct", "--n", "5", "--r", "3", "--eps", "1/40", "--big-m", "1048576",
+                 "--force", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "analyze", str(path), "--paper-literal", "--report", str(report))
+    assert (code, stderr) == (1, "")
+    assert "flag vector predicted: unavailable" in stdout
+    rep = json.loads(report.read_text())
+    assert rep["flag_predicted"] is None
+    assert rep["flag_actual"] == [122, 333, 302, 91, 844]
+    assert rep["failures"] == [
+        "flag_predicted: unavailable: n must be even, got 5",
+        "projected vertices are not in bijection with the source",
+    ]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

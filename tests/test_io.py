@@ -9,7 +9,6 @@ from projpoly.io import (
     load_ine,
     load_system,
     parse_ine_text,
-    save_ine,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -110,7 +109,7 @@ def test_ine_round_trip():
 
 def test_ine_file_round_trip(tmp_path):
     path = tmp_path / "sys.ine"
-    save_ine(path, FIXTURE)
+    path.write_text(to_ine_text(FIXTURE))
     back = load_ine(path)
     assert back.A == FIXTURE.A and back.b == FIXTURE.b
 

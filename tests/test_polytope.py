@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction as QQ
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import affine_rank_oracle, brute_force_vertices, dd_rank_oracle, is_irredundant
-from projpoly import linalg
+from conftest import GRID
+from oracle import (
+    affine_rank_oracle,
+    brute_force_vertices,
+    convex_hull_oracle,
+    dd_rank_oracle,
+    is_irredundant,
+    polar_rows_oracle,
+)
+from projpoly import linalg, polytope
 from projpoly.construction import (
     ConstructionParams,
     build_deformed_product,
@@ -15,7 +24,7 @@ from projpoly.construction import (
     rhs_block,
     v_eps_block,
 )
-from projpoly.linalg import QMatrix, clear_denominators
+from projpoly.linalg import QMatrix, clear_denominators, primitive
 from projpoly.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -23,13 +32,14 @@ from projpoly.polytope import (
     UnboundedPolytopeError,
     _cone_rows,
     _dd_extreme_rays,
-    _primitive,
     convex_hull,
     h_to_v,
     product_isomorphic,
     product_labeling,
     v_to_h,
 )
+from projpoly.pipeline import construct_system
+from projpoly.projection import project
 
 SQUARE = HPolytope(
     QMatrix.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]),
@@ -185,7 +195,7 @@ def test_round_trip_h_v_h(system_builder):
 
 
 def _facets_up_to_scaling(h: HPolytope) -> set[tuple[int, ...]]:
-    return {_primitive(clear_denominators(row + (-b,))) for row, b in zip(h.A.entries, h.b)}
+    return {tuple(primitive(clear_denominators(row + (-b,)))) for row, b in zip(h.A.entries, h.b)}
 
 
 @pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
@@ -291,16 +301,6 @@ def test_convex_hull_of_collinear_points():
 # --- the double description against its rank-test oracle --------------------
 
 
-def _polar_rows(points) -> list[tuple[int, ...]]:
-    """Cone rows of the polar of conv(points) about the barycenter of the
-    distinct points, as ``convex_hull`` builds them."""
-    unique = list(dict.fromkeys(tuple(QQ(x) for x in p) for p in points))
-    d = len(unique[0])
-    center = [sum(p[j] for p in unique) / len(unique) for j in range(d)]
-    shifted = tuple(tuple(x - c for x, c in zip(p, center)) for p in unique)
-    return _cone_rows(HPolytope(QMatrix(shifted), (QQ(1),) * len(shifted)))
-
-
 def _h_polytope(rows) -> HPolytope:
     return HPolytope(QMatrix.from_rows(rows), (QQ(1),) * len(rows))
 
@@ -324,7 +324,7 @@ CELL24 = [
 @pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
 def test_dd_matches_rank_oracle_on_source_and_projected_hull(grid_case, n, r):
     system = grid_case(n, r).system
-    for rows in (_cone_rows(system.h), _polar_rows(system.checker.images)):
+    for rows in (_cone_rows(system.h), polar_rows_oracle(system.checker.images)):
         assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
 
 
@@ -332,7 +332,7 @@ def test_dd_matches_rank_oracle_on_source_and_projected_hull(grid_case, n, r):
 def test_dd_matches_rank_oracle_on_degenerate_4_polytopes(facets):
     # every vertex of the cross-polytope lies on 8 facets, of the 24-cell on 6
     h = _h_polytope(facets)
-    for rows in (_cone_rows(h), _polar_rows(h_to_v(h).vertices)):
+    for rows in (_cone_rows(h), polar_rows_oracle(h_to_v(h).vertices)):
         assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
 
 
@@ -347,8 +347,103 @@ def small_grid_points(draw):
 @given(points=small_grid_points())
 def test_dd_matches_rank_oracle_on_small_grid_point_sets(points):
     assume(affine_rank_oracle(points) == len(points[0]))
-    rows = _polar_rows(points)
+    rows = polar_rows_oracle(points)
     assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
+
+
+# --- the integer grid of convex_hull against the Fraction front end ----------
+
+
+def _hull_and_dd_rows(points):
+    """convex_hull(points) and the rows it handed to the double description."""
+    with patch.object(polytope, "_dd_extreme_rays", wraps=polytope._dd_extreme_rays) as dd:
+        hull = convex_hull(points)
+    (rows,), _ = dd.call_args
+    return hull, [tuple(row) for row in rows]
+
+
+def _assert_matches_fraction_front_end(points):
+    hull, rows = _hull_and_dd_rows(points)
+    assert rows == polar_rows_oracle(points)
+    assert hull == convex_hull_oracle(points)
+
+
+@pytest.mark.parametrize("n,r", GRID)
+def test_integer_grid_hull_matches_fraction_front_end(grid_case, n, r):
+    _assert_matches_fraction_front_end(grid_case(n, r).system.checker.images)
+
+
+def test_integer_grid_hull_matches_fraction_front_end_at_8_3():
+    _assert_matches_fraction_front_end(project(construct_system(8, 3).vertices))
+
+
+def _spellings(x):
+    """x as a Fraction, as an unreduced 'p/q' string and, if integral, as an int."""
+    forms = [x, f"{2 * x.numerator}/{2 * x.denominator}"]
+    if x.denominator == 1:
+        forms.append(int(x))
+    return forms
+
+
+@st.composite
+def rational_point_sets(draw):
+    d = draw(st.integers(1, 3))
+    # coprime and mixed denominators
+    coord = st.builds(QQ, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 6, 7]))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 6))
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    points = draw(st.permutations(points))
+    return [tuple(draw(st.sampled_from(_spellings(x))) for x in p) for p in points]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(points=rational_point_sets())
+def test_integer_grid_hull_matches_fraction_front_end_on_rational_points(points):
+    if affine_rank_oracle([tuple(QQ(x) for x in p) for p in points]) < len(points[0]):
+        with pytest.raises(DegeneratePolytopeError):
+            convex_hull(points)
+    else:
+        _assert_matches_fraction_front_end(points)
+
+
+def test_convex_hull_hashes_no_fraction(grid_case, monkeypatch):
+    images = grid_case(4, 3).system.checker.images
+    hashed = []
+    original = QQ.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QQ, "__hash__", counting)
+    hull = convex_hull(images)
+    monkeypatch.undo()
+    assert hull.v.nvertices == 64
+    assert hashed == []
+
+
+CUBE3 = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+# |x| <= 2, |y| <= 2, |x| + |y| <= 3 and z = 0: eight coplanar vertices
+OCTAGON3 = CUBE3 + [[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0]]
+
+
+@pytest.mark.parametrize("rows,rhs,error", [
+    (CUBE3[:4], [1, 1, 1, 1], UnboundedPolytopeError),
+    (CUBE3[:4], [-1, -1, 1, 1], EmptyPolytopeError),
+    (CUBE3, [1, 1, 1, 1, -1, -1], EmptyPolytopeError),
+    (OCTAGON3, [2, 2, 2, 2, 0, 0, 3, 3, 3, 3], DegeneratePolytopeError),
+], ids=["rank-deficient-feasible", "rank-deficient-infeasible", "infeasible", "lower-dimensional"])
+def test_h_to_v_errors_in_three_dimensions(rows, rhs, error):
+    with pytest.raises(error):
+        h_to_v(HPolytope(QMatrix.from_rows(rows), tuple(QQ(b) for b in rhs)))
+
+
+def test_zero_rows_tight_everywhere_are_not_implicit_equalities():
+    # 0 . x <= 0 holds with equality at every vertex but cuts nothing out
+    h = HPolytope(QMatrix.from_rows(CUBE3 + [[0, 0, 0]]), (QQ(1),) * 6 + (QQ(0),))
+    v = h_to_v(h)
+    assert v.nvertices == 8
+    assert all(6 in tight for tight in v.incidence)
 
 
 # --- scaling guard: elimination calls do not grow with the row count --------
@@ -367,14 +462,17 @@ def _bareiss_calls(monkeypatch, fn, *args) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("n,r,calls", [(4, 3, 10), (6, 3, 10), (4, 4, 12)])
+@pytest.mark.parametrize("n,r,calls", [(4, 3, 8), (6, 3, 8), (4, 4, 10)])
 def test_h_to_v_eliminations_follow_the_cone_dimension(grid_case, monkeypatch, n, r, calls):
-    # rank of A, the initial basis, one null vector per basis ray and the
-    # final affine rank: cone dimension 2r + 1, plus 3
+    # the initial basis and one null vector per basis ray: cone dimension
+    # 2r + 1, plus 1 (the basis also decides rank A = d, and the implicit
+    # equalities decide full dimension)
     assert _bareiss_calls(monkeypatch, h_to_v, grid_case(n, r).system.h) == calls
 
 
 @pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
 def test_4d_hull_eliminations_are_fixed(grid_case, monkeypatch, n, r):
+    # the polar's initial basis, which also decides full dimension, and its
+    # five null vectors
     images = grid_case(n, r).system.checker.images
-    assert _bareiss_calls(monkeypatch, convex_hull, images) == 9
+    assert _bareiss_calls(monkeypatch, convex_hull, images) == 6
