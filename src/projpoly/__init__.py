@@ -8,9 +8,7 @@ fatness/complexity metrics of the resulting 4-polytopes.
 """
 
 from .construction import (
-    AdaptationAttempt,
     ConstructionError,
-    ConstructionParams,
     InvalidParameterError,
     build_deformed_product,
     build_plain_product,
@@ -18,13 +16,13 @@ from .construction import (
     v_eps_block,
     validate_polygon,
 )
+from .io import AdaptationAttempt
 from .lattice import FaceLattice, FlagVector4, face_lattice, flag_f03
 from .linalg import (
     PositiveCertificate,
     QMatrix,
     positive_dependence,
     positively_spans,
-    rank,
 )
 from .metrics import (
     ConeReport,
@@ -47,7 +45,6 @@ from .polytope import (
     VPolytope,
     convex_hull,
     h_to_v,
-    product_isomorphic,
     v_to_h,
 )
 from .projection import (

@@ -16,23 +16,17 @@ certified on the computed vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 from fractions import Fraction
-from functools import cached_property
 
+from .io import AdaptationAttempt, SystemFile
 from .linalg import QMatrix, positively_spans
-from .polytope import HPolytope, PolytopeError, VPolytope, h_to_v, product_isomorphic
+from .polytope import HPolytope, PolytopeError
+from .projection import U0, U1, W0, W1, ZERO2, block_row
 from .rational import QQ
 
-# Generator vectors of the coupling blocks.  Up to the choice of basis
-# (v0, u0), these five directions are forced by the zero-sum identity.
-V0 = (QQ(1), QQ(0))
-V1 = (QQ(0), QQ(0))
-U0 = (QQ(0), QQ(1))
-U1 = (QQ(-3), QQ(-2, 3))
-W0 = (QQ(-31, 4), QQ(1, 2))
-W1 = (QQ(9), QQ(-2, 3))
-ZERO2 = (QQ(0), QQ(0))
+# Twelve failed rounds signal an implementation bug, not a parameter gap.
+MAX_ROUNDS = 12
 
 
 class ConstructionError(Exception):
@@ -48,60 +42,19 @@ def require_r(r: int) -> None:
         raise InvalidParameterError(f"r must be at least 2, got {r}")
 
 
-@dataclass(frozen=True)
-class AdaptationAttempt:
-    eps: Fraction
-    big_m: Fraction
-    reason: str
-
-
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Parameters of one deformed product, with the search history that
-    produced them.
-
-    ``forced`` relaxes the even-n requirement for exploratory builds; all
-    verification downstream still runs honestly.  The system and its
-    vertices are computed on first use and kept on the instance, so the
-    gates' vertex enumeration is done once.
-    """
-
-    n: int
-    r: int
-    eps: Fraction
-    big_m: Fraction
-    adaptation_log: tuple[AdaptationAttempt, ...] = field(default_factory=tuple)
-    validated: bool = False
-    forced: bool = False
-
-    def __post_init__(self) -> None:
-        if self.forced:
-            if self.n < 3:
-                raise InvalidParameterError(f"n must be at least 3, got {self.n}")
-        else:
-            require_even_ngon(self.n)
-        require_r(self.r)
-        if self.eps <= 0:
-            raise InvalidParameterError("eps must be positive")
-        if self.big_m <= 1:
-            raise InvalidParameterError("M must exceed 1")
-
-    @cached_property
-    def deformed_product(self) -> HPolytope:
-        """The system these parameters build (``build_deformed_product``)."""
-        return build_deformed_product(self)
-
-    @cached_property
-    def vertices(self) -> VPolytope:
-        """Vertex enumeration of the system (raises ``PolytopeError``)."""
-        return h_to_v(self.deformed_product)
-
-
 def require_even_ngon(n: int) -> None:
     if n < 4:
         raise InvalidParameterError(f"n must be at least 4, got {n}")
     if n % 2 != 0:
         raise InvalidParameterError(f"n must be even, got {n}")
+
+
+def require_ngon(n: int, force: bool = False) -> None:
+    """An even n >= 4, or with ``force`` any n >= 3."""
+    if not force:
+        require_even_ngon(n)
+    elif n < 3:
+        raise InvalidParameterError(f"n must be at least 3, got {n}")
 
 
 def v_eps_block(n: int, eps: Fraction, force: bool = False) -> QMatrix:
@@ -114,10 +67,7 @@ def v_eps_block(n: int, eps: Fraction, force: bool = False) -> QMatrix:
     ``force`` skips the even-n requirement for exploration; every
     verification step downstream still runs honestly.
     """
-    if not force:
-        require_even_ngon(n)
-    elif n < 3:
-        raise InvalidParameterError(f"n must be at least 3, got {n}")
+    require_ngon(n, force)
     eps = QQ(eps)
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
@@ -144,37 +94,26 @@ def rhs_block(n: int, eps: Fraction) -> tuple[Fraction, ...]:
     return tuple(QQ(1) if i % 2 == 0 else eps for i in range(n))
 
 
-def block_row(
-    k: int,
-    blocks: int,
-    v: tuple[Fraction, Fraction],
-    u: tuple[Fraction, Fraction],
-    w: tuple[Fraction, Fraction],
-) -> tuple[Fraction, ...]:
-    """One row of the deformed layout over block columns 1..blocks: ``v``
-    at block column k, ``u`` at k-1, ``w`` at k-2, zeros elsewhere."""
-    at = {k: v, k - 1: u, k - 2: w}
-    return sum((at.get(j, ZERO2) for j in range(1, blocks + 1)), ())
-
-
-def build_deformed_product(params: ConstructionParams) -> HPolytope:
+def build_deformed_product(
+    n: int, r: int, eps: Fraction, big_m: Fraction, force: bool = False
+) -> HPolytope:
     """Assemble the rn x 2r deformed-product system with (block, row) labels.
 
     Block row k holds the perturbed polygon block at block column k, U at
     k-1 (k >= 2) and W at k-2 (k >= 3); the right-hand side of block k is
-    M^(k-1) times the first block's.
+    M^(k-1) times the first block's.  ``force`` is passed to
+    ``v_eps_block``.
     """
-    n, r = params.n, params.r
-    vblock = v_eps_block(n, params.eps, force=params.forced)
+    vblock = v_eps_block(n, eps, force=force)
     ublock = u_block(n)
     wblock = w_block(n)
-    b1 = rhs_block(n, params.eps)
+    b1 = rhs_block(n, eps)
 
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
     labels: list[tuple[int, int]] = []
     for k in range(1, r + 1):
-        mfactor = params.big_m ** (k - 1)
+        mfactor = big_m ** (k - 1)
         for i in range(n):
             rows.append(block_row(k, r, vblock.row(i), ublock.row(i), wblock.row(i)))
             rhs.append(mfactor * b1[i])
@@ -248,53 +187,81 @@ def validate_polygon(V: QMatrix, b: tuple[Fraction, ...] | list[Fraction]) -> bo
 def choose_parameters(
     n: int,
     r: int,
-    max_rounds: int = 12,
-    fixed_eps: Fraction | None = None,
-    fixed_big_m: Fraction | None = None,
-) -> ConstructionParams:
-    """Search eps and M deterministically until the construction certifies.
+    eps: Fraction | None = None,
+    big_m: Fraction | None = None,
+    force: bool = False,
+) -> SystemFile:
+    """The deformed product for (n, r), with eps and M searched
+    deterministically where not given.
 
-    Starts at eps = 1/(4(n-2)^2 + 4) and M = n^2; each failed round halves
-    eps and squares M.  A round passes when the polygon description is
-    valid, vertex enumeration succeeds, and the vertex-facet incidences
-    match the canonical product.  Twelve failures signal an implementation
-    bug, not a parameter gap, and raise.
+    Each round builds a system and runs ``check_parameters`` on it.  The
+    search starts at eps = 1/(4(n-2)^2 + 4) and M = n^2; each failed round
+    halves eps and squares M, and a given value stays pinned.  The first
+    system that passes is returned with ``validated=True``, the rejected
+    rounds as its adaptation log, and the vertices and labeling the gates
+    computed.  ``MAX_ROUNDS`` failures raise ``ConstructionError``.
 
-    A fixed value pins that parameter and adapts only the other one.
+    When both eps and M are given, one round runs, and a rejected system is
+    returned with ``validated=False`` and that round logged.  Only then does
+    ``force`` apply: it relaxes the even-n domain check to n >= 3.
     """
-    require_even_ngon(n)
+    explicit = eps is not None and big_m is not None
+    force = force and explicit
+    require_ngon(n, force)
     require_r(r)
+    if eps is not None:
+        eps = QQ(eps)
+        if eps <= 0:
+            raise InvalidParameterError("eps must be positive")
+    if big_m is not None:
+        big_m = QQ(big_m)
+        if big_m <= 1:
+            raise InvalidParameterError("M must exceed 1")
     eps0 = QQ(1, 4 * (n - 2) ** 2 + 4)
     m0 = QQ(n * n)
     log: list[AdaptationAttempt] = []
-    for round_idx in range(max_rounds):
-        eps = QQ(fixed_eps) if fixed_eps is not None else eps0 / 2**round_idx
-        big_m = QQ(fixed_big_m) if fixed_big_m is not None else m0 ** (2**round_idx)
-        # Built as validated and returned only if the gates pass, so the
-        # instance returned keeps the vertices they enumerated.
-        params = ConstructionParams(n, r, eps, big_m, tuple(log), validated=True)
-        reason = check_parameters(params)
+    for round_idx in range(1 if explicit else MAX_ROUNDS):
+        round_eps = eps if eps is not None else eps0 / 2**round_idx
+        round_m = big_m if big_m is not None else m0 ** (2**round_idx)
+        system = SystemFile(
+            build_deformed_product(n, r, round_eps, round_m, force=force),
+            n=n,
+            r=r,
+            eps=round_eps,
+            big_m=round_m,
+            validated=True,
+            adaptation=tuple(log),
+        )
+        reason = check_parameters(system)
         if reason is None:
-            return params
-        log.append(AdaptationAttempt(eps, big_m, reason))
-        if fixed_eps is not None and fixed_big_m is not None:
-            break
+            return system
+        log.append(AdaptationAttempt(round_eps, round_m, reason))
+    if explicit:
+        return dataclasses.replace(system, validated=False, adaptation=tuple(log))
     raise ConstructionError(
         f"no parameters found for n={n}, r={r} after {len(log)} rounds; "
         "attempts: " + "; ".join(f"eps={a.eps}, M={a.big_m}: {a.reason}" for a in log)
     )
 
 
-def check_parameters(params: ConstructionParams) -> str | None:
-    """Run the acceptance gates; None on success, else the failure reason."""
-    vblock = v_eps_block(params.n, params.eps, force=params.forced)
-    if not validate_polygon(vblock, rhs_block(params.n, params.eps)):
+def check_parameters(system: SystemFile) -> str | None:
+    """Run the acceptance gates on a deformed product; None on success,
+    else the failure reason.
+
+    The gates ask that the polygon the system holds (its first block: rows
+    0..n-1, columns 0-1 and their right-hand sides) is valid, that vertex
+    enumeration succeeds, and that the vertex-facet incidences are those of
+    a product.  The vertices and labeling stay on the system.
+    """
+    n, _ = system.require_nr()
+    h = system.h
+    polygon = QMatrix(tuple(row[:2] for row in h.A.entries[:n]))
+    if not validate_polygon(polygon, h.b[:n]):
         return "polygon description invalid"
-    system = params.deformed_product
     try:
-        verts = params.vertices
+        system.vertices
     except PolytopeError as exc:
         return f"vertex enumeration failed: {exc}"
-    if not product_isomorphic(verts, system.labels, params.n, params.r):
+    if system.labeling is None:
         return "vertex-facet incidences do not match the product"
     return None

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .construction import AdaptationAttempt
 from .linalg import QMatrix
 from .polytope import HPolytope, VPolytope, h_to_v, product_labeling
 from .projection import ProjectionChecker
@@ -24,13 +23,23 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
+class AdaptationAttempt:
+    """One rejected round of the parameter search, as the file records it."""
+
+    eps: Fraction
+    big_m: Fraction
+    reason: str
+
+
+@dataclass(frozen=True)
 class SystemFile:
     """An inequality system plus the construction metadata that produced it.
 
     Its geometry is computed once, on first use, and kept on the instance:
     ``vertices``, then ``labeling``, then ``checker``.  A step that raises
-    is not kept, so asking again raises again.  ``construct_system`` fills
-    ``vertices`` with the enumeration its acceptance gates already did.
+    is not kept, so asking again raises again.  The construction gates run
+    on the system they return, so a system that passed them already holds
+    its ``vertices`` and ``labeling``.
     """
 
     h: HPolytope

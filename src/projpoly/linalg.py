@@ -114,11 +114,6 @@ def rank_rows(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank_int_rows([clear_denominators(row) for row in rows])
 
 
-def rank(m: QMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    return rank_rows(m.entries)
-
-
 def null_vector(rows: Sequence[Sequence[int]]) -> list[int]:
     """A nonzero integer vector z with row . z == 0 for every row, given k
     integer rows of length k + 1 and rank k.

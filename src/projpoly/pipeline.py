@@ -10,20 +10,12 @@ metrics.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .construction import (
-    AdaptationAttempt,
-    ConstructionError,
-    ConstructionParams,
-    InvalidParameterError,
-    check_parameters,
-    choose_parameters,
-)
+from .construction import ConstructionError, InvalidParameterError, choose_parameters
 from .io import SystemFile
 from .lattice import FlagVector4
 from .metrics import (
@@ -53,7 +45,7 @@ from .projection import (
     vertex_faces,
     zero_sum_check,
 )
-from .rational import QQ, format_rational, rational_to_decimal
+from .rational import format_rational, rational_to_decimal
 
 ZERO_SUM_RANGE = range(-20, 21)
 
@@ -79,28 +71,7 @@ def construct_system(
     preserves faces, which only ``verify_system`` checks: (4,3) with
     eps = 1/16 and M = 2^32 passes the gates and fails verification.
     """
-    if eps is None or big_m is None:
-        params = choose_parameters(n, r, fixed_eps=eps, fixed_big_m=big_m)
-    else:
-        params = ConstructionParams(n, r, QQ(eps), QQ(big_m), validated=True, forced=force)
-        reason = check_parameters(params)
-        if reason is not None:
-            log = (AdaptationAttempt(params.eps, params.big_m, reason),)
-            params = dataclasses.replace(params, validated=False, adaptation_log=log)
-    system = SystemFile(
-        params.deformed_product,
-        n=params.n,
-        r=params.r,
-        eps=params.eps,
-        big_m=params.big_m,
-        validated=params.validated,
-        adaptation=params.adaptation_log,
-    )
-    if params.validated:
-        # The gates enumerated these vertices; seed the system's cached
-        # ``vertices`` with them instead of enumerating again.
-        vars(system)["vertices"] = params.vertices
-    return system
+    return choose_parameters(n, r, eps, big_m, force)
 
 
 @dataclass

@@ -476,8 +476,3 @@ def product_labeling(
     if len(set(tuples)) != n**r:
         return None
     return tuples
-
-
-def product_isomorphic(v: VPolytope, labels: Sequence[tuple[int, int]] | None, n: int, r: int) -> bool:
-    """True iff the vertex-facet incidences are those of a product of r n-gons."""
-    return product_labeling(v, labels, n, r) is not None

@@ -18,13 +18,22 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
-from .construction import U0, U1, V0, V1, W0, W1, block_row
 from .lattice import FaceLattice, face_lattice, mask_of
 from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
 from .polytope import HPolytope, HullResult, VPolytope, convex_hull
 from .rational import QQ
 
 Point = tuple[Fraction, ...]
+
+# Generator vectors of the coupling blocks.  Up to the choice of basis
+# (v0, u0), these five directions are forced by the zero-sum identity.
+V0 = (QQ(1), QQ(0))
+V1 = (QQ(0), QQ(0))
+U0 = (QQ(0), QQ(1))
+U1 = (QQ(-3), QQ(-2, 3))
+W0 = (QQ(-31, 4), QQ(1, 2))
+W1 = (QQ(9), QQ(-2, 3))
+ZERO2 = (QQ(0), QQ(0))
 
 
 class CertificateError(Exception):
@@ -54,6 +63,19 @@ def zero_sum_check(k: int) -> bool:
     return True
 
 
+def block_row(
+    k: int,
+    blocks: int,
+    v: tuple[Fraction, Fraction],
+    u: tuple[Fraction, Fraction],
+    w: tuple[Fraction, Fraction],
+) -> tuple[Fraction, ...]:
+    """One row of the deformed layout over block columns 1..blocks: ``v``
+    at block column k, ``u`` at k-1, ``w`` at k-2, zeros elsewhere."""
+    at = {k: v, k - 1: u, k - 2: w}
+    return sum((at.get(j, ZERO2) for j in range(1, blocks + 1)), ())
+
+
 def reduced_matrix(n: int, r: int) -> QMatrix:
     """The 2r x (2r-4) unperturbed block matrix restricted to the deleted
     coordinates.
@@ -80,8 +102,6 @@ def deletion_certificates(n: int, r: int) -> list[PositiveCertificate]:
     strictly positive coefficients alpha_{k-t}, beta_{k-t} on the rows of
     every remaining block k.  Raises naming t and the failed sub-condition.
     """
-    if r < 2:
-        raise CertificateError(f"r must be at least 2, got {r}")
     if r == 2:
         return []
     matrix = reduced_matrix(n, r)
@@ -158,12 +178,10 @@ class ProjectionChecker:
     """
 
     def __init__(self, ph: HPolytope, pv: VPolytope):
-        self.ph = ph
         self.pv = pv
         self.images: list[Point] = project(pv)
         self.drop_coords = range(pv.dim - 4)
         self.hull: HullResult = convex_hull(self.images)
-        self.qh: HPolytope = self.hull.h
         self.qv: VPolytope = self.hull.v
         self.q_lattice: FaceLattice = face_lattice(self.qv)
         # P-vertex index -> Q-vertex index (None when the image is not

@@ -23,7 +23,7 @@ from projpoly.metrics import (
     predicted_flag,
     predicted_flag_paper_literal,
 )
-from projpoly.polytope import convex_hull, h_to_v, product_isomorphic, v_to_h
+from projpoly.polytope import convex_hull, h_to_v, v_to_h
 from projpoly.projection import (
     alpha_coeff,
     beta_coeff,

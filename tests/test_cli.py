@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from projpoly import pipeline
+from projpoly import construction, io, pipeline
 from projpoly.cli import _parse_range, main
 
 
@@ -29,6 +29,26 @@ def test_construct_rejects_odd_n(tmp_path, capsys):
                           "-o", str(tmp_path / "x.json"))
     assert code == 2
     assert "even" in stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "5", "--r", "3", "--force"], "n must be even, got 5"),
+    (["--n", "2", "--r", "3", "--eps", "1/4", "--big-m", "9", "--force"], "n must be at least 3, got 2"),
+    (["--n", "4", "--r", "3", "--eps", "1/16", "--big-m", "1"], "M must exceed 1"),
+    (["--n", "4", "--r", "1"], "r must be at least 2, got 1"),
+], ids=["force-needs-both", "forced-n-too-small", "m-too-small", "r-too-small"])
+def test_construct_checks_the_domain_before_any_geometry(tmp_path, capsys, monkeypatch, argv, message):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("geometry built for an out-of-domain request")
+
+    monkeypatch.setattr(construction, "build_deformed_product", no_geometry)
+    monkeypatch.setattr(io, "h_to_v", no_geometry)
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(capsys, "construct", *argv, "-o", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_construct_rejects_decimal_eps(tmp_path, capsys):

@@ -3,14 +3,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from projpoly.construction import (
-    U0,
-    U1,
-    V0,
-    V1,
-    W0,
-    W1,
     ConstructionError,
-    ConstructionParams,
     build_deformed_product,
     build_plain_product,
     check_parameters,
@@ -23,7 +16,8 @@ from projpoly.construction import (
 )
 from projpoly.io import SystemFile, system_to_dict, dumps_json
 from projpoly.linalg import QMatrix
-from projpoly.polytope import h_to_v, product_isomorphic
+from projpoly.polytope import h_to_v, product_labeling
+from projpoly.projection import U0, U1, V0, V1, W0, W1
 
 SQUARE_POLYGON = QMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]])
 HEXAGON_POLYGON = QMatrix.from_rows([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])
@@ -82,8 +76,7 @@ def test_block_spec_defaults():
 
 
 def test_deformed_product_block_placement():
-    params = ConstructionParams(4, 3, QQ(1, 16), QQ(256))
-    system = build_deformed_product(params)
+    system = build_deformed_product(4, 3, QQ(1, 16), QQ(256))
     assert system.A.rows == 12 and system.A.cols == 6
     vblock = v_eps_block(4, QQ(1, 16))
     ublock, wblock = u_block(4), w_block(4)
@@ -108,8 +101,7 @@ def test_deformed_product_block_placement():
 
 
 def test_deformed_product_rhs_fixture():
-    params = ConstructionParams(4, 2, QQ(1, 16), QQ(256))
-    system = build_deformed_product(params)
+    system = build_deformed_product(4, 2, QQ(1, 16), QQ(256))
     assert system.b == (
         QQ(1), QQ(1, 16), QQ(1), QQ(1, 16), QQ(256), QQ(16), QQ(256), QQ(16)
     )
@@ -118,19 +110,19 @@ def test_deformed_product_rhs_fixture():
 
 def test_deformed_product_rejects_r1():
     with pytest.raises(ConstructionError):
-        ConstructionParams(4, 1, QQ(1, 16), QQ(256))
+        choose_parameters(4, 1, QQ(1, 16), QQ(256))
 
 
 def test_deformed_product_rejects_odd_n():
     with pytest.raises(ConstructionError):
-        ConstructionParams(5, 3, QQ(1, 16), QQ(256))
+        choose_parameters(5, 3, QQ(1, 16), QQ(256))
 
 
 def test_plain_product_square():
     system = build_plain_product(4, 2, SQUARE_POLYGON, (QQ(1),) * 4)
     v = h_to_v(system)
     assert v.nvertices == 16
-    assert product_isomorphic(v, system.labels, 4, 2)
+    assert product_labeling(v, system.labels, 4, 2) is not None
 
 
 def test_plain_product_hexagon():
@@ -190,7 +182,7 @@ def test_choose_parameters_accepts_grid(n, r, grid_case):
     assert case.system.validated
     v = h_to_v(case.system.h)
     assert v.nvertices == n**r
-    assert product_isomorphic(v, case.system.h.labels, n, r)
+    assert product_labeling(v, case.system.h.labels, n, r) is not None
     assert params_eps > 0 and params_m > 1
 
 
@@ -200,30 +192,23 @@ def test_choose_parameters_rejects_odd_n():
 
 
 def test_choose_parameters_logs_attempts():
-    params = choose_parameters(4, 2)
-    assert params.adaptation_log, "initial parameters happen to pass; expected logged attempts"
-    first = params.adaptation_log[0]
+    system = choose_parameters(4, 2)
+    assert system.adaptation, "initial parameters happen to pass; expected logged attempts"
+    first = system.adaptation[0]
     assert first.eps == QQ(1, 20)
     assert first.big_m == QQ(16)
     assert "product" in first.reason
 
 
 def test_check_parameters_reports_reason():
-    reason = check_parameters(ConstructionParams(4, 2, QQ(1, 16), QQ(256)))
+    reason = check_parameters(SystemFile(build_deformed_product(4, 2, QQ(1, 16), QQ(256))))
     assert reason is not None and "product" in reason
     good = choose_parameters(4, 2)
-    assert check_parameters(ConstructionParams(4, 2, good.eps, good.big_m)) is None
+    assert check_parameters(SystemFile(build_deformed_product(4, 2, good.eps, good.big_m))) is None
 
 
 def test_construction_is_deterministic():
     def build_bytes():
-        params = choose_parameters(4, 2)
-        system = build_deformed_product(params)
-        return dumps_json(
-            system_to_dict(
-                SystemFile(system, n=4, r=2, eps=params.eps, big_m=params.big_m,
-                           validated=params.validated, adaptation=params.adaptation_log)
-            )
-        ).encode()
+        return dumps_json(system_to_dict(choose_parameters(4, 2))).encode()
 
     assert build_bytes() == build_bytes()

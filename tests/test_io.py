@@ -2,8 +2,9 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from projpoly.construction import AdaptationAttempt, choose_parameters, build_deformed_product
+from projpoly.construction import choose_parameters
 from projpoly.io import (
+    AdaptationAttempt,
     SystemFile,
     dumps_json,
     load_ine,
@@ -74,7 +75,7 @@ def test_json_dim_mismatch_rejected():
          "label-bools", "label-bool"],
 )
 def test_json_wrongly_typed_dim_or_label_rejected(override):
-    data = system_to_dict(SystemFile(build_deformed_product(choose_parameters(4, 2))))
+    data = system_to_dict(SystemFile(choose_parameters(4, 2).h))
     if "dim" in override:
         data["dim"] = override["dim"]
     else:
@@ -87,8 +88,7 @@ def test_require_nr_from_labels():
     system = SystemFile(FIXTURE)
     with pytest.raises(ValueError):
         system.require_nr()  # 1 block of 2 rows is not r >= 2... derived below
-    params = choose_parameters(4, 2)
-    full = SystemFile(build_deformed_product(params))
+    full = SystemFile(choose_parameters(4, 2).h)
     assert full.require_nr() == (4, 2)
 
 
@@ -133,7 +133,7 @@ def test_ine_rejects_garbage():
 
 def test_serialization_is_deterministic(tmp_path):
     params = choose_parameters(4, 2)
-    system = build_deformed_product(params)
+    system = params.h
     payload = SystemFile(system, n=4, r=2, eps=params.eps, big_m=params.big_m)
     a = dumps_json(system_to_dict(payload))
     b = dumps_json(system_to_dict(payload))

@@ -7,31 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import determinant_oracle, nonneg_solution_oracle, row_reduce_rank, span_oracle_cases
-from projpoly.construction import U0, U1, V0, W0, W1
 from projpoly.linalg import (
     PositiveCertificate,
     QMatrix,
     nonneg_solution,
     positive_dependence,
     positively_spans,
-    rank,
+    rank_rows,
 )
-from projpoly.projection import alpha_coeff, beta_coeff
+from projpoly.projection import U0, U1, V0, W0, W1, alpha_coeff, beta_coeff
 
 
 def test_rank_identity():
-    assert rank(QMatrix.from_rows([[1, 0], [0, 1]])) == 2
+    assert rank_rows(QMatrix.from_rows([[1, 0], [0, 1]]).entries) == 2
 
 
 def test_rank_coupling_block():
     u = QMatrix(( U0, U1 ))
     # direct 2x2 evaluation: det = 0*(-2/3) - 1*(-3) = 3
     assert U0[0] * U1[1] - U0[1] * U1[0] == 3
-    assert rank(u) == 2
+    assert rank_rows(u.entries) == 2
 
 
 def test_rank_zero_row():
-    assert rank(QMatrix.from_rows([[1, 0], [0, 0]])) == 1
+    assert rank_rows(QMatrix.from_rows([[1, 0], [0, 0]]).entries) == 1
 
 
 def _coefficient_matrix(k: int):
@@ -118,8 +117,8 @@ def test_rank_and_determinant_agree():
             rows[-1] = [rows[0][j] + (rows[1][j] if n > 1 else 0) for j in range(n)]
         m = QMatrix.from_rows(rows)
         det = determinant_oracle(rows)
-        assert (rank(m) < n) == (det == 0)
-        assert rank(m) == row_reduce_rank(rows)
+        assert (rank_rows(m.entries) < n) == (det == 0)
+        assert rank_rows(m.entries) == row_reduce_rank(rows)
 
 
 def test_results_stay_reduced():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from projpoly import construction, io, polytope, projection
+from projpoly import io, polytope, projection
 from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 
@@ -39,20 +39,31 @@ def test_geometry_context_leaves_equality_and_hash_alone():
 
 @pytest.mark.parametrize("params", [{}, {"eps": Fraction(1, 160), "big_m": Fraction(2**32)}])
 def test_construct_hands_the_gates_vertices_to_the_system(monkeypatch, params):
-    enumerated = []
+    enumerated, labelings = [], []
+    h_to_v, product_labeling = polytope.h_to_v, polytope.product_labeling
 
     def recording(h):
-        enumerated.append(polytope.h_to_v(h))
+        enumerated.append(h_to_v(h))
         return enumerated[-1]
 
-    monkeypatch.setattr(construction, "h_to_v", recording)
+    def recording_labeling(*args):
+        labelings.append(product_labeling(*args))
+        return labelings[-1]
+
+    monkeypatch.setattr(polytope, "h_to_v", recording)
     monkeypatch.setattr(io, "h_to_v", recording)
+    monkeypatch.setattr(polytope, "product_labeling", recording_labeling)
+    monkeypatch.setattr(io, "product_labeling", recording_labeling)
     system = construct_system(4, 3, **params)
     assert system.validated
+    assert "vertices" in vars(system) and "labeling" in vars(system)
     assert verify_system(system).ok
-    # one enumeration per gate round, none after
-    assert len(enumerated) == len(system.adaptation) + 1
+    assert analyze_system(system).ok
+    # one enumeration and one labeling per gate round, none after
+    rounds = len(system.adaptation) + 1
+    assert len(enumerated) == rounds and len(labelings) == rounds
     assert system.vertices is enumerated[-1]
+    assert system.labeling is labelings[-1]
 
 
 NOT_A_FACE = (

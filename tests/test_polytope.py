@@ -17,7 +17,6 @@ from oracle import (
 )
 from projpoly import linalg, polytope
 from projpoly.construction import (
-    ConstructionParams,
     build_deformed_product,
     build_plain_product,
     choose_parameters,
@@ -34,7 +33,6 @@ from projpoly.polytope import (
     _dd_extreme_rays,
     convex_hull,
     h_to_v,
-    product_isomorphic,
     product_labeling,
     v_to_h,
 )
@@ -177,7 +175,7 @@ def _cube3() -> HPolytope:
         lambda: SQUARE,
         _cube3,
         lambda: HPolytope(v_eps_block(6, QQ(1, 100)), rhs_block(6, QQ(1, 100))),
-        lambda: build_deformed_product(choose_parameters(4, 2)),
+        lambda: choose_parameters(4, 2).h,
     ],
 )
 def test_round_trip_h_v_h(system_builder):
@@ -239,8 +237,8 @@ def test_hull_vertices_have_full_rank_incidence(grid_case):
 def test_product_isomorphic_plain_product():
     system = build_plain_product(4, 2, SQUARE_POLYGON, ONES4)
     v = h_to_v(system)
-    assert product_isomorphic(v, system.labels, 4, 2)
     labeling = product_labeling(v, system.labels, 4, 2)
+    assert labeling is not None
     assert sorted(labeling) == sorted(
         (a, b) for a in range(4) for b in range(4)
     )
@@ -250,7 +248,7 @@ def test_product_isomorphic_requires_labels():
     system = build_plain_product(4, 2, SQUARE_POLYGON, ONES4)
     v = h_to_v(system)
     with pytest.raises(ValueError):
-        product_isomorphic(v, None, 4, 2)
+        product_labeling(v, None, 4, 2)
 
 
 def test_product_isomorphic_rejects_corrupted_rhs(grid_case):
@@ -259,17 +257,16 @@ def test_product_isomorphic_rejects_corrupted_rhs(grid_case):
     b[0], b[1] = b[1], b[0]
     bad = HPolytope(good.A, tuple(b), good.labels)
     v = h_to_v(bad)
-    assert not product_isomorphic(v, bad.labels, 4, 2)
+    assert product_labeling(v, bad.labels, 4, 2) is None
 
 
 def test_product_isomorphic_rejects_coarse_perturbation():
     # eps = 1/2 destroys convex position of the n=6 polygon; the system is
     # not a product of hexagons no matter how large M is
-    params = ConstructionParams(6, 3, QQ(1, 2), QQ(36))
-    system = build_deformed_product(params)
+    system = build_deformed_product(6, 3, QQ(1, 2), QQ(36))
     v = h_to_v(system)
     assert v.nvertices != 6**3
-    assert not product_isomorphic(v, system.labels, 6, 3)
+    assert product_labeling(v, system.labels, 6, 3) is None
 
 
 def test_non_simple_polytope_is_not_a_product():
@@ -283,7 +280,7 @@ def test_non_simple_polytope_is_not_a_product():
         ((1, 0), (1, 1), (1, 2), (1, 3), (2, 0)),
     )
     v = h_to_v(h)
-    assert not product_isomorphic(v, h.labels, 4, 2)
+    assert product_labeling(v, h.labels, 4, 2) is None
 
 
 def test_h_to_v_segment():

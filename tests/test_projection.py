@@ -5,12 +5,17 @@ import pytest
 
 from oracle import affine_rank_oracle, nonneg_solution_oracle
 from projpoly import linalg, projection
-from projpoly.construction import U0, U1, V0, V1, W0, W1
 from projpoly.lattice import mask_of
 from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system, verify_system
 from projpoly.polytope import HPolytope, h_to_v, product_labeling
 from projpoly.projection import (
+    U0,
+    U1,
+    V0,
+    V1,
+    W0,
+    W1,
     CertificateError,
     ProjectionChecker,
     alpha_coeff,
