@@ -34,6 +34,28 @@ def _parse_auto_rational(text: str) -> Fraction | None:
 # Sweep size limits, checked before any list is built.
 MAX_AXIS_VALUES = 10_000
 MAX_GRID_PAIRS = 10_000
+# Digits of a sweep row's largest printed value, f03 = 4(r-1) n^r: Python's
+# default limit on int-to-str conversion.
+MAX_PRINTED_DIGITS = 4300
+_PRINTED_LIMIT = 10**MAX_PRINTED_DIGITS
+
+
+def _check_printable(n: int, r: int) -> None:
+    """Raise ``ValueError`` when f03 = 4(r-1) n^r has more than
+    ``MAX_PRINTED_DIGITS`` digits.
+
+    Pairs far past the limit are decided from n^r >= 2^(r(b-1)), with b the
+    bit length of n, without computing n^r.  Pairs with n or r below 2 are
+    left to the domain check.
+    """
+    if n < 2 or r < 2:
+        return
+    # 2^(4k) > 10^k, so a bound past 4k bits is past k digits.
+    far = r * (n.bit_length() - 1) > 4 * MAX_PRINTED_DIGITS
+    if far or 4 * (r - 1) * n**r >= _PRINTED_LIMIT:
+        raise ValueError(
+            f"n={n}, r={r}: f03 = 4(r-1)n^r has more than {MAX_PRINTED_DIGITS} digits"
+        )
 
 
 def _parse_range(text: str) -> list[int]:
@@ -237,6 +259,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"{pairs} (n, r) pairs; at most {MAX_GRID_PAIRS} are allowed")
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        for n in sorted(set(n_values)):
+            for r in sorted(set(r_values)):
+                _check_printable(n, r)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

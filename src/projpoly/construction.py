@@ -1,13 +1,12 @@
-"""Builders for polygon-product inequality systems.
+"""The deformed product of r n-gons as an inequality system.
 
-A plain product of r n-gons is block diagonal.  The deformed variant chains
-three fixed 2-column blocks per block row: the perturbed polygon block on
-the diagonal, a coupling block U one position below the diagonal, and a
-second coupling block W two positions below.  This placement is the unique
-layout under which the zero-sum identity of the generator vectors (see
-``projection.zero_sum_check``) produces positive row dependences with the
-documented index offsets; it is verified a posteriori by the certificate
-checks rather than assumed.
+The system chains three fixed 2-column blocks per block row: the
+perturbed polygon block on the diagonal, a coupling block U one position
+below the diagonal, and a second coupling block W two positions below.
+This placement is the unique layout under which the zero-sum identity of
+the generator vectors (see ``projection.zero_sum_check``) produces
+positive row dependences with the documented index offsets; it is
+verified a posteriori by the certificate checks rather than assumed.
 
 The scalar parameters are adapted, not solved for: eps halves and M squares
 until the polygon description is valid and the product structure is
@@ -22,7 +21,7 @@ from fractions import Fraction
 from .io import AdaptationAttempt, SystemFile
 from .linalg import QMatrix, positively_spans
 from .polytope import HPolytope, PolytopeError
-from .projection import U0, U1, W0, W1, ZERO2, block_row
+from .projection import U0, U1, W0, W1, block_row
 from .rational import QQ
 
 # Twelve failed rounds signal an implementation bug, not a parameter gap.
@@ -49,28 +48,13 @@ def require_even_ngon(n: int) -> None:
         raise InvalidParameterError(f"n must be even, got {n}")
 
 
-def require_ngon(n: int, force: bool = False) -> None:
-    """An even n >= 4, or with ``force`` any n >= 3."""
-    if not force:
-        require_even_ngon(n)
-    elif n < 3:
-        raise InvalidParameterError(f"n must be at least 3, got {n}")
-
-
-def v_eps_block(n: int, eps: Fraction, force: bool = False) -> QMatrix:
+def v_eps_block(n: int, eps: Fraction) -> QMatrix:
     """The perturbed polygon block: row i is
 
         (1 - eps*s^2, eps*s)        for even i <= n-2, with s = n-2-2i,
         eps*(1 - eps*s^2, eps*s)    for odd  i <= n-3,
         (-eps, 0)                   for i = n-1.
-
-    ``force`` skips the even-n requirement for exploration; every
-    verification step downstream still runs honestly.
     """
-    require_ngon(n, force)
-    eps = QQ(eps)
-    if eps <= 0:
-        raise InvalidParameterError("eps must be positive")
     rows = []
     for i in range(n - 1):
         s = n - 2 - 2 * i
@@ -80,33 +64,21 @@ def v_eps_block(n: int, eps: Fraction, force: bool = False) -> QMatrix:
     return QMatrix(tuple(rows))
 
 
-def u_block(n: int) -> QMatrix:
-    return QMatrix(tuple(U0 if i % 2 == 0 else U1 for i in range(n)))
-
-
-def w_block(n: int) -> QMatrix:
-    return QMatrix(tuple(W0 if i % 2 == 0 else W1 for i in range(n)))
-
-
 def rhs_block(n: int, eps: Fraction) -> tuple[Fraction, ...]:
     """First right-hand-side block: 1 at even positions, eps at odd ones."""
     eps = QQ(eps)
     return tuple(QQ(1) if i % 2 == 0 else eps for i in range(n))
 
 
-def build_deformed_product(
-    n: int, r: int, eps: Fraction, big_m: Fraction, force: bool = False
-) -> HPolytope:
+def build_deformed_product(n: int, r: int, eps: Fraction, big_m: Fraction) -> HPolytope:
     """Assemble the rn x 2r deformed-product system with (block, row) labels.
 
     Block row k holds the perturbed polygon block at block column k, U at
     k-1 (k >= 2) and W at k-2 (k >= 3); the right-hand side of block k is
-    M^(k-1) times the first block's.  ``force`` is passed to
-    ``v_eps_block``.
+    M^(k-1) times the first block's.  Row i of U is U0 or U1, and of W is
+    W0 or W1, as i is even or odd.
     """
-    vblock = v_eps_block(n, eps, force=force)
-    ublock = u_block(n)
-    wblock = w_block(n)
+    vblock = v_eps_block(n, eps)
     b1 = rhs_block(n, eps)
 
     rows: list[tuple[Fraction, ...]] = []
@@ -115,32 +87,11 @@ def build_deformed_product(
     for k in range(1, r + 1):
         mfactor = big_m ** (k - 1)
         for i in range(n):
-            rows.append(block_row(k, r, vblock.row(i), ublock.row(i), wblock.row(i)))
+            u, w = (U0, W0) if i % 2 == 0 else (U1, W1)
+            rows.append(block_row(k, r, vblock.row(i), u, w))
             rhs.append(mfactor * b1[i])
             labels.append((k, i))
     return HPolytope(QMatrix(tuple(rows)), tuple(rhs), tuple(labels))
-
-
-def build_plain_product(n: int, r: int, polygon: QMatrix, rhs: tuple[Fraction, ...] | list[Fraction]) -> HPolytope:
-    """Block-diagonal system of r copies of a validated polygon description."""
-    require_r(r)
-    if polygon.rows != n or polygon.cols != 2:
-        raise ConstructionError(f"polygon block must be {n}x2, got {polygon.rows}x{polygon.cols}")
-    if len(rhs) != n:
-        raise ConstructionError("right-hand side length does not match the polygon block")
-    rhs = tuple(QQ(x) for x in rhs)
-    if not validate_polygon(polygon, rhs):
-        raise ConstructionError("polygon description is not valid")
-    rows: list[tuple[Fraction, ...]] = []
-    out_rhs: list[Fraction] = []
-    labels: list[tuple[int, int]] = []
-    for k in range(1, r + 1):
-        for i in range(n):
-            segments = [polygon.row(i) if j == k else ZERO2 for j in range(1, r + 1)]
-            rows.append(tuple(x for seg in segments for x in seg))
-            out_rhs.append(rhs[i])
-            labels.append((k, i))
-    return HPolytope(QMatrix(tuple(rows)), tuple(out_rhs), tuple(labels))
 
 
 def validate_polygon(V: QMatrix, b: tuple[Fraction, ...] | list[Fraction]) -> bool:
@@ -203,11 +154,15 @@ def choose_parameters(
 
     When both eps and M are given, one round runs, and a rejected system is
     returned with ``validated=False`` and that round logged.  Only then does
-    ``force`` apply: it relaxes the even-n domain check to n >= 3.
+    ``force`` apply: it relaxes the even-n domain check to n >= 3.  The
+    domain of n, r, eps and M is checked here only, before any system is
+    built.
     """
     explicit = eps is not None and big_m is not None
-    force = force and explicit
-    require_ngon(n, force)
+    if not (force and explicit):
+        require_even_ngon(n)
+    elif n < 3:
+        raise InvalidParameterError(f"n must be at least 3, got {n}")
     require_r(r)
     if eps is not None:
         eps = QQ(eps)
@@ -224,7 +179,7 @@ def choose_parameters(
         round_eps = eps if eps is not None else eps0 / 2**round_idx
         round_m = big_m if big_m is not None else m0 ** (2**round_idx)
         system = SystemFile(
-            build_deformed_product(n, r, round_eps, round_m, force=force),
+            build_deformed_product(n, r, round_eps, round_m),
             n=n,
             r=r,
             eps=round_eps,

@@ -174,7 +174,12 @@ def save_system(path: str | Path, system: SystemFile) -> None:
 
 
 def load_system(path: str | Path) -> SystemFile:
-    return system_from_dict(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return system_from_dict(data)
 
 
 # --- cdd-style inequality text -----------------------------------------------
@@ -202,10 +207,13 @@ def parse_ine_text(text: str) -> HPolytope:
     if start + 2 >= len(lines):
         raise ValueError("missing size line")
     counts = lines[start + 2].split()
-    if len(counts) != 3 or counts[2] != "rational":
+    # Counts in ASCII digits only, as rational tokens are.
+    if len(counts) != 3 or counts[2] != "rational" or not all(
+        c.isascii() and c.isdigit() for c in counts[:2]
+    ):
         raise ValueError(f"malformed size line: {lines[start + 2]!r}")
     m, cols = int(counts[0]), int(counts[1])
-    if m < 0 or cols < 1:
+    if cols < 1:
         raise ValueError(f"malformed size line: {lines[start + 2]!r}")
     if len(lines) < start + 4 + m:
         raise ValueError("truncated file")

@@ -49,14 +49,6 @@ class FaceLattice:
                 counts[d] += 1
         return tuple(counts)
 
-    def euler_ok(self) -> bool:
-        """Euler's relation: the alternating f-vector sum telescopes to
-        1 - (-1)^d."""
-        total = 0
-        for i, f in enumerate(self.f_vector()):
-            total += f if i % 2 == 0 else -f
-        return total == 1 - (-1) ** self.dim
-
 
 def face_lattice(v: VPolytope) -> FaceLattice:
     """Grade the faces level by level, top down, from the incidences.
@@ -106,14 +98,6 @@ def mask_of(indices) -> int:
     return m
 
 
-def flag_f03(lattice: FaceLattice) -> int:
-    """Vertex-facet incidence count of a 4-polytope: sum of vertex counts
-    over the facets."""
-    if lattice.dim != 4:
-        raise LatticeError(f"f03 needs a 4-polytope lattice, got dimension {lattice.dim}")
-    return sum(mask.bit_count() for mask in lattice.faces_of_dim(3))
-
-
 @dataclass(frozen=True)
 class FlagVector4:
     """(f0, f1, f2, f3; f03) of a 4-polytope."""
@@ -136,4 +120,6 @@ class FlagVector4:
         if lattice.dim != 4:
             raise LatticeError("flag vector needs a 4-polytope lattice")
         f0, f1, f2, f3 = lattice.f_vector()
-        return cls(f0, f1, f2, f3, flag_f03(lattice))
+        # f03 counts vertex-facet incidences: the facets' vertex counts.
+        f03 = sum(mask.bit_count() for mask in lattice.faces_of_dim(3))
+        return cls(f0, f1, f2, f3, f03)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rational import QQ
 
@@ -34,10 +34,6 @@ class QMatrix:
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValueError("matrix rows have unequal lengths")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "QMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -240,18 +236,18 @@ def nonneg_solution(
 
 @dataclass(frozen=True)
 class PositiveCertificate:
-    """Certificate for positive dependence or positive spanning.
+    """Certificate for positive spanning.
 
-    ``dependence``: all coefficients strictly positive, weighted row sum is
-    the zero vector.  ``spanning``: the same plus full rank of the vector
-    set.  ``none`` carries no coefficients.
+    ``spanning``: full rank of the vector set, and strictly positive
+    coefficients whose weighted row sum is the zero vector.  ``none``
+    carries no coefficients.
     """
 
     kind: str
     coefficients: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("spanning", "dependence", "none"):
+        if self.kind not in ("spanning", "none"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
 
@@ -266,35 +262,27 @@ def _equations(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[li
 
 def _dependence(
     vectors: Sequence[Sequence[Fraction]], equations: list[tuple[list[int], int]]
-) -> PositiveCertificate:
-    """Strictly positive dependence of nonempty vectors, given their
-    equations (see ``positive_dependence``)."""
+) -> tuple[Fraction, ...] | None:
+    """Strictly positive coefficients with zero weighted sum of nonempty
+    vectors, given their equations; None if there are none.
+
+    Solved as an exact phase-1 problem on lambda >= 1 (substituting
+    mu = lambda - 1 keeps the region closed); any feasible point certifies
+    strict positivity.
+    """
     # The target -sum(vectors) has, in equation i, a denominator dividing
     # the equation's scale, so the simplex scales each equation as here.
     target = [QQ(-sum(row), scale) for row, scale in equations]
     mu = nonneg_solution(vectors, target)
     if mu is None:
-        return PositiveCertificate("none")
+        return None
     lam = tuple(m + 1 for m in mu)
     # Exact self-check on the integer equations, with lam cleared too.
     weights, _ = _scaled_row(lam)
     for row, _ in equations:
         if sum(map(mul, weights, row)) != 0:
             raise RuntimeError("simplex returned an invalid dependence certificate")
-    return PositiveCertificate("dependence", lam)
-
-
-def positive_dependence(vectors: Sequence[Sequence[Fraction]], dim: int) -> PositiveCertificate:
-    """Strictly positive coefficients with zero weighted sum, if any exist.
-
-    Solved as an exact phase-1 problem on lambda >= 1 (substituting
-    mu = lambda - 1 keeps the region closed); any feasible point certifies
-    strict positivity.
-    """
-    equations = _equations(vectors, dim)
-    if not vectors:
-        return PositiveCertificate("none")
-    return _dependence(vectors, equations)
+    return lam
 
 
 def positively_spans(vectors: Sequence[Sequence[Fraction]], dim: int) -> PositiveCertificate:
@@ -307,7 +295,7 @@ def positively_spans(vectors: Sequence[Sequence[Fraction]], dim: int) -> Positiv
     equations = _equations(vectors, dim)
     if not vectors or rank_int_rows([row for row, _ in equations]) != dim:
         return PositiveCertificate("none")
-    dep = _dependence(vectors, equations)
-    if dep.kind == "none":
+    lam = _dependence(vectors, equations)
+    if lam is None:
         return PositiveCertificate("none")
-    return PositiveCertificate("spanning", dep.coefficients)
+    return PositiveCertificate("spanning", lam)

@@ -107,46 +107,17 @@ def complexity_paper_literal(flag: FlagVector4) -> Fraction:
     return QQ(flag.f03, _denominator(flag))
 
 
-@dataclass(frozen=True)
-class ConeReport:
+def cone_membership(flag: FlagVector4) -> dict[str, bool]:
     """The five linear conditions on (phi0, phi3) known to hold for
-    4-polytopes."""
-
-    phi0_nonneg: bool
-    phi3_nonneg: bool
-    simplicial_bound: bool  # phi0 + 3*phi3 <= 1
-    simple_bound: bool  # 3*phi0 + phi3 <= 1
-    g2_bound: bool  # phi0 + phi3 <= 2/5
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.phi0_nonneg
-            and self.phi3_nonneg
-            and self.simplicial_bound
-            and self.simple_bound
-            and self.g2_bound
-        )
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "phi0 >= 0": self.phi0_nonneg,
-            "phi3 >= 0": self.phi3_nonneg,
-            "phi0 + 3*phi3 <= 1": self.simplicial_bound,
-            "3*phi0 + phi3 <= 1": self.simple_bound,
-            "phi0 + phi3 <= 2/5": self.g2_bound,
-        }
-
-
-def cone_membership(flag: FlagVector4) -> ConeReport:
+    4-polytopes, by name."""
     phi = phi_coords(flag)
-    return ConeReport(
-        phi.phi0 >= 0,
-        phi.phi3 >= 0,
-        phi.phi0 + 3 * phi.phi3 <= 1,
-        3 * phi.phi0 + phi.phi3 <= 1,
-        phi.phi0 + phi.phi3 <= QQ(2, 5),
-    )
+    return {
+        "phi0 >= 0": phi.phi0 >= 0,
+        "phi3 >= 0": phi.phi3 >= 0,
+        "phi0 + 3*phi3 <= 1": phi.phi0 + 3 * phi.phi3 <= 1,
+        "3*phi0 + phi3 <= 1": 3 * phi.phi0 + phi.phi3 <= 1,
+        "phi0 + phi3 <= 2/5": phi.phi0 + phi.phi3 <= QQ(2, 5),
+    }
 
 
 def predicted_flag(n: int, r: int) -> FlagVector4:
@@ -269,7 +240,7 @@ def metrics_report(flag: FlagVector4, paper_literal: bool = False) -> dict:
         "g1": g.g1,
         "g1_dual": g.g1_dual,
         "g2": g.g2,
-        "cone": cone_membership(flag).as_dict(),
+        "cone": cone_membership(flag),
     }
     if paper_literal:
         lit_fat = fatness_paper_literal(flag)

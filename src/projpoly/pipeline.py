@@ -314,7 +314,7 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
         "g2 >= 0": gvector(flag).g2 >= 0,
         "C <= 2F - 2": comp <= 2 * fat - 2,
         "F <= 2C - 2": fat <= 2 * comp - 2,
-        "cone": cone_membership(flag).all_hold,
+        "cone": all(cone_membership(flag).values()),
     }
     result.report["consistency"] = consistency
     for name, ok in consistency.items():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 QQ = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -21,7 +21,7 @@ def parse_rational(text: str) -> Fraction:
 
     Decimal and exponent notation are rejected on purpose: accepting them
     would silently launder floating-point imprecision into an exact
-    computation.
+    computation.  Digits are ASCII only.
     """
     token = text.strip()
     if not _RATIONAL_RE.match(token):

@@ -8,6 +8,9 @@ rank test instead of the combinatorial adjacency test of the double
 description method, a ``Fraction`` tableau instead of the integer
 simplex, and a ``Fraction`` polar instead of the integer grid of the
 convex hull.
+
+It also holds the small builders several tests share: ``qmatrix``, the
+block-diagonal ``build_plain_product`` and Euler's relation on a lattice.
 """
 
 from __future__ import annotations
@@ -17,8 +20,42 @@ from functools import cache
 from itertools import combinations
 from random import Random
 
+from projpoly.construction import ConstructionError, require_r, validate_polygon
 from projpoly.linalg import QMatrix, clear_denominators, independent_rows, null_vector, primitive, rank_int_rows
 from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
+from projpoly.projection import ZERO2
+
+
+def qmatrix(rows):
+    """A ``QMatrix`` of ``Fraction(x)`` for each entry x of each row."""
+    return QMatrix(tuple(tuple(QQ(x) for x in row) for row in rows))
+
+
+def build_plain_product(n, r, polygon, rhs):
+    """Block-diagonal system of r copies of a validated polygon description."""
+    require_r(r)
+    if polygon.rows != n or polygon.cols != 2:
+        raise ConstructionError(f"polygon block must be {n}x2, got {polygon.rows}x{polygon.cols}")
+    if len(rhs) != n:
+        raise ConstructionError("right-hand side length does not match the polygon block")
+    rhs = tuple(QQ(x) for x in rhs)
+    if not validate_polygon(polygon, rhs):
+        raise ConstructionError("polygon description is not valid")
+    rows, out_rhs, labels = [], [], []
+    for k in range(1, r + 1):
+        for i in range(n):
+            segments = [polygon.row(i) if j == k else ZERO2 for j in range(1, r + 1)]
+            rows.append(tuple(x for seg in segments for x in seg))
+            out_rhs.append(rhs[i])
+            labels.append((k, i))
+    return HPolytope(QMatrix(tuple(rows)), tuple(out_rhs), tuple(labels))
+
+
+def euler_ok(lattice):
+    """Euler's relation: the alternating f-vector sum telescopes to
+    1 - (-1)^d."""
+    total = sum(f if i % 2 == 0 else -f for i, f in enumerate(lattice.f_vector()))
+    return total == 1 - (-1) ** lattice.dim
 
 
 def gauss_solve(rows, rhs):

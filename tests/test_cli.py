@@ -242,6 +242,37 @@ def test_sweep_rejects_ranges_past_the_limit(capsys, n, r):
     assert stdout == ""
 
 
+SWEEP_4_8_2_BY_2_3 = """\
+n,r,f0,f1,f2,f3,f03,fatness,fatness_decimal_approx,complexity,complexity_decimal_approx,geometric
+4,2,16,32,24,8,64,18/7,2.571429,22/7,3.142857,formula-only
+4,3,64,192,192,64,512,182/59,3.084746,246/59,4.169492,formula-only
+6,2,36,72,48,12,144,50/19,2.631579,62/19,3.263158,formula-only
+6,3,216,648,594,162,1728,611/184,3.320652,427/92,4.641304,formula-only
+8,2,64,128,80,16,256,94/35,2.685714,118/35,3.371429,formula-only
+8,3,512,1536,1344,320,4096,1430/411,3.479319,2038/411,4.958637,formula-only
+"""
+
+
+def test_sweep_prints_values_up_to_the_digit_limit(capsys):
+    # f03 = 4(r-1) 4^r has 4,300 digits at r = 7134 and 4,301 at r = 7135
+    assert len(str(4 * 7133 * 4**7134)) == 4300
+    code, stdout, stderr = run(capsys, "sweep", "--n", "4", "--r", "7134", "--geometric-budget", "0")
+    assert code == 0 and stderr == ""
+    assert stdout.splitlines()[1].split(",")[6] == str(4 * 7133 * 4**7134)
+    code, stdout, _ = run(capsys, "sweep", "--n", "4:8:2", "--r", "2:3", "--geometric-budget", "0")
+    assert code == 0 and stdout == SWEEP_4_8_2_BY_2_3
+
+
+@pytest.mark.parametrize("n,r", [("4", "7135"), ("4", "7200"), ("4", "1000000000000"),
+                                 ("4,6", "2,1000000000000")])
+def test_sweep_rejects_values_past_the_digit_limit(capsys, n, r):
+    code, stdout, stderr = run(capsys, "sweep", "--n", n, "--r", r, "--geometric-budget", "0")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: n=4, r=") and stderr.count("\n") == 1
+    assert "more than 4300 digits" in stderr
+
+
 def test_parse_range_accepts_the_limit():
     assert len(_parse_range("4:20002:2")) == 10000
     assert _parse_range("4, 8:12:2,20:19") == [4, 8, 10, 12]
@@ -276,6 +307,19 @@ def test_truncated_ine_is_invalid_input(tmp_path, capsys, command):
     assert code == 2
     assert stderr == f"error: cannot load {path}: missing size line\n"
     assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "x.ine"
+    extra = ["-o", str(out), "--format", "ine"] if command == "export" else []
+    code, stdout, stderr = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert stderr == f"error: cannot load {path}: JSON nested too deeply\n"
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_verify_fails_unvalidated_system(tmp_path, capsys):

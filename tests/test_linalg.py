@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import determinant_oracle, nonneg_solution_oracle, row_reduce_rank, span_oracle_cases
+from oracle import determinant_oracle, nonneg_solution_oracle, qmatrix, row_reduce_rank, span_oracle_cases
 from projpoly.linalg import (
     PositiveCertificate,
     QMatrix,
+    _dependence,
+    _equations,
     nonneg_solution,
-    positive_dependence,
     positively_spans,
     rank_rows,
 )
@@ -19,7 +20,7 @@ from projpoly.projection import U0, U1, V0, W0, W1, alpha_coeff, beta_coeff
 
 
 def test_rank_identity():
-    assert rank_rows(QMatrix.from_rows([[1, 0], [0, 1]]).entries) == 2
+    assert rank_rows(qmatrix([[1, 0], [0, 1]]).entries) == 2
 
 
 def test_rank_coupling_block():
@@ -30,7 +31,7 @@ def test_rank_coupling_block():
 
 
 def test_rank_zero_row():
-    assert rank_rows(QMatrix.from_rows([[1, 0], [0, 0]]).entries) == 1
+    assert rank_rows(qmatrix([[1, 0], [0, 0]]).entries) == 1
 
 
 def _coefficient_matrix(k: int):
@@ -52,28 +53,33 @@ def test_coefficient_matrix_determinant_closed_form(k):
     assert abs(determinant_oracle(_coefficient_matrix(k))) == expected
 
 
+def positive_dependence(vectors, dim):
+    """Strictly positive coefficients with zero weighted sum, as
+    ``positively_spans`` computes them, for any vector set; or None."""
+    return _dependence(vectors, _equations(vectors, dim)) if vectors else None
+
+
 def test_positive_dependence_symmetric_pairs():
-    cert = positive_dependence([(QQ(1), QQ(0)), (QQ(-1), QQ(0)), (QQ(0), QQ(1)), (QQ(0), QQ(-1))], 2)
-    assert cert.kind == "dependence"
-    assert cert.coefficients == (1, 1, 1, 1)
+    coefficients = positive_dependence([(QQ(1), QQ(0)), (QQ(-1), QQ(0)), (QQ(0), QQ(1)), (QQ(0), QQ(-1))], 2)
+    assert coefficients is not None
+    assert coefficients == (1, 1, 1, 1)
 
 
 def test_positive_dependence_half_plane():
-    cert = positive_dependence([(QQ(1), QQ(0)), (QQ(0), QQ(1))], 2)
-    assert cert.kind == "none"
+    assert positive_dependence([(QQ(1), QQ(0)), (QQ(0), QQ(1))], 2) is None
 
 
 def test_positive_dependence_empty():
-    assert positive_dependence([], 2).kind == "none"
+    assert positive_dependence([], 2) is None
 
 
 def test_positive_dependence_generator_vectors():
     vectors = [V0, U0, U1, W0, W1]
-    cert = positive_dependence(vectors, 2)
-    assert cert.kind == "dependence"
-    assert all(c > 0 for c in cert.coefficients)
+    coefficients = positive_dependence(vectors, 2)
+    assert coefficients is not None
+    assert all(c > 0 for c in coefficients)
     for i in range(2):
-        assert sum(c * v[i] for c, v in zip(cert.coefficients, vectors)) == 0
+        assert sum(c * v[i] for c, v in zip(coefficients, vectors)) == 0
     # the zero-sum identity at k=2 provides one explicit certificate
     explicit = (alpha_coeff(1), alpha_coeff(2), beta_coeff(2), alpha_coeff(3), beta_coeff(3))
     assert explicit == (QQ(1, 2), QQ(9, 4), QQ(33, 16), QQ(49, 8), QQ(189, 32))
@@ -115,15 +121,14 @@ def test_rank_and_determinant_agree():
         if rng.random() < 0.4 and n >= 2:
             # force singularity: last row a combination of the first two
             rows[-1] = [rows[0][j] + (rows[1][j] if n > 1 else 0) for j in range(n)]
-        m = QMatrix.from_rows(rows)
+        m = qmatrix(rows)
         det = determinant_oracle(rows)
         assert (rank_rows(m.entries) < n) == (det == 0)
         assert rank_rows(m.entries) == row_reduce_rank(rows)
 
 
 def test_results_stay_reduced():
-    cert = positive_dependence([V0, U0, U1, W0, W1], 2)
-    for c in cert.coefficients:
+    for c in positive_dependence([V0, U0, U1, W0, W1], 2):
         assert c.denominator > 0
         assert math.gcd(c.numerator, c.denominator) == 1
 
@@ -188,8 +193,8 @@ def test_nonneg_solution_matches_fraction_simplex(system):
 def test_positive_dependence_is_the_fraction_simplex_plus_one():
     for vectors, dim, _ in span_oracle_cases():
         mu = nonneg_solution_oracle(vectors, [-sum(v[i] for v in vectors) for i in range(dim)])
-        cert = positive_dependence(vectors, dim)
+        coefficients = positive_dependence(vectors, dim)
         if mu is None:
-            assert cert.kind == "none"
+            assert coefficients is None
         else:
-            assert cert.coefficients == tuple(m + 1 for m in mu)
+            assert coefficients == tuple(m + 1 for m in mu)

@@ -57,3 +57,64 @@ def test_every_module_imports_first_without_a_cycle():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == ""
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every use of a name: a bare name, an attribute, or
+    a part of a string that is a dotted name (``"linalg.positively_spans"``,
+    as perfbench names what it wraps).  Imports are not uses."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                refs += [(part, node.lineno) for part in parts]
+    return refs
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of every public module-level function
+    or class and every public method of those classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [item for item in node.body if isinstance(item, kinds)]
+    return [(d.name, d.lineno, d.end_lineno) for d in found if not d.name.startswith("_")]
+
+
+def unused_public_names(package: Path, callers: Path) -> list[str]:
+    """``file:line name`` of each public definition in ``package`` that no
+    code in the package uses outside its own definition, and that nothing
+    under ``callers`` names."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    outside = {name for path in sorted(callers.rglob("*.py"))
+               for name, _ in _references(ast.parse(path.read_text(), filename=str(path)))}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((path, line))
+    unused = []
+    for path, tree in trees.items():
+        for name, first, last in _public_definitions(tree):
+            used = name in outside or any(
+                where != path or not first <= line <= last for where, line in uses.get(name, ())
+            )
+            if not used:
+                unused.append(f"{path.name}:{first} {name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = unused_public_names(PACKAGE, PERFBENCH)
+    assert not unused, "public names only tests call:\n" + "\n".join(unused)

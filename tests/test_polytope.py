@@ -10,15 +10,16 @@ from conftest import GRID
 from oracle import (
     affine_rank_oracle,
     brute_force_vertices,
+    build_plain_product,
     convex_hull_oracle,
     dd_rank_oracle,
     is_irredundant,
     polar_rows_oracle,
+    qmatrix,
 )
 from projpoly import linalg, polytope
 from projpoly.construction import (
     build_deformed_product,
-    build_plain_product,
     choose_parameters,
     rhs_block,
     v_eps_block,
@@ -40,11 +41,11 @@ from projpoly.pipeline import construct_system
 from projpoly.projection import project
 
 SQUARE = HPolytope(
-    QMatrix.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+    qmatrix([[1, 0], [-1, 0], [0, 1], [0, -1]]),
     (QQ(1), QQ(1), QQ(1), QQ(1)),
 )
 
-SQUARE_POLYGON = QMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]])
+SQUARE_POLYGON = qmatrix([[1, 0], [0, 1], [-1, 0], [0, -1]])
 ONES4 = (QQ(1),) * 4
 
 
@@ -84,31 +85,31 @@ def test_vertex_incidence_is_exact():
 
 
 def test_unbounded_raises():
-    h = HPolytope(QMatrix.from_rows([[-1]]), (QQ(0),))
+    h = HPolytope(qmatrix([[-1]]), (QQ(0),))
     with pytest.raises(UnboundedPolytopeError):
         h_to_v(h)
 
 
 def test_unbounded_with_line_raises():
-    h = HPolytope(QMatrix.from_rows([[1, 0], [-1, 0]]), (QQ(1), QQ(1)))
+    h = HPolytope(qmatrix([[1, 0], [-1, 0]]), (QQ(1), QQ(1)))
     with pytest.raises(UnboundedPolytopeError):
         h_to_v(h)
 
 
 def test_empty_raises():
-    h = HPolytope(QMatrix.from_rows([[1], [-1]]), (QQ(-1), QQ(-1)))
+    h = HPolytope(qmatrix([[1], [-1]]), (QQ(-1), QQ(-1)))
     with pytest.raises(EmptyPolytopeError):
         h_to_v(h)
 
 
 def test_empty_rank_deficient_raises():
-    h = HPolytope(QMatrix.from_rows([[1, 0], [-1, 0]]), (QQ(-1), QQ(-1)))
+    h = HPolytope(qmatrix([[1, 0], [-1, 0]]), (QQ(-1), QQ(-1)))
     with pytest.raises(EmptyPolytopeError):
         h_to_v(h)
 
 
 def test_degenerate_point_raises():
-    h = HPolytope(QMatrix.from_rows([[1], [-1]]), (QQ(0), QQ(0)))
+    h = HPolytope(qmatrix([[1], [-1]]), (QQ(0), QQ(0)))
     with pytest.raises(DegeneratePolytopeError):
         h_to_v(h)
 
@@ -275,7 +276,7 @@ def test_non_simple_polytope_is_not_a_product():
         [1, 0, -1], [0, 1, -1], [-1, 0, -1], [0, -1, -1], [0, 0, 1],
     ]
     h = HPolytope(
-        QMatrix.from_rows(rows),
+        qmatrix(rows),
         (QQ(0), QQ(0), QQ(0), QQ(0), QQ(1)),
         ((1, 0), (1, 1), (1, 2), (1, 3), (2, 0)),
     )
@@ -284,7 +285,7 @@ def test_non_simple_polytope_is_not_a_product():
 
 
 def test_h_to_v_segment():
-    v = h_to_v(HPolytope(QMatrix.from_rows([[1], [-1]]), (QQ(1), QQ(0))))
+    v = h_to_v(HPolytope(qmatrix([[1], [-1]]), (QQ(1), QQ(0))))
     assert v.vertices == ((QQ(1),), (QQ(0),))
     assert v.incidence == (frozenset({0}), frozenset({1}))
 
@@ -299,7 +300,7 @@ def test_convex_hull_of_collinear_points():
 
 
 def _h_polytope(rows) -> HPolytope:
-    return HPolytope(QMatrix.from_rows(rows), (QQ(1),) * len(rows))
+    return HPolytope(qmatrix(rows), (QQ(1),) * len(rows))
 
 
 def _signs(k):
@@ -432,12 +433,12 @@ OCTAGON3 = CUBE3 + [[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0]]
 ], ids=["rank-deficient-feasible", "rank-deficient-infeasible", "infeasible", "lower-dimensional"])
 def test_h_to_v_errors_in_three_dimensions(rows, rhs, error):
     with pytest.raises(error):
-        h_to_v(HPolytope(QMatrix.from_rows(rows), tuple(QQ(b) for b in rhs)))
+        h_to_v(HPolytope(qmatrix(rows), tuple(QQ(b) for b in rhs)))
 
 
 def test_zero_rows_tight_everywhere_are_not_implicit_equalities():
     # 0 . x <= 0 holds with equality at every vertex but cuts nothing out
-    h = HPolytope(QMatrix.from_rows(CUBE3 + [[0, 0, 0]]), (QQ(1),) * 6 + (QQ(0),))
+    h = HPolytope(qmatrix(CUBE3 + [[0, 0, 0]]), (QQ(1),) * 6 + (QQ(0),))
     v = h_to_v(h)
     assert v.nvertices == 8
     assert all(6 in tight for tight in v.incidence)

@@ -3,10 +3,9 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from oracle import affine_rank_oracle, nonneg_solution_oracle
+from oracle import affine_rank_oracle, nonneg_solution_oracle, qmatrix
 from projpoly import linalg, projection
 from projpoly.lattice import mask_of
-from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system, verify_system
 from projpoly.polytope import HPolytope, h_to_v, product_labeling
 from projpoly.projection import (
@@ -131,7 +130,7 @@ def test_project_identity_for_r2(grid_case):
 def test_project_rejects_keep_beyond_dimension():
     # projection keeps four coordinates, more than the square has
     square = HPolytope(
-        QMatrix.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]), (QQ(1),) * 4
+        qmatrix([[1, 0], [-1, 0], [0, 1], [0, -1]]), (QQ(1),) * 4
     )
     v = h_to_v(square)
     with pytest.raises(ValueError):
@@ -159,7 +158,7 @@ def test_projected_hull_facet_count(grid_case):
 # [0,1]^5: dropping x0 projects it onto the 4-cube, so every x0-edge
 # collapses onto a vertex of the image.
 UNIT_CUBE5 = HPolytope(
-    QMatrix.from_rows([[s if j == i else 0 for j in range(5)] for i in range(5) for s in (-1, 1)]),
+    qmatrix([[s if j == i else 0 for j in range(5)] for i in range(5) for s in (-1, 1)]),
     (QQ(0), QQ(1)) * 5,
 )
 

@@ -12,7 +12,8 @@ def test_parse_canonical_tokens():
     assert parse_rational("6/8") == QQ(3, 4)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "1/0", "1/-2", "3 / 4", "0x10"])
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "1/0", "1/-2", "3 / 4", "0x10",
+                                 "\u0661/\u0662", "\uff19", "1/\u0968"])
 def test_parse_rejects_non_rational_tokens(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
