@@ -58,6 +58,29 @@ def _check_printable(n: int, r: int) -> None:
         )
 
 
+def _check_writable(r: int, eps: Fraction | None, big_m: Fraction | None) -> None:
+    """Raise ``ValueError`` when the system file for a given M would hold
+    a number with more than ``MAX_PRINTED_DIGITS`` digits.
+
+    Block r's right-hand sides are M^(r-1) and M^(r-1) eps, and M > 1
+    makes the numerator of M^(r-1) at least as long as its denominator.
+    Powers far past the limit are decided from the numerator's bit length
+    alone.  Values outside the domain are left to the domain check.
+    """
+    if big_m is None or big_m <= 1 or r < 2:
+        return
+    far = (r - 1) * (big_m.numerator.bit_length() - 1) > 4 * MAX_PRINTED_DIGITS
+    if not far:
+        power = big_m ** (r - 1)
+        values = [power] if eps is None or eps <= 0 else [power, power * eps]
+        if all(v.numerator < _PRINTED_LIMIT and v.denominator < _PRINTED_LIMIT for v in values):
+            return
+    raise ValueError(
+        f"r={r}: a right-hand side M^{r - 1} or M^{r - 1}*eps would have more than "
+        f"{MAX_PRINTED_DIGITS} digits"
+    )
+
+
 def _parse_range(text: str) -> list[int]:
     """Accept '4,6,8' lists and '4:8:2' (inclusive, stepped) ranges of at
     most ``MAX_AXIS_VALUES`` values in all."""
@@ -123,6 +146,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     try:
         eps = _parse_auto_rational(args.eps)
         big_m = _parse_auto_rational(args.big_m)
+        _check_writable(args.r, eps, big_m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

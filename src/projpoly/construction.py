@@ -153,7 +153,8 @@ def choose_parameters(
     computed.  ``MAX_ROUNDS`` failures raise ``ConstructionError``.
 
     When both eps and M are given, one round runs, and a rejected system is
-    returned with ``validated=False`` and that round logged.  Only then does
+    returned with ``validated=False``, that round logged, and whatever of
+    its vertices and labeling the gates computed.  Only then does
     ``force`` apply: it relaxes the even-n domain check to n >= 3.  The
     domain of n, r, eps and M is checked here only, before any system is
     built.
@@ -192,7 +193,11 @@ def choose_parameters(
             return system
         log.append(AdaptationAttempt(round_eps, round_m, reason))
     if explicit:
-        return dataclasses.replace(system, validated=False, adaptation=tuple(log))
+        rejected = dataclasses.replace(system, validated=False, adaptation=tuple(log))
+        # Keep the vertices and labeling the gates got as far as computing.
+        computed = {key: vars(system)[key] for key in ("vertices", "labeling") if key in vars(system)}
+        vars(rejected).update(computed)
+        return rejected
     raise ConstructionError(
         f"no parameters found for n={n}, r={r} after {len(log)} rounds; "
         "attempts: " + "; ".join(f"eps={a.eps}, M={a.big_m}: {a.reason}" for a in log)

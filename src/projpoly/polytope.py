@@ -23,6 +23,17 @@ such rays are adjacent iff no third ray is tight on every row they share
 (the combinatorial test of Fukuda and Prodon, "Double description method
 revisited", 1996), which is exact for the extreme rays of a pointed cone.
 
+An insertion's bookkeeping scales with the few rays that change, not
+with the many that do not.  Each ray keeps the list of its tight rows,
+and the counters, the adjacency test and a new ray's row index walk those
+lists.  The masks of a new row's zero and positive rays are built from
+those rays, and the negative rays are the live ones left.  The last third
+ray that refuted a pair is tried first on the next pair, which it
+refutes when it is tight on every row the pair shares.  When the ids
+ever made exceed twice the live rays (plus 64), the live rays are
+renumbered in id order, so the masks stay as wide as the live set and
+the output order is unchanged.
+
 Inequalities are inserted in cdd's "lexmin" order, lexicographic on the
 integer rows (b, -a), after a greedy full-rank initial basis chosen in
 the same order.  The order is a function of the input alone, so identical
@@ -135,13 +146,15 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
     if len(basis_idx) < dim:
         return None
 
-    # A ray keeps the id it was created with; a dropped ray's entries
-    # become None.  ``live`` lists the current ids in increasing order, so
-    # after each insertion it is "kept rays, then new rays", and
-    # ``holders[j]`` is the bitmask of ray ids tight on row j (dropped ids
-    # included; every use masks them out).
+    # ``live`` lists the ids of the current rays in increasing order, so
+    # after each insertion it is "kept rays, then new rays".  A dropped
+    # ray's entries become None.  Per ray, ``tights`` is the bitmask of its
+    # tight rows and ``trows`` the same rows as a list; ``holders[j]`` is
+    # the bitmask of ray ids tight on row j (dropped ids included; every
+    # use masks them out).
     rays: list[list[int] | None] = []
     tights: list[int | None] = []
+    trows: list[list[int] | None] = []
     holders = [0] * nrows
     for rj in basis_idx:
         others = [i for i in basis_idx if i != rj]
@@ -150,6 +163,7 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
             ray = [-x for x in ray]
         rays.append(primitive(ray))
         tights.append(sum(1 << i for i in others))
+        trows.append(others)
     alive = (1 << dim) - 1
     for j, rj in enumerate(basis_idx):
         holders[rj] = alive ^ (1 << j)
@@ -159,6 +173,7 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
     # Two rays of the cone are adjacent only if they share at least
     # dim - 2 tight rows.
     threshold = dim - 2
+    levels = range(threshold - 1, 0, -1)
     for h in order:
         if h in in_basis:
             continue
@@ -176,22 +191,28 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
         else:
             vals = [sum(map(mul, row, rays[i])) for i in live]
         plus: list[int] = []
-        minus = zero = 0
+        plus_mask = zero = 0
         for i, v in zip(live, vals):
             if v > 0:
                 plus.append(i)
-            elif v < 0:
-                minus |= 1 << i
-            else:
+                plus_mask |= 1 << i
+            elif not v:
                 zero |= 1 << i
                 tights[i] |= hbit
+                trows[i].append(h)
         holders[h] = zero
         if not plus:
             continue
+        # The minus rays are most of the live ones: take them as the rest.
+        minus = alive ^ plus_mask ^ zero
         value = dict(zip(live, vals))
-        new_ids: list[int] = []
+        first_new = len(rays)
+        # The last third ray that refuted a pair: it refutes any later
+        # pair whose shared rows it is tight on, without the AND chain.
+        witness = None
         for p in plus:
             tp = tights[p]
+            rows_p = trows[p]
             vp = value[p]
             rp = rays[p]
             # Candidates: the minus rays sharing at least ``threshold``
@@ -199,9 +220,9 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
             # (at_least[k] holds the rays counted k + 1 times or more).
             if threshold:
                 at_least = [0] * threshold
-                for j in _bits(tp):
+                for j in rows_p:
                     m = holders[j] & minus
-                    for k in range(threshold - 1, 0, -1):
+                    for k in levels:
                         at_least[k] |= at_least[k - 1] & m
                     at_least[0] |= m
                 candidates = at_least[-1]
@@ -212,27 +233,47 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
                 # Combinatorial adjacency test (Fukuda-Prodon 1996): p and
                 # q are adjacent iff no third ray of the cone is tight on
                 # every row the two share.
-                common = tp & tights[q]
+                tq = tights[q]
+                common = tp & tq
+                if witness not in (None, p, q) and not common & ~tights[witness]:
+                    continue
                 rest = others ^ (1 << q)
-                for j in _bits(common):
+                shared = [j for j in rows_p if tq >> j & 1]
+                for j in shared:
                     rest &= holders[j]
                     if not rest:
                         break
                 if rest:
+                    witness = (rest & -rest).bit_length() - 1
                     continue
                 vq = value[q]
                 rq = rays[q]
-                new = len(rays)
+                bit = 1 << len(rays)
                 rays.append(primitive([vp * y - vq * x for x, y in zip(rp, rq)]))
                 tights.append(common | hbit)
-                bit = 1 << new
-                for j in _bits(common | hbit):
+                shared.append(h)
+                trows.append(shared)
+                for j in shared:
                     holders[j] |= bit
-                new_ids.append(new)
         for p in plus:
-            rays[p] = tights[p] = None
-        live = [i for i, v in zip(live, vals) if v <= 0] + new_ids
-        alive = minus | zero | sum(1 << i for i in new_ids)
+            rays[p] = tights[p] = trows[p] = None
+        live = [i for i, v in zip(live, vals) if v <= 0]
+        live.extend(range(first_new, len(rays)))
+        alive = (alive ^ plus_mask) | ((1 << len(rays)) - (1 << first_new))
+        if len(rays) > 2 * len(live) + 64:
+            # Renumber the live rays by their position in ``live``, which
+            # is also their id order, so the masks stay as narrow as the
+            # live set.
+            rays = [rays[i] for i in live]
+            tights = [tights[i] for i in live]
+            trows = [trows[i] for i in live]
+            holders = [0] * nrows
+            for i, rows_i in enumerate(trows):
+                bit = 1 << i
+                for j in rows_i:
+                    holders[j] |= bit
+            live = list(range(len(live)))
+            alive = (1 << len(live)) - 1
     return [rays[i] for i in live], [tights[i] for i in live]
 
 

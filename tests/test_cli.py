@@ -36,7 +36,16 @@ def test_construct_rejects_odd_n(tmp_path, capsys):
     (["--n", "2", "--r", "3", "--eps", "1/4", "--big-m", "9", "--force"], "n must be at least 3, got 2"),
     (["--n", "4", "--r", "3", "--eps", "1/16", "--big-m", "1"], "M must exceed 1"),
     (["--n", "4", "--r", "1"], "r must be at least 2, got 1"),
-], ids=["force-needs-both", "forced-n-too-small", "m-too-small", "r-too-small"])
+    # M^2 = 10^4400 cannot be written; 2^99999 is decided without computing it
+    (["--n", "4", "--r", "3", "--eps", "1/16", "--big-m", f"1{'0' * 2200}"],
+     "r=3: a right-hand side M^2 or M^2*eps would have more than 4300 digits"),
+    (["--n", "4", "--r", "100000", "--big-m", "2"],
+     "r=100000: a right-hand side M^99999 or M^99999*eps would have more than 4300 digits"),
+    # M^2 eps = 9/(2 * 10^4300)
+    (["--n", "4", "--r", "3", "--eps", f"1/5{'0' * 4299}", "--big-m", "3/2"],
+     "r=3: a right-hand side M^2 or M^2*eps would have more than 4300 digits"),
+], ids=["force-needs-both", "forced-n-too-small", "m-too-small", "r-too-small", "m-unprintable",
+        "m-power-far", "m-times-eps-unprintable"])
 def test_construct_checks_the_domain_before_any_geometry(tmp_path, capsys, monkeypatch, argv, message):
     def no_geometry(*args, **kwargs):
         raise AssertionError("geometry built for an out-of-domain request")
@@ -49,6 +58,15 @@ def test_construct_checks_the_domain_before_any_geometry(tmp_path, capsys, monke
     assert stdout == ""
     assert stderr == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_construct_writes_a_large_m_up_to_the_digit_limit(tmp_path, capsys):
+    big_m = 10**1500
+    out = tmp_path / "x.json"
+    code, _, stderr = run(capsys, "construct", "--n", "4", "--r", "3", "--eps", "1/16",
+                          "--big-m", str(big_m), "-o", str(out))
+    assert code == 0 and stderr == ""
+    assert str(big_m**2) in json.loads(out.read_text())["rhs"]
 
 
 def test_construct_rejects_decimal_eps(tmp_path, capsys):

@@ -66,6 +66,19 @@ def test_construct_hands_the_gates_vertices_to_the_system(monkeypatch, params):
     assert system.labeling is labelings[-1]
 
 
+
+def test_a_rejected_explicit_system_keeps_the_gates_vertices(monkeypatch):
+    # eps = 1/16, M = 256 fails the product gate after vertex enumeration
+    system = construct_system(4, 2, Fraction(1, 16), Fraction(256))
+    assert not system.validated
+    assert "vertices" in vars(system) and "labeling" in vars(system)
+
+    def forbidden(h):
+        raise AssertionError("the rejected system's vertices were enumerated again")
+
+    monkeypatch.setattr(io, "h_to_v", forbidden)
+    assert not verify_system(system).ok
+
 NOT_A_FACE = (
     "(i) image vertex set is not a face of the projection; "
     "(iii) not evaluated: image is not a face; "

@@ -322,8 +322,18 @@ CELL24 = [
 @pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
 def test_dd_matches_rank_oracle_on_source_and_projected_hull(grid_case, n, r):
     system = grid_case(n, r).system
-    for rows in (_cone_rows(system.h), polar_rows_oracle(system.checker.images)):
+    # the 2r-dim polar of P's vertices is the v_to_h of a round trip; many
+    # of its candidate pairs are not adjacent
+    polars = (polar_rows_oracle(system.vertices.vertices), polar_rows_oracle(system.checker.images))
+    for rows in (_cone_rows(system.h), *polars):
         assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
+
+
+def test_dd_matches_rank_oracle_where_ray_ids_are_renumbered(grid_case):
+    # The (4,4) hull makes 3,458 ray ids for at most 513 live rays, so its
+    # ids are renumbered (past twice the live rays plus 64) many times.
+    rows = polar_rows_oracle(grid_case(4, 4).system.checker.images)
+    assert _dd_extreme_rays(rows) == dd_rank_oracle(rows)
 
 
 @pytest.mark.parametrize("facets", [CUBE4, CROSS4, CELL24], ids=["cube", "cross", "24-cell"])
