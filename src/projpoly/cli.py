@@ -13,10 +13,11 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import io as pio
 from . import pipeline
-from .construction import ConstructionError, InvalidParameterError
+from .construction import ConstructionError, InvalidParameterError, start_parameters, v_eps_block
 from .polytope import PolytopeError
 from .rational import parse_rational
 
@@ -58,27 +59,47 @@ def _check_printable(n: int, r: int) -> None:
         )
 
 
-def _check_writable(r: int, eps: Fraction | None, big_m: Fraction | None) -> None:
-    """Raise ``ValueError`` when the system file for a given M would hold
-    a number with more than ``MAX_PRINTED_DIGITS`` digits.
+def _check_writable(n: int, r: int, eps: Fraction | None, big_m: Fraction | None) -> None:
+    """Raise ``ValueError`` when the first system ``construct`` builds would
+    hold a number with more than ``MAX_PRINTED_DIGITS`` digits.
 
-    Block r's right-hand sides are M^(r-1) and M^(r-1) eps, and M > 1
-    makes the numerator of M^(r-1) at least as long as its denominator.
-    Powers far past the limit are decided from the numerator's bit length
-    alone.  Values outside the domain are left to the domain check.
+    That system has the given eps and M, or the search's starting values.
+    Its right-hand sides are largest in block r, M^(r-1) and M^(r-1) eps:
+    M > 1 makes both parts of M^k grow with k, and the numerator of M^(r-1)
+    at least as long as its denominator, so powers far past the limit are
+    decided from that numerator's bit length.  Its other large numbers are
+    the polygon block's entries, which carry eps^2; when a bit-length bound
+    on them stays within the limit the block is not built.  Later rounds of
+    the search are not bounded.  Values outside the domain are left to the
+    domain check.
     """
-    if big_m is None or big_m <= 1 or r < 2:
+    if n < 3 or r < 2 or (eps is not None and eps <= 0) or (big_m is not None and big_m <= 1):
         return
+    eps0, m0 = start_parameters(n)
+    eps = eps0 if eps is None else eps
+    big_m = m0 if big_m is None else big_m
     far = (r - 1) * (big_m.numerator.bit_length() - 1) > 4 * MAX_PRINTED_DIGITS
-    if not far:
-        power = big_m ** (r - 1)
-        values = [power] if eps is None or eps <= 0 else [power, power * eps]
-        if all(v.numerator < _PRINTED_LIMIT and v.denominator < _PRINTED_LIMIT for v in values):
-            return
-    raise ValueError(
-        f"r={r}: a right-hand side M^{r - 1} or M^{r - 1}*eps would have more than "
-        f"{MAX_PRINTED_DIGITS} digits"
-    )
+    power = None if far else big_m ** (r - 1)
+    if far or not _printable((power, power * eps)):
+        raise ValueError(
+            f"r={r}: a right-hand side M^{r - 1} or M^{r - 1}*eps would have more than "
+            f"{MAX_PRINTED_DIGITS} digits"
+        )
+    # Every entry's numerator and denominator, unreduced, is below
+    # 2^(2b) (1 + (n-2)^2), with b the longer bit length of eps's; and
+    # 2^(3k) < 10^k.
+    bits = 2 * max(eps.numerator.bit_length(), eps.denominator.bit_length())
+    if bits + (1 + (n - 2) ** 2).bit_length() > 3 * MAX_PRINTED_DIGITS and not _printable(
+        x for row in v_eps_block(n, eps).entries for x in row
+    ):
+        raise ValueError(
+            f"n={n}: a polygon block entry such as eps^2*s would have more than "
+            f"{MAX_PRINTED_DIGITS} digits"
+        )
+
+
+def _printable(values: Iterable[Fraction]) -> bool:
+    return all(abs(v.numerator) < _PRINTED_LIMIT and v.denominator < _PRINTED_LIMIT for v in values)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -146,7 +167,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     try:
         eps = _parse_auto_rational(args.eps)
         big_m = _parse_auto_rational(args.big_m)
-        _check_writable(args.r, eps, big_m)
+        _check_writable(args.n, args.r, eps, big_m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

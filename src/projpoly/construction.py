@@ -48,6 +48,12 @@ def require_even_ngon(n: int) -> None:
         raise InvalidParameterError(f"n must be even, got {n}")
 
 
+def start_parameters(n: int) -> tuple[Fraction, Fraction]:
+    """Where the search of ``choose_parameters`` starts: eps = 1/(4(n-2)^2 + 4)
+    and M = n^2."""
+    return QQ(1, 4 * (n - 2) ** 2 + 4), QQ(n * n)
+
+
 def v_eps_block(n: int, eps: Fraction) -> QMatrix:
     """The perturbed polygon block: row i is
 
@@ -173,8 +179,7 @@ def choose_parameters(
         big_m = QQ(big_m)
         if big_m <= 1:
             raise InvalidParameterError("M must exceed 1")
-    eps0 = QQ(1, 4 * (n - 2) ** 2 + 4)
-    m0 = QQ(n * n)
+    eps0, m0 = start_parameters(n)
     log: list[AdaptationAttempt] = []
     for round_idx in range(1 if explicit else MAX_ROUNDS):
         round_eps = eps if eps is not None else eps0 / 2**round_idx

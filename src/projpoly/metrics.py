@@ -177,20 +177,18 @@ def counting_identities(
     A prism facet has 2n vertices, n+2 two-dimensional subfaces of which
     exactly two are polygon images; a cube facet has 8 vertices and six
     quadrilaterals.  Any other facet shape falsifies the counting argument
-    and raises.
+    and raises.  A facet's 2-faces are its covers in the lattice.
     """
     flag = FlagVector4.from_lattice(lattice)
-    faces2 = lattice.faces_of_dim(2)
-    facets = lattice.faces_of_dim(3)
     polygons = set(polygon_masks)
-    if not polygons.issubset(set(faces2)):
+    if not all(m in lattice and lattice.dim_of(m) == 2 for m in polygons):
         raise CountingError("a polygon image is not a 2-face of the lattice")
 
     prisms = 0
     cubes = 0
     polygon_facet_count: dict[int, int] = {mask: 0 for mask in polygons}
-    for facet in facets:
-        sub2 = [m for m in faces2 if m & facet == m]
+    for facet in lattice.faces_of_dim(3):
+        sub2 = lattice.covers(facet)
         own_polygons = [m for m in sub2 if m in polygons]
         quads = [m for m in sub2 if m not in polygons]
         nverts = facet.bit_count()

@@ -6,8 +6,10 @@ fraction-free elimination, subset enumeration instead of double
 description, Caratheodory-style enumeration instead of simplex, a
 rank test instead of the combinatorial adjacency test of the double
 description method, a ``Fraction`` tableau instead of the integer
-simplex, and a ``Fraction`` polar instead of the integer grid of the
-convex hull.
+simplex, a ``Fraction`` polar instead of the integer grid of the
+convex hull, a face lattice whose top level compares every facet with every
+other instead of the closure test, and counting identities that scan every
+2-face for every facet instead of reading the lattice's covers.
 
 It also holds the small builders several tests share: ``qmatrix``, the
 block-diagonal ``build_plain_product`` and Euler's relation on a lattice.
@@ -21,7 +23,9 @@ from itertools import combinations
 from random import Random
 
 from projpoly.construction import ConstructionError, require_r, validate_polygon
+from projpoly.lattice import LatticeError
 from projpoly.linalg import QMatrix, clear_denominators, independent_rows, null_vector, primitive, rank_int_rows
+from projpoly.metrics import CountingError, CountingReport
 from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
 from projpoly.projection import ZERO2
 
@@ -418,3 +422,86 @@ def dd_rank_oracle(rows):
         rays = [rays[i] for i in kept] + new_rays
         tights = [tights[i] | (hbit if vals[i] == 0 else 0) for i in kept] + new_tights
     return rays, tights
+
+
+def face_lattice_oracle(v):
+    """{face mask: dimension} of a vertex polytope, graded from its
+    incidences by the earlier level scan: the top level compares every
+    facet set with every other, and no cover relation is kept."""
+    n = v.nvertices
+    d = v.dim
+    max_row = max((max(t) for t in v.incidence if t), default=-1)
+    row_masks = [0] * (max_row + 1)
+    for vert_idx, tight in enumerate(v.incidence):
+        bit = 1 << vert_idx
+        for row in tight:
+            row_masks[row] |= bit
+
+    full = (1 << n) - 1
+    face_dims = {full: d}
+    level = [(full, list(set(row_masks) - {full}))]
+    for k in range(d - 1, -2, -1):
+        below = []
+        for face, pool in level:
+            candidates = sorted({face & s for s in pool} or [0], key=int.bit_count, reverse=True)
+            facets = []
+            for g in candidates:
+                for f in facets:
+                    if g & f == g:
+                        break
+                else:
+                    facets.append(g)
+                    if g not in face_dims:
+                        face_dims[g] = k
+                        below.append((g, [s for s in pool if s & g not in (0, g)] if k else []))
+        level = below
+    if face_dims.get(0) != -1:
+        raise LatticeError("vertex set is not full-dimensional")
+    return face_dims
+
+
+def counting_identities_oracle(face_dims, n, r, polygon_masks):
+    """``metrics.counting_identities`` on a {face mask: dimension} map by
+    the earlier subset scan: every facet is tested against every 2-face."""
+    faces2 = [mask for mask, dim in face_dims.items() if dim == 2]
+    facets = [mask for mask, dim in face_dims.items() if dim == 3]
+    f2 = len(faces2)
+    f03 = sum(mask.bit_count() for mask in facets)
+    polygons = set(polygon_masks)
+    if not polygons.issubset(set(faces2)):
+        raise CountingError("a polygon image is not a 2-face of the lattice")
+
+    prisms = 0
+    cubes = 0
+    polygon_facet_count = {mask: 0 for mask in polygons}
+    for facet in facets:
+        sub2 = [m for m in faces2 if m & facet == m]
+        own_polygons = [m for m in sub2 if m in polygons]
+        quads = [m for m in sub2 if m not in polygons]
+        nverts = facet.bit_count()
+        if own_polygons:
+            if (
+                len(own_polygons) != 2
+                or nverts != 2 * n
+                or len(sub2) != n + 2
+                or any(q.bit_count() != 4 for q in quads)
+            ):
+                raise CountingError("facet with polygon 2-faces is not a prism over the polygon")
+            prisms += 1
+            for m in own_polygons:
+                polygon_facet_count[m] += 1
+        else:
+            if nverts != 8 or len(sub2) != 6 or any(q.bit_count() != 4 for q in quads):
+                raise CountingError("facet without polygon 2-faces is not a combinatorial cube")
+            cubes += 1
+
+    identities = {
+        "prisms == r*n^(r-1)": prisms == r * n ** (r - 1),
+        "cubes == (r-2)*n^r/4": 4 * cubes == (r - 2) * n**r,
+        "6C + (n+2)P == 2*f2": 6 * cubes + (n + 2) * prisms == 2 * f2,
+        "f03 == 8C + 2nP": f03 == 8 * cubes + 2 * n * prisms,
+        "each polygon in two prism facets": all(
+            count == 2 for count in polygon_facet_count.values()
+        ),
+    }
+    return CountingReport(prisms, cubes, identities)

@@ -44,8 +44,17 @@ def test_construct_rejects_odd_n(tmp_path, capsys):
     # M^2 eps = 9/(2 * 10^4300)
     (["--n", "4", "--r", "3", "--eps", f"1/5{'0' * 4299}", "--big-m", "3/2"],
      "r=3: a right-hand side M^2 or M^2*eps would have more than 4300 digits"),
+    # the search's own M = n^2 = 16 is bounded too
+    (["--n", "4", "--r", "100000"],
+     "r=100000: a right-hand side M^99999 or M^99999*eps would have more than 4300 digits"),
+    # the polygon block's eps^2*s = 2/10^4400 cannot be written, with M given or searched
+    (["--n", "6", "--r", "2", "--eps", f"1/1{'0' * 2200}", "--big-m", "36"],
+     "n=6: a polygon block entry such as eps^2*s would have more than 4300 digits"),
+    (["--n", "6", "--r", "2", "--eps", f"1/1{'0' * 2200}"],
+     "n=6: a polygon block entry such as eps^2*s would have more than 4300 digits"),
 ], ids=["force-needs-both", "forced-n-too-small", "m-too-small", "r-too-small", "m-unprintable",
-        "m-power-far", "m-times-eps-unprintable"])
+        "m-power-far", "m-times-eps-unprintable", "m-searched-power-far", "eps-unprintable",
+        "eps-unprintable-m-searched"])
 def test_construct_checks_the_domain_before_any_geometry(tmp_path, capsys, monkeypatch, argv, message):
     def no_geometry(*args, **kwargs):
         raise AssertionError("geometry built for an out-of-domain request")
@@ -67,6 +76,15 @@ def test_construct_writes_a_large_m_up_to_the_digit_limit(tmp_path, capsys):
                           "--big-m", str(big_m), "-o", str(out))
     assert code == 0 and stderr == ""
     assert str(big_m**2) in json.loads(out.read_text())["rhs"]
+
+
+def test_construct_writes_a_small_eps_up_to_the_digit_limit(tmp_path, capsys):
+    # eps^2*s = 2/10^4300 = 1/(5*10^4299) has 4300 digits, the most allowed
+    out = tmp_path / "x.json"
+    code, _, stderr = run(capsys, "construct", "--n", "6", "--r", "2", "--eps", f"1/1{'0' * 2150}",
+                          "--big-m", "36", "-o", str(out))
+    assert code == 0 and stderr == ""
+    assert f"1/5{'0' * 4299}" in json.loads(out.read_text())["rows"][1]
 
 
 def test_construct_rejects_decimal_eps(tmp_path, capsys):

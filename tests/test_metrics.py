@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import GRID
+from oracle import counting_identities_oracle
 from projpoly.construction import ConstructionError
 from projpoly.lattice import FlagVector4, face_lattice
 from projpoly.metrics import (
@@ -21,6 +23,7 @@ from projpoly.metrics import (
     predicted_flag_paper_literal,
 )
 from projpoly.polytope import convex_hull
+from projpoly.projection import enumerate_polygon_faces
 
 CUBE4 = FlagVector4(16, 32, 24, 8, 64)
 SIMPLEX4 = FlagVector4(5, 10, 10, 5, 20)
@@ -189,6 +192,38 @@ def test_counting_identities_rejects_wrong_polygons(grid_case):
     checker62 = ProjectionChecker(case62.system.h, v62)
     with pytest.raises(CountingError):
         counting_identities(checker62.q_lattice, 6, 2, [])
+
+
+def _polygon_masks(system, n, r):
+    """The polygon images as Q-vertex masks, as ``analyze_system`` builds them."""
+    vertex_map = system.checker.vertex_map
+    return [sum(1 << vertex_map[i] for i in face.vertices)
+            for face in enumerate_polygon_faces(system.labeling, n, r)]
+
+
+@pytest.mark.parametrize("n,r", GRID)
+def test_counting_identities_equal_the_subset_scan_oracle(n, r, grid_case):
+    system = grid_case(n, r).system
+    lattice = system.checker.q_lattice
+    masks = _polygon_masks(system, n, r)
+    report = counting_identities(lattice, n, r, masks)
+    expected = counting_identities_oracle(dict(lattice.faces), n, r, masks)
+    assert (report.prisms, report.cubes) == (expected.prisms, expected.cubes)
+    assert report.identities == expected.identities
+    assert report.ok and report == grid_case(n, r).analyze.counting
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_counting_identities_reject_a_polygon_of_the_wrong_dimension(dim, grid_case):
+    system = grid_case(4, 3).system
+    lattice = system.checker.q_lattice
+    masks = _polygon_masks(system, 4, 3)
+    masks[0] = lattice.faces_of_dim(dim)[0]
+    message = "^a polygon image is not a 2-face of the lattice$"
+    with pytest.raises(CountingError, match=message):
+        counting_identities(lattice, 4, 3, masks)
+    with pytest.raises(CountingError, match=message):
+        counting_identities_oracle(dict(lattice.faces), 4, 3, masks)
 
 
 def _fatness_and_complexity(n, r):
