@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import io as pio
 from . import pipeline
@@ -191,19 +192,28 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _InputError(Exception):
+    """An input file could not be read as a system; reported as invalid input."""
+
+
+@contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Raise a read or format error of ``path`` in the block as ``_InputError``."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError) as exc:
+        raise _InputError(f"cannot load {path}: {exc}") from exc
+
+
 def _load_system(path: str) -> pio.SystemFile:
-    if path.endswith(".ine"):
-        return pio.SystemFile(pio.load_ine(path))
-    return pio.load_system(path)
+    with _reading(path):
+        return pio.SystemFile(pio.load_ine(path)) if path.endswith(".ine") else pio.load_system(path)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        system = _load_system(args.input)
+    system = _load_system(args.input)
+    with _reading(args.input):
         n, r = system.require_nr()
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     result = pipeline.verify_system(system)
     print(f"system: n={n} r={r} ({system.h.nrows}x{system.h.dim})")
     print(f"product structure: {'ok' if result.product_ok else 'FAILED'} "
@@ -233,12 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        system = _load_system(args.input)
+    system = _load_system(args.input)
+    with _reading(args.input):
         n, r = system.require_nr()
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     result = pipeline.analyze_system(system, paper_literal=args.paper_literal)
     print(f"system: n={n} r={r}")
     if result.flag_actual is not None:
@@ -332,11 +339,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        system = _load_system(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    system = _load_system(args.input)
     if args.format == "ine":
         text = pio.to_ine_text(system.h)
     else:
@@ -399,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, _OutputError) as exc:
+    except (InvalidParameterError, _InputError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ConstructionError, PolytopeError) as exc:

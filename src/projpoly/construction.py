@@ -164,6 +164,12 @@ def choose_parameters(
     ``force`` apply: it relaxes the even-n domain check to n >= 3.  The
     domain of n, r, eps and M is checked here only, before any system is
     built.
+
+    ``validated=True`` means only that the gates passed: the polygon
+    description is valid, vertex enumeration succeeds and the incidences
+    are those of a product.  It does not mean that the projection
+    preserves faces, which only ``pipeline.verify_system`` checks: (4,3)
+    with eps = 1/16 and M = 2^32 passes the gates and fails verification.
     """
     explicit = eps is not None and big_m is not None
     if not (force and explicit):

@@ -221,11 +221,14 @@ def counting_identities(
 
 
 def metrics_report(flag: FlagVector4, paper_literal: bool = False) -> dict:
-    """JSON-ready metrics summary; decimal fields are marked approximations."""
+    """JSON-ready metrics summary; decimal fields are marked approximations.
+    Its last entry, ``consistency``, names five checks that the flag vector
+    of every 4-polytope passes."""
     phi = phi_coords(flag)
     fat = fatness(flag)
     comp = complexity(flag)
     g = gvector(flag)
+    cone = cone_membership(flag)
     report = {
         "f": list(flag.as_tuple()[:4]),
         "f03": flag.f03,
@@ -238,7 +241,7 @@ def metrics_report(flag: FlagVector4, paper_literal: bool = False) -> dict:
         "g1": g.g1,
         "g1_dual": g.g1_dual,
         "g2": g.g2,
-        "cone": cone_membership(flag),
+        "cone": cone,
     }
     if paper_literal:
         lit_fat = fatness_paper_literal(flag)
@@ -249,4 +252,11 @@ def metrics_report(flag: FlagVector4, paper_literal: bool = False) -> dict:
             "complexity": format_rational(lit_comp),
             "complexity_discrepancy": format_rational(comp - lit_comp),
         }
+    report["consistency"] = {
+        "fatness == 1/(phi0+phi3)": fat * (phi.phi0 + phi.phi3) == 1,
+        "g2 >= 0": g.g2 >= 0,
+        "C <= 2F - 2": comp <= 2 * fat - 2,
+        "F <= 2C - 2": fat <= 2 * comp - 2,
+        "cone": all(cone.values()),
+    }
     return report

@@ -17,17 +17,14 @@ from fractions import Fraction
 
 from .construction import ConstructionError, InvalidParameterError, choose_parameters
 from .io import SystemFile
-from .lattice import FlagVector4
+from .lattice import FlagVector4, mask_of
 from .metrics import (
     CountingError,
     CountingReport,
     complexity,
-    cone_membership,
     counting_identities,
     fatness,
-    gvector,
     metrics_report,
-    phi_coords,
     predicted_flag,
     predicted_flag_paper_literal,
 )
@@ -40,9 +37,7 @@ from .projection import (
     alpha_coeff,
     beta_coeff,
     deletion_certificates,
-    enumerate_edges,
-    enumerate_polygon_faces,
-    vertex_faces,
+    product_faces,
     zero_sum_check,
 )
 from .rational import format_rational, rational_to_decimal
@@ -50,28 +45,7 @@ from .rational import format_rational, rational_to_decimal
 ZERO_SUM_RANGE = range(-20, 21)
 
 
-def construct_system(
-    n: int,
-    r: int,
-    eps: Fraction | None = None,
-    big_m: Fraction | None = None,
-    force: bool = False,
-) -> SystemFile:
-    """Build a deformed product, adapting any parameter left unspecified.
-
-    Explicit parameters skip adaptation but never skip the validity gates:
-    the gates run and their outcome is recorded in the result (an invalid
-    explicit system is written as ``validated=False`` and will fail
-    ``verify``).  ``force`` additionally relaxes the even-n domain check
-    for exploratory builds.
-
-    ``validated=True`` means only that the gates passed: the polygon
-    description is valid, vertex enumeration succeeds and the incidences
-    are those of a product.  It does not mean that the projection
-    preserves faces, which only ``verify_system`` checks: (4,3) with
-    eps = 1/16 and M = 2^32 passes the gates and fails verification.
-    """
-    return choose_parameters(n, r, eps, big_m, force)
+construct_system = choose_parameters
 
 
 @dataclass
@@ -169,7 +143,7 @@ def verify_system(system: SystemFile) -> VerifyResult:
         result.failures.append("alpha_beta_nonneg")
 
     try:
-        certs = deletion_certificates(n, r)
+        certs = deletion_certificates(r)
         result.deletion_ok = True
         result.deletion_blocks = len(certs)
         if r == 2:
@@ -185,30 +159,25 @@ def verify_system(system: SystemFile) -> VerifyResult:
         result.notes.append("projection is identity; preservation vacuous")
     if checker is None:
         return result
-    # Each kind's faces are enumerated only when its turn comes, so one
-    # list of faces is alive at a time.
-    counts: dict[str, tuple[int, int]] = {}
-    # The labeling has proved P's incidences to be the product's, so each
-    # kind's faces have exactly its dimension.
-    for kind, dim, enumerate_faces, args in (
-        ("vertex", 0, vertex_faces, (labeling,)),
-        ("edge", 1, enumerate_edges, (labeling, n, r)),
-        ("polygon", 2, enumerate_polygon_faces, (labeling, n, r)),
-    ):
-        faces = enumerate_faces(*args)
+    # One dimension's faces are enumerated at a time, so one list of faces
+    # is alive at a time.  The labeling has proved P's incidences to be the
+    # product's, so each face has exactly the dimension it is listed under.
+    counts: dict[int, tuple[int, int]] = {}
+    for dim in (0, 1, 2):
+        faces = product_faces(labeling, n, r, dim)
         preserved = 0
         for face in faces:
             rep = checker.check_face(face.vertices, dim, face_id=face.face_id, factor=face.factor)
             preserved += rep.direct_ok
             if rep.certificate_ok and not rep.direct_ok:
                 result.implication_ok = False
-            if kind == "polygon":
+            if dim == 2:
                 result.polygon_reports.append(rep)
                 result.polygons_certified += rep.certificate_ok
-        counts[kind] = (len(faces), preserved)
-    result.vertices_total, result.vertices_preserved = counts["vertex"]
-    result.edges_total, result.edges_preserved = counts["edge"]
-    result.polygons_total, result.polygons_direct = counts["polygon"]
+        counts[dim] = (len(faces), preserved)
+    result.vertices_total, result.vertices_preserved = counts[0]
+    result.edges_total, result.edges_preserved = counts[1]
+    result.polygons_total, result.polygons_direct = counts[2]
 
     if result.vertices_preserved != result.vertices_total:
         result.failures.append("vertex_preservation")
@@ -284,12 +253,10 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
     if result.flag_predicted is not None and not result.flag_match:
         result.failures.append("flag_vector_mismatch")
 
-    polygon_masks = []
-    for face in enumerate_polygon_faces(labeling, n, r):
-        mask = 0
-        for i in face.vertices:
-            mask |= 1 << checker.vertex_map[i]
-        polygon_masks.append(mask)
+    polygon_masks = [
+        mask_of(checker.vertex_map[i] for i in face.vertices)
+        for face in product_faces(labeling, n, r, 2)
+    ]
     try:
         result.counting = counting_identities(checker.q_lattice, n, r, polygon_masks)
         if not result.counting.ok:
@@ -306,20 +273,9 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
         result.report["paper_literal"]["actual_f2"] = flag.f2
         result.report["paper_literal"]["predicted_f2_discrepancy"] = literal.f2 - flag.f2
 
-    phi = phi_coords(flag)
-    fat = fatness(flag)
-    comp = complexity(flag)
-    consistency = {
-        "fatness == 1/(phi0+phi3)": fat * (phi.phi0 + phi.phi3) == 1,
-        "g2 >= 0": gvector(flag).g2 >= 0,
-        "C <= 2F - 2": comp <= 2 * fat - 2,
-        "F <= 2C - 2": fat <= 2 * comp - 2,
-        "cone": all(cone_membership(flag).values()),
-    }
-    result.report["consistency"] = consistency
-    for name, ok in consistency.items():
-        if not ok:
-            result.failures.append(f"consistency: {name}")
+    result.failures += [
+        f"consistency: {name}" for name, ok in result.report["consistency"].items() if not ok
+    ]
     return result
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -181,15 +181,8 @@ def _dd_extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
             break
         row = rows[h]
         hbit = 1 << h
-        # The row's value on every live ray, in the order of ``live``; a
-        # sparse row reads only its nonzero columns.
-        cols = [j for j, x in enumerate(row) if x]
-        if 1 < len(cols) < dim:
-            pick = itemgetter(*cols)
-            coeffs = [row[j] for j in cols]
-            vals = [sum(map(mul, coeffs, pick(rays[i]))) for i in live]
-        else:
-            vals = [sum(map(mul, row, rays[i])) for i in live]
+        # The row's value on every live ray, in the order of ``live``.
+        vals = [sum(map(mul, row, rays[i])) for i in live]
         plus: list[int] = []
         plus_mask = zero = 0
         for i, v in zip(live, vals):

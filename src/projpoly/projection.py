@@ -76,7 +76,7 @@ def block_row(
     return sum((at.get(j, ZERO2) for j in range(1, blocks + 1)), ())
 
 
-def reduced_matrix(n: int, r: int) -> QMatrix:
+def reduced_matrix(r: int) -> QMatrix:
     """The 2r x (2r-4) unperturbed block matrix restricted to the deleted
     coordinates.
 
@@ -94,7 +94,7 @@ def reduced_matrix(n: int, r: int) -> QMatrix:
     return QMatrix(tuple(rows))
 
 
-def deletion_certificates(n: int, r: int) -> list[PositiveCertificate]:
+def deletion_certificates(r: int) -> list[PositiveCertificate]:
     """One spanning certificate per deleted block t = 1..r.
 
     Deleting block t's pair of rows from the reduced matrix must leave
@@ -104,7 +104,7 @@ def deletion_certificates(n: int, r: int) -> list[PositiveCertificate]:
     """
     if r == 2:
         return []
-    matrix = reduced_matrix(n, r)
+    matrix = reduced_matrix(r)
     dim = 2 * r - 4
     certificates: list[PositiveCertificate] = []
     for t in range(1, r + 1):
@@ -142,7 +142,7 @@ def project(v: VPolytope) -> list[Point]:
 
 @dataclass(frozen=True)
 class PreservationReport:
-    face_id: str
+    face_id: str | None
     factor: int | None
     direct_ok: bool
     certificate_ok: bool
@@ -210,7 +210,7 @@ class ProjectionChecker:
         self,
         face_vertices: Iterable[int],
         dim: int,
-        face_id: str = "face",
+        face_id: str | None = "face",
         factor: int | None = None,
     ) -> PreservationReport:
         """Check one face of the source polytope, of dimension ``dim``."""
@@ -286,46 +286,36 @@ class ProjectionChecker:
 
 @dataclass(frozen=True)
 class ProductFace:
-    face_id: str
+    face_id: str | None
     factor: int | None
     vertices: tuple[int, ...]
 
 
-def enumerate_polygon_faces(labeling: Sequence[tuple[int, ...]], n: int, r: int) -> list[ProductFace]:
-    """The r*n^(r-1) polygon faces: one factor varies, the rest are pinned."""
+def product_faces(labeling: Sequence[tuple[int, ...]], n: int, r: int, dim: int) -> list[ProductFace]:
+    """The product's faces of dimension ``dim``: 0, 1 or 2.
+
+    Each is one face of one polygon factor k, taken with one vertex of
+    every other factor: a vertex is one tuple, an edge joins a tuple to its
+    +1 neighbor in factor k, and a polygon runs through all n values of
+    coordinate k.  Only polygons get a ``face_id``, since only their
+    reports reach an output.
+    """
     index_of = {t: i for i, t in enumerate(labeling)}
     if len(index_of) != n**r:
         raise ValueError("labeling is not a bijection onto the product tuples")
+    if dim == 0:
+        return [ProductFace(None, None, (i,)) for i in range(len(labeling))]
     faces: list[ProductFace] = []
     for k in range(r):
         for fixed in iter_product(range(n), repeat=r - 1):
-            verts = []
-            for value in range(n):
-                t = fixed[:k] + (value,) + fixed[k:]
-                verts.append(index_of[t])
-            coords = ["*" if j == k else str(fixed[j if j < k else j - 1]) for j in range(r)]
-            face_id = f"polygon[k={k + 1}]t=" + ".".join(coords)
-            faces.append(ProductFace(face_id, k + 1, tuple(sorted(verts))))
+            head, tail = fixed[:k], fixed[k:]
+            cycle = [index_of[head + (value,) + tail] for value in range(n)]
+            if dim == 1:
+                faces += [
+                    ProductFace(None, k + 1, tuple(sorted((i, cycle[(v + 1) % n]))))
+                    for v, i in enumerate(cycle)
+                ]
+            else:
+                coords = ".".join(map(str, head + ("*",) + tail))
+                faces.append(ProductFace(f"polygon[k={k + 1}]t={coords}", k + 1, tuple(sorted(cycle))))
     return faces
-
-
-def enumerate_edges(labeling: Sequence[tuple[int, ...]], n: int, r: int) -> list[ProductFace]:
-    """The r*n^r edges: each vertex joined to its +1 neighbor per factor."""
-    index_of = {t: i for i, t in enumerate(labeling)}
-    if len(index_of) != n**r:
-        raise ValueError("labeling is not a bijection onto the product tuples")
-    edges: list[ProductFace] = []
-    for t, i in sorted(index_of.items()):
-        for k in range(r):
-            neighbor = t[:k] + ((t[k] + 1) % n,) + t[k + 1 :]
-            j = index_of[neighbor]
-            face_id = f"edge[k={k + 1}]t=" + ".".join(str(c) for c in t)
-            edges.append(ProductFace(face_id, k + 1, tuple(sorted((i, j)))))
-    return edges
-
-
-def vertex_faces(labeling: Sequence[tuple[int, ...]]) -> list[ProductFace]:
-    return [
-        ProductFace("vertex t=" + ".".join(str(c) for c in t), None, (i,))
-        for i, t in enumerate(labeling)
-    ]

@@ -8,8 +8,10 @@ rank test instead of the combinatorial adjacency test of the double
 description method, a ``Fraction`` tableau instead of the integer
 simplex, a ``Fraction`` polar instead of the integer grid of the
 convex hull, a face lattice whose top level compares every facet with every
-other instead of the closure test, and counting identities that scan every
-2-face for every facet instead of reading the lattice's covers.
+other instead of the closure test, counting identities that scan every
+2-face for every facet instead of reading the lattice's covers, and one
+enumerator per kind of product face (edges from each vertex's +1 neighbors)
+instead of ``projection.product_faces``.
 
 It also holds the small builders several tests share: ``qmatrix``, the
 block-diagonal ``build_plain_product`` and Euler's relation on a lattice.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction as QQ
 from functools import cache
 from itertools import combinations
+from itertools import product as iter_product
 from random import Random
 
 from projpoly.construction import ConstructionError, require_r, validate_polygon
@@ -27,7 +30,7 @@ from projpoly.lattice import LatticeError
 from projpoly.linalg import QMatrix, clear_denominators, independent_rows, null_vector, primitive, rank_int_rows
 from projpoly.metrics import CountingError, CountingReport
 from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
-from projpoly.projection import ZERO2
+from projpoly.projection import ZERO2, ProductFace
 
 
 def qmatrix(rows):
@@ -505,3 +508,43 @@ def counting_identities_oracle(face_dims, n, r, polygon_masks):
         ),
     }
     return CountingReport(prisms, cubes, identities)
+
+
+def enumerate_polygon_faces_oracle(labeling, n, r):
+    """The r*n^(r-1) polygon faces: one factor varies, the rest are pinned."""
+    index_of = {t: i for i, t in enumerate(labeling)}
+    if len(index_of) != n**r:
+        raise ValueError("labeling is not a bijection onto the product tuples")
+    faces = []
+    for k in range(r):
+        for fixed in iter_product(range(n), repeat=r - 1):
+            verts = []
+            for value in range(n):
+                t = fixed[:k] + (value,) + fixed[k:]
+                verts.append(index_of[t])
+            coords = ["*" if j == k else str(fixed[j if j < k else j - 1]) for j in range(r)]
+            face_id = f"polygon[k={k + 1}]t=" + ".".join(coords)
+            faces.append(ProductFace(face_id, k + 1, tuple(sorted(verts))))
+    return faces
+
+
+def enumerate_edges_oracle(labeling, n, r):
+    """The r*n^r edges: each vertex joined to its +1 neighbor per factor."""
+    index_of = {t: i for i, t in enumerate(labeling)}
+    if len(index_of) != n**r:
+        raise ValueError("labeling is not a bijection onto the product tuples")
+    edges = []
+    for t, i in sorted(index_of.items()):
+        for k in range(r):
+            neighbor = t[:k] + ((t[k] + 1) % n,) + t[k + 1 :]
+            j = index_of[neighbor]
+            face_id = f"edge[k={k + 1}]t=" + ".".join(str(c) for c in t)
+            edges.append(ProductFace(face_id, k + 1, tuple(sorted((i, j)))))
+    return edges
+
+
+def vertex_faces_oracle(labeling):
+    return [
+        ProductFace("vertex t=" + ".".join(str(c) for c in t), None, (i,))
+        for i, t in enumerate(labeling)
+    ]

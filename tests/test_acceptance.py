@@ -106,9 +106,9 @@ def test_criterion_5_certificate_suite():
         assert (alpha == 0) == (k == 0) and (beta == 0) == (k == 0)
     for (n, r) in GRID:
         if r >= 3:
-            certs = deletion_certificates(n, r)
+            certs = deletion_certificates(r)
             assert len(certs) == r and all(c.kind == "spanning" for c in certs)
-    certs10 = deletion_certificates(4, 10)
+    certs10 = deletion_certificates(10)
     assert len(certs10) == 10 and all(c.kind == "spanning" for c in certs10)
     print("ACCEPTANCE 5 PASS: zero-sum identity on [-20,20], alpha/beta "
           "nonnegativity, deletion certificates for the grid and (4,10)")

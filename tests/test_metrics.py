@@ -23,7 +23,7 @@ from projpoly.metrics import (
     predicted_flag_paper_literal,
 )
 from projpoly.polytope import convex_hull
-from projpoly.projection import enumerate_polygon_faces
+from projpoly.projection import product_faces
 
 CUBE4 = FlagVector4(16, 32, 24, 8, 64)
 SIMPLEX4 = FlagVector4(5, 10, 10, 5, 20)
@@ -198,7 +198,7 @@ def _polygon_masks(system, n, r):
     """The polygon images as Q-vertex masks, as ``analyze_system`` builds them."""
     vertex_map = system.checker.vertex_map
     return [sum(1 << vertex_map[i] for i in face.vertices)
-            for face in enumerate_polygon_faces(system.labeling, n, r)]
+            for face in product_faces(system.labeling, n, r, 2)]
 
 
 @pytest.mark.parametrize("n,r", GRID)
@@ -281,3 +281,11 @@ def test_metrics_report_shape():
     lit = report["paper_literal"]
     assert lit["complexity"] == "32/7"
     assert lit["complexity_discrepancy"] == "-10/7"
+    assert report["consistency"] == {
+        "fatness == 1/(phi0+phi3)": True,
+        "g2 >= 0": True,
+        "C <= 2F - 2": True,
+        "F <= 2C - 2": True,
+        "cone": True,
+    }
+    assert list(report)[-1] == "consistency"

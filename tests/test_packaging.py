@@ -118,3 +118,36 @@ def unused_public_names(package: Path, callers: Path) -> list[str]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     unused = unused_public_names(PACKAGE, PERFBENCH)
     assert not unused, "public names only tests call:\n" + "\n".join(unused)
+
+
+def unread_parameters(package: Path) -> list[str]:
+    """``file:line function parameter`` of each parameter of a function or
+    lambda in ``package``, ``self`` and ``cls`` aside, that its body never
+    reads."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id
+                for statement in body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.name}:{node.lineno} {name} {param.arg}"
+                for param in params
+                if param.arg not in ("self", "cls") and param.arg not in read
+            ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters(PACKAGE)
+    assert not unread, "parameters no body reads:\n" + "\n".join(unread)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from projpoly import io, polytope, projection
+from projpoly import io, pipeline, polytope, projection
+from projpoly.metrics import metrics_report
 from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 
@@ -117,3 +118,17 @@ def test_forced_odd_n_system_reports_both_kinds_of_failure():
     assert (result.edges_preserved, result.edges_total) == (333, 375)
     assert (result.polygons_direct, result.polygons_certified, result.polygons_total) == (58, 58, 75)
     assert _failing_details(result) == sorted([NOT_A_FACE] * 10 + [NOT_A_VERTEX] * 7)
+
+
+def test_analyze_fails_each_false_consistency_check(monkeypatch):
+    def report(flag, paper_literal=False):
+        out = metrics_report(flag, paper_literal)
+        out["consistency"]["g2 >= 0"] = out["consistency"]["cone"] = False
+        return out
+
+    system = construct_system(4, 2)
+    assert analyze_system(system).ok
+    monkeypatch.setattr(pipeline, "metrics_report", report)
+    result = analyze_system(system)
+    assert result.failures == ["consistency: g2 >= 0", "consistency: cone"]
+    assert result.as_dict()["consistency"]["cone"] is False

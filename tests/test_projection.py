@@ -3,7 +3,15 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from oracle import affine_rank_oracle, nonneg_solution_oracle, qmatrix
+from conftest import GRID
+from oracle import (
+    affine_rank_oracle,
+    enumerate_edges_oracle,
+    enumerate_polygon_faces_oracle,
+    nonneg_solution_oracle,
+    qmatrix,
+    vertex_faces_oracle,
+)
 from projpoly import linalg, projection
 from projpoly.lattice import mask_of
 from projpoly.pipeline import construct_system, verify_system
@@ -20,11 +28,9 @@ from projpoly.projection import (
     alpha_coeff,
     beta_coeff,
     deletion_certificates,
-    enumerate_edges,
-    enumerate_polygon_faces,
+    product_faces,
     project,
     reduced_matrix,
-    vertex_faces,
     zero_sum_check,
 )
 
@@ -56,17 +62,17 @@ def test_zero_sum_identity_range():
 
 
 def test_reduced_matrix_r3():
-    m = reduced_matrix(4, 3)
+    m = reduced_matrix(3)
     assert m.entries == (V0, V1, U0, U1, W0, W1)
 
 
 def test_reduced_matrix_r2_has_no_columns():
-    m = reduced_matrix(4, 2)
+    m = reduced_matrix(2)
     assert m.rows == 4 and m.cols == 0
 
 
 def test_reduced_matrix_r4_block_pattern():
-    m = reduced_matrix(4, 4)
+    m = reduced_matrix(4)
     assert m.rows == 8 and m.cols == 4
     zero = (QQ(0), QQ(0))
     assert m.row(0) == V0 + zero        # block 1: V at column 1
@@ -78,15 +84,15 @@ def test_reduced_matrix_r4_block_pattern():
 
 def test_reduced_matrix_rejects_r1():
     with pytest.raises(CertificateError):
-        reduced_matrix(4, 1)
+        reduced_matrix(1)
 
 
 def test_deletion_certificates_r2_vacuous():
-    assert deletion_certificates(4, 2) == []
+    assert deletion_certificates(2) == []
 
 
 def test_deletion_certificates_r3():
-    certs = deletion_certificates(4, 3)
+    certs = deletion_certificates(3)
     assert [c.kind for c in certs] == ["spanning"] * 3
     # coefficients are alpha/beta at the block offsets from the deleted block
     assert certs[0].coefficients == (
@@ -98,7 +104,7 @@ def test_deletion_certificates_r3():
 
 
 def test_deletion_certificates_r5_block3():
-    certs = deletion_certificates(6, 5)
+    certs = deletion_certificates(5)
     coeffs = certs[2].coefficients  # t = 3
     assert coeffs == (
         QQ(9, 4), QQ(3),        # alpha(-2), beta(-2)
@@ -107,14 +113,14 @@ def test_deletion_certificates_r5_block3():
         QQ(9, 4), QQ(33, 16),   # alpha(2), beta(2)
     )
     # the dependence is exact on the reduced matrix with block 3 removed
-    m = reduced_matrix(6, 5)
+    m = reduced_matrix(5)
     rows = [m.row(i) for i in range(10) if i not in (4, 5)]
     for j in range(m.cols):
         assert sum(c * row[j] for c, row in zip(coeffs, rows)) == 0
 
 
 def test_deletion_certificates_formula_level_r10():
-    certs = deletion_certificates(4, 10)
+    certs = deletion_certificates(10)
     assert len(certs) == 10
     assert all(c.kind == "spanning" for c in certs)
     assert all(min(c.coefficients) > 0 for c in certs)
@@ -218,12 +224,8 @@ def test_face_dimensions_agree_with_affine_rank_oracle(n, r, grid_case):
     # ones: the face kind for P, the projection's lattice for the image
     system = grid_case(n, r).system
     checker, labeling = system.checker, system.labeling
-    for dim, faces in (
-        (0, vertex_faces(labeling)),
-        (1, enumerate_edges(labeling, n, r)),
-        (2, enumerate_polygon_faces(labeling, n, r)),
-    ):
-        for face in faces:
+    for dim in (0, 1, 2):
+        for face in product_faces(labeling, n, r, dim):
             assert affine_rank_oracle([system.vertices.vertices[i] for i in face.vertices]) == dim
             qmask = mask_of(checker.vertex_map[i] for i in face.vertices)
             images = [checker.images[i] for i in face.vertices]
@@ -235,7 +237,7 @@ def test_all_polygon_faces_strictly_preserved(grid_case):
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
     checker = ProjectionChecker(case.system.h, v)
-    for face in enumerate_polygon_faces(labeling, 4, 3):
+    for face in product_faces(labeling, 4, 3, 2):
         rep = checker.check_face(face.vertices, 2, face_id=face.face_id, factor=face.factor)
         assert rep.direct_ok, rep.details
         assert rep.certificate_ok, rep.details
@@ -251,31 +253,57 @@ def test_enumerate_polygon_faces_counts(grid_case):
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 2)
-    faces = enumerate_polygon_faces(labeling, 4, 2)
+    faces = product_faces(labeling, 4, 2, 2)
     assert len(faces) == 2 * 4
     assert all(len(f.vertices) == 4 for f in faces)
 
     case63 = grid_case(6, 3)
     v63 = h_to_v(case63.system.h)
     labeling63 = product_labeling(v63, case63.system.h.labels, 6, 3)
-    faces63 = enumerate_polygon_faces(labeling63, 6, 3)
+    faces63 = product_faces(labeling63, 6, 3, 2)
     assert len(faces63) == 3 * 36
     assert all(len(f.vertices) == 6 for f in faces63)
 
     case43 = grid_case(4, 3)
     v43 = h_to_v(case43.system.h)
     labeling43 = product_labeling(v43, case43.system.h.labels, 4, 3)
-    assert len(enumerate_polygon_faces(labeling43, 4, 3)) == 48
+    assert len(product_faces(labeling43, 4, 3, 2)) == 48
 
 
 def test_enumerate_edges_counts(grid_case):
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 2)
-    edges = enumerate_edges(labeling, 4, 2)
+    edges = product_faces(labeling, 4, 2, 1)
     assert len(edges) == 2 * 16
     assert len({e.vertices for e in edges}) == 32
-    assert len(vertex_faces(labeling)) == 16
+    assert len(product_faces(labeling, 4, 2, 0)) == 16
+
+
+@pytest.mark.parametrize("n,r", GRID + [(8, 3)])
+def test_product_faces_equal_the_per_kind_oracles(n, r, grid_case):
+    system = grid_case(n, r).system if (n, r) in GRID else construct_system(n, r)
+    labeling = system.labeling
+    vertices = product_faces(labeling, n, r, 0)
+    assert [f.vertices for f in vertices] == [f.vertices for f in vertex_faces_oracle(labeling)]
+    edges = product_faces(labeling, n, r, 1)
+    expected = enumerate_edges_oracle(labeling, n, r)
+    assert sorted((f.vertices, f.factor) for f in edges) == sorted(
+        (f.vertices, f.factor) for f in expected
+    )
+    assert len({f.vertices for f in edges}) == len(edges) == r * n**r
+    assert {f.face_id for f in vertices + edges} == {None}
+    polygons = product_faces(labeling, n, r, 2)
+    assert [(f.face_id, f.factor, f.vertices) for f in polygons] == [
+        (f.face_id, f.factor, f.vertices) for f in enumerate_polygon_faces_oracle(labeling, n, r)
+    ]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_product_faces_reject_a_labeling_that_is_not_a_bijection(dim, grid_case):
+    labeling = grid_case(4, 2).system.labeling
+    with pytest.raises(ValueError, match="not a bijection"):
+        product_faces(labeling[:-1] + labeling[:1], 4, 2, dim)
 
 
 def test_stability_certificates_on_perturbed_normals(grid_case):
@@ -287,7 +315,7 @@ def test_stability_certificates_on_perturbed_normals(grid_case):
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
     a = case.system.h.A
-    for face in enumerate_polygon_faces(labeling, 4, 3)[:16]:
+    for face in product_faces(labeling, 4, 3, 2)[:16]:
         common = None
         for i in face.vertices:
             inc = v.incidence[i]
@@ -307,11 +335,7 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     system = construct_system(4, 3)
     assert verify_system(system).ok
     checker, labeling = system.checker, system.labeling
-    faces = (
-        [(0, face) for face in vertex_faces(labeling)]
-        + [(1, face) for face in enumerate_edges(labeling, 4, 3)]
-        + [(2, face) for face in enumerate_polygon_faces(labeling, 4, 3)]
-    )
+    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, 4, 3, dim)]
     distinct = set()
     for dim, face in faces:
         common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
@@ -329,10 +353,7 @@ def _distinct_certificate_inputs(system, n, r):
     """Every distinct certificate input of the system's checker, as the
     vectors in the facet-row order that ``check_face`` passes."""
     checker, labeling = system.checker, system.labeling
-    faces = (
-        vertex_faces(labeling) + enumerate_edges(labeling, n, r)
-        + enumerate_polygon_faces(labeling, n, r)
-    )
+    faces = [face for dim in (0, 1, 2) for face in product_faces(labeling, n, r, dim)]
     inputs = {}
     for face in faces:
         common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
@@ -357,11 +378,7 @@ def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
 def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     system = grid_case(4, 3).system
     checker, labeling = system.checker, system.labeling
-    faces = (
-        [(0, face) for face in vertex_faces(labeling)]
-        + [(1, face) for face in enumerate_edges(labeling, 4, 3)]
-        + [(2, face) for face in enumerate_polygon_faces(labeling, 4, 3)]
-    )
+    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, 4, 3, dim)]
     expected = [checker.check_face(face.vertices, dim) for dim, face in faces]
     hashes = []
     original = QQ.__hash__
