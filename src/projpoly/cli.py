@@ -210,10 +210,20 @@ def _load_system(path: str) -> pio.SystemFile:
         return pio.SystemFile(pio.load_ine(path)) if path.endswith(".ine") else pio.load_system(path)
 
 
+def _load_labeled_system(path: str, command: str) -> tuple[pio.SystemFile, int, int]:
+    """The system at ``path`` with its (n, r) from the row labels.  A
+    readable ``.ine`` file is refused before any geometry is computed."""
+    system = _load_system(path)
+    if path.endswith(".ine"):
+        raise _InputError(
+            f"{path}: an .ine file carries no row labels; {command} needs the system JSON"
+        )
+    with _reading(path):
+        return (system, *system.require_nr())
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    system = _load_system(args.input)
-    with _reading(args.input):
-        n, r = system.require_nr()
+    system, n, r = _load_labeled_system(args.input, "verify")
     result = pipeline.verify_system(system)
     print(f"system: n={n} r={r} ({system.h.nrows}x{system.h.dim})")
     print(f"product structure: {'ok' if result.product_ok else 'FAILED'} "
@@ -243,9 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    system = _load_system(args.input)
-    with _reading(args.input):
-        n, r = system.require_nr()
+    system, n, r = _load_labeled_system(args.input, "analyze")
     result = pipeline.analyze_system(system, paper_literal=args.paper_literal)
     print(f"system: n={n} r={r}")
     if result.flag_actual is not None:

@@ -86,8 +86,10 @@ class SystemFile:
     @cached_property
     def checker(self) -> ProjectionChecker:
         """The projection to the last four coordinates: its hull and face
-        lattice (raises ``PolytopeError``)."""
-        return ProjectionChecker(self.h, self.vertices)
+        lattice (raises ``PolytopeError``).  The hull is read from the
+        product's 3-faces when ``labeling`` exists and the local certificate
+        holds, and computed by the double description method otherwise."""
+        return ProjectionChecker(self.h, self.vertices, self.labeling)
 
 
 def system_to_dict(system: SystemFile) -> dict:

@@ -1,0 +1,274 @@
+"""The hull of a projected polygon product, read from its 3-faces.
+
+``local_hull`` builds the facets of Q, the image in R^4 of a product of r
+n-gons, from the product's prisms and cubes, and certifies them by
+clauses (a)-(e); ``projection``'s module docstring sets out the method
+and why the clauses prove that the result is Q.  Everything runs on
+``convex_hull``'s integer grid, so the rows returned are the ones the
+double description method returns.  Vertices are addressed by their
+mixed-radix code sum(t_k * n^k), a 2-face by an integer key, and the
+neighbours of a vertex by stride arithmetic, so no candidate builds a
+set.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+from operator import mul
+from typing import Sequence
+
+from .linalg import QMatrix
+from .polytope import HPolytope, HullResult, VPolytope
+from .rational import QQ
+
+Point = tuple[Fraction, ...]
+
+
+class UncertifiedHull(Exception):
+    """A clause of the local certificate failed; the message names it."""
+
+
+def local_hull(points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | None) -> HullResult:
+    """The hull of the images of a product of r polygons, read from the
+    product's 3-faces and certified without a global hull computation.
+
+    ``points[i]`` is the image in R^4 of the product vertex ``labeling[i]``.
+    Returns what ``convex_hull(points)`` returns, up to the order of the
+    facets, or raises ``UncertifiedHull`` naming the clause that failed.
+    """
+    count = len(points)
+    r = len(labeling[0]) if labeling else 0
+    n = 1 + max(map(max, labeling)) if r else 0
+    if r < 2 or n < 3 or n**r != count or len(labeling) != count or len(points[0]) != 4:
+        raise UncertifiedHull("the labeling is not a product of r >= 2 polygons in R^4")
+
+    # Vertex id by mixed-radix code sum(t_k * n^k), and the code one step
+    # up and down in each factor.
+    strides = [n**k for k in range(r)]
+    vid = [-1] * count
+    for i, t in enumerate(labeling):
+        code = sum(map(mul, t, strides))
+        if len(t) != r or min(t) < 0 or vid[code] >= 0:
+            raise UncertifiedHull("the labeling is not a bijection onto the product tuples")
+        vid[code] = i
+    ups: list[list[int]] = []
+    downs: list[list[int]] = []
+    for s in strides:
+        wrap = n * s
+        ups.append([c + s if c // s % n < n - 1 else c + s - wrap for c in range(count)])
+        downs.append([c - s if c // s % n else c - s + wrap for c in range(count)])
+
+    # convex_hull's integer grid: points times the lcm of the denominators,
+    # then h = count * g - sum(g), so that the barycenter is the origin.
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    grid = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    if len(set(grid)) != count:
+        raise UncertifiedHull("(a) two vertices have the same image")
+    total = [sum(col) for col in zip(*grid)]
+    coords = [tuple(count * x - s for x, s in zip(grid[i], total)) for i in vid]
+    del grid
+
+    # 2-faces are keyed by integers: a polygon in factor k by its code with
+    # t_k = 0 and slot k, a square in factors k < k' by its lowest corner
+    # and the pair's slot.
+    pair_slot = {}
+    for i, (k, k2) in enumerate(combinations(range(r), 2)):
+        pair_slot[k, k2] = pair_slot[k2, k] = r + i
+    slots = r + len(pair_slot) // 2
+
+    planes: list[tuple[int, int, int, int]] = []
+    offsets: list[int] = []
+    members: list[list[int]] = []
+    ridges: list[list[int]] = []
+
+    def keep(verts: list[int], probes: list[int], keys: list[int]) -> None:
+        """Keep the candidate with vertices ``verts``, the first four
+        affinely spanning its plane, when all of them lie on that plane,
+        the origin lies strictly inside it and so does every probe."""
+        x0, x1, x2, x3 = coords[verts[0]]
+        y0, y1, y2, y3 = coords[verts[1]]
+        u0, u1, u2, u3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
+        y0, y1, y2, y3 = coords[verts[2]]
+        v0, v1, v2, v3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
+        y0, y1, y2, y3 = coords[verts[3]]
+        w0, w1, w2, w3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
+        m01, m02, m03 = v0 * w1 - v1 * w0, v0 * w2 - v2 * w0, v0 * w3 - v3 * w0
+        m12, m13, m23 = v1 * w2 - v2 * w1, v1 * w3 - v3 * w1, v2 * w3 - v3 * w2
+        a0 = u1 * m23 - u2 * m13 + u3 * m12
+        a1 = u2 * m03 - u0 * m23 - u3 * m02
+        a2 = u0 * m13 - u1 * m03 + u3 * m01
+        a3 = u1 * m02 - u0 * m12 - u2 * m01
+        b = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+        if b < 0:
+            a0, a1, a2, a3, b = -a0, -a1, -a2, -a3, -b
+        elif not b:
+            return
+        for c in verts[4:]:
+            y0, y1, y2, y3 = coords[c]
+            if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 != b:
+                return
+        for c in probes:
+            y0, y1, y2, y3 = coords[c]
+            if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 >= b:
+                return
+        g = math.gcd(a0, a1, a2, a3)
+        planes.append((a0 // g, a1 // g, a2 // g, a3 // g))
+        offsets.append(b // g)
+        members.append(verts)
+        ridges.append(keys)
+
+    # Prisms: polygon in factor k times edge {t, t + 1} in factor k2.  The
+    # probes hold, for each 2-face F and each other 3-face through F, one
+    # vertex of that 3-face off F; 2-faces that share a corner share it.
+    for k, sk in enumerate(strides):
+        span = n * sk
+        for k2 in range(r):
+            if k2 == k:
+                continue
+            up2, down2 = ups[k2], downs[k2]
+            rest = [(ups[o], downs[o]) for o in range(r) if o not in (k, k2)]
+            square = pair_slot[k, k2]
+            for c in range(count):
+                if c // sk % n:
+                    continue
+                ring0 = list(range(c, c + span, sk))
+                ring1 = [up2[x] for x in ring0]
+                probes = [down2[x] for x in ring0]
+                probes.append(up2[ring1[0]])
+                for up, down in rest:
+                    probes += [up[x] for x in ring0]
+                    probes += [down[x] for x in ring0]
+                    probes += (up[ring1[0]], down[ring1[0]])
+                keys = [c * slots + k, ring1[0] * slots + k]
+                keys += [x * slots + square for x in ring0]
+                verts = [ring0[0], ring0[1], ring0[-1], ring1[0]] + ring0[2:-1] + ring1[1:]
+                keep(verts, probes, keys)
+
+    # Cubes: edges {t, t + 1} in factors k1 < k2 < k3.
+    for k1 in range(r):
+        for k2 in range(k1 + 1, r):
+            for k3 in range(k2 + 1, r):
+                up1, up2, up3 = ups[k1], ups[k2], ups[k3]
+                down1, down2, down3 = downs[k1], downs[k2], downs[k3]
+                rest = [(ups[o], downs[o]) for o in range(r) if o not in (k1, k2, k3)]
+                s12, s13, s23 = (pair_slot[k1, k2], pair_slot[k1, k3], pair_slot[k2, k3])
+                for c in range(count):
+                    c1, c2, c3 = up1[c], up2[c], up3[c]
+                    c12, c13, c23 = up2[c1], up3[c1], up3[c2]
+                    probes = [down1[c], down2[c], down3[c], down1[c3], down2[c3], up3[c3],
+                              down1[c2], down3[c2], up2[c2], down2[c1], down3[c1], up1[c1]]
+                    for up, down in rest:
+                        probes += (up[c], down[c], up[c1], down[c1],
+                                   up[c2], down[c2], up[c3], down[c3])
+                    keys = [c * slots + s12, c * slots + s13, c * slots + s23,
+                            c3 * slots + s12, c2 * slots + s13, c1 * slots + s23]
+                    keep([c, c1, c2, c3, c12, c13, c23, up3[c12]], probes, keys)
+
+    if not planes:
+        raise UncertifiedHull("(d) no 3-face was kept")
+    # (b) Closure: every 2-face of a kept facet lies in exactly two kept
+    # facets; ``across`` holds the sum of their indices.
+    seen = bytearray(count * slots)
+    across = [0] * (count * slots)
+    for j, keys in enumerate(ridges):
+        for key in keys:
+            seen[key] += 1
+            across[key] += j
+            if seen[key] > 2:
+                raise UncertifiedHull("(b) a 2-face lies in more than two kept facets")
+    for keys in ridges:
+        for key in keys:
+            if seen[key] != 2:
+                raise UncertifiedHull("(b) a 2-face lies in only one kept facet")
+
+    # (c) Two-sided local convexity: every vertex of a kept facet is on or
+    # strictly inside the plane across each of its 2-faces, and on it
+    # exactly when it is a vertex of that 2-face.
+    for j, keys in enumerate(ridges):
+        verts = members[j]
+        for key in keys:
+            other = across[key] - j
+            a0, a1, a2, a3 = planes[other]
+            b = offsets[other]
+            on = 0
+            for c in verts:
+                y0, y1, y2, y3 = coords[c]
+                value = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3
+                if value > b:
+                    raise UncertifiedHull("(c) a kept facet crosses the plane of a neighbour")
+                on += value == b
+            if on != (n if key % slots < r else 4):
+                raise UncertifiedHull("(c) a vertex off a 2-face lies on the plane across it")
+
+    # (d) Coverage and connectivity.
+    covered = bytearray(count)
+    for verts in members:
+        for c in verts:
+            covered[c] = 1
+    if not all(covered):
+        raise UncertifiedHull("(d) an image lies on no kept facet")
+    reached = bytearray(len(planes))
+    reached[0] = 1
+    stack = [0]
+    while stack:
+        j = stack.pop()
+        for key in ridges[j]:
+            other = across[key] - j
+            if not reached[other]:
+                reached[other] = 1
+                stack.append(other)
+    if not all(reached):
+        raise UncertifiedHull("(d) the kept facets are not connected through their 2-faces")
+
+    # (e) The ray from the origin through the centroid of the first kept
+    # facet crosses exactly one kept facet.  A facet is the part of its
+    # plane inside the planes across its 2-faces, by (c).
+    ray = _ray_target(coords, members)
+    dots = [sum(map(mul, a, ray)) for a in planes]
+    crossings = 0
+    for j, keys in enumerate(ridges):
+        d = dots[j]
+        if d <= 0:
+            continue
+        b = offsets[j]
+        on_boundary = False
+        for key in keys:
+            other = across[key] - j
+            lhs, rhs = dots[other] * b, offsets[other] * d
+            if lhs > rhs:
+                break
+            on_boundary |= lhs == rhs
+        else:
+            if on_boundary:
+                raise UncertifiedHull("(e) the ray meets a 2-face")
+            crossings += 1
+    if crossings != 1:
+        raise UncertifiedHull(f"(e) the ray crosses {crossings} kept facets")
+
+    # Certified: Q's facets are the kept ones, each with exactly its
+    # candidate's vertices, and every image is a vertex of Q.  With
+    # D = count * scale and S = sum(g), the facet a . h <= b is
+    # (D a / b) . x <= (b + a . S) / b, the row convex_hull writes for it.
+    denom = count * scale
+    normals = tuple(tuple(QQ(denom * x, b) for x in a) for a, b in zip(planes, offsets))
+    rhs = tuple(QQ(b + sum(map(mul, a, total)), b) for a, b in zip(planes, offsets))
+    incidence: list[list[int]] = [[] for _ in range(count)]
+    facet_points: list[int] = []
+    for j, verts in enumerate(members):
+        mask = 0
+        for c in verts:
+            i = vid[c]
+            incidence[i].append(j)
+            mask |= 1 << i
+        facet_points.append(mask)
+    hull_v = VPolytope(tuple(points), tuple(map(frozenset, incidence)), 4)
+    hull_h = HPolytope(QMatrix(normals), rhs)
+    return HullResult(hull_h, hull_v, tuple(range(count)), tuple(facet_points))
+
+
+def _ray_target(coords: list[tuple[int, ...]], members: list[list[int]]) -> list[int]:
+    """The direction of clause (e)'s ray: the first kept facet's centroid
+    times its vertex count, a point inside that facet."""
+    return [sum(col) for col in zip(*(coords[c] for c in members[0]))]

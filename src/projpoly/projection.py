@@ -9,6 +9,46 @@ labeling, and the image's dimension from the projection's face lattice.
 Independently, the sufficient linear-algebra certificate is evaluated: the
 coordinates that the projection deletes, taken from the normals of all
 facets containing the face, must positively span.
+
+The projected polytope Q is read from the product's 3-faces when a
+product labeling is known (``localhull.local_hull``).  If the projection
+keeps every vertex, edge and polygon of the product, Q's facets are
+images of 3-faces: prisms (polygon x edge) and cubes (edge x edge x
+edge).  Each 3-face G is a candidate.  Its plane is the integer cofactor
+normal of three edge vectors at one vertex; every vertex of G must lie on
+it and the barycenter of the images strictly inside it.  For each 2-face F of G and
+each other 3-face through F, one vertex of that 3-face off F must also lie
+strictly inside.  Candidates that pass are kept.  The selection is only a
+heuristic, and the kept set K is then certified (Mehlhorn et al.,
+"Checking geometric programs or verification of geometric structures",
+1999):
+
+(a) the images are pairwise distinct;
+(b) every 2-face of a kept facet lies in exactly two kept facets;
+(c) across each such 2-face F, every vertex of either facet off F is
+    strictly inside the other facet's plane;
+(d) every image lies on a kept facet, and K is connected through 2-faces;
+(e) the ray from the barycenter through the centroid of one kept facet
+    crosses exactly one kept facet, and meets no 2-face.
+
+Why this proves that K is the set of Q's facets.  By (c), the plane across
+each 2-face F of a kept G meets conv(G) exactly in conv(F); so each image
+of F spans a face of conv(G), each vertex of G (the one vertex common to
+three of its 2-faces) has an image that is a vertex of conv(G), and the
+2-faces, which cover the sphere boundary of G, are all the facets of
+conv(G).  So conv(G) is combinatorially G, and it is the part of its plane
+inside the planes across its 2-faces.  By (b) and (d) these pieces form
+a closed connected surface, locally convex at every ridge by (c), with
+the barycenter strictly inside every facet plane; with (e), such a
+surface bounds a convex body B (van Heijenoort, "On locally convex
+manifolds", 1952; the ray is the check of Mehlhorn et al.).  Every
+vertex of B is a vertex of a piece, hence an image, and every image lies
+on B by (d), so B = Q.  Strict convexity across each ridge gives each
+kept facet a plane of its own, so Q's facets are exactly the pieces, each
+with exactly its 3-face's images, and every image is a vertex of Q.  When
+a clause fails, ``ProjectionChecker`` computes Q with ``convex_hull``
+instead, and both routes give the same ``HullResult`` up to the order of
+the facets.
 """
 
 from __future__ import annotations
@@ -20,6 +60,7 @@ from typing import Iterable, Sequence
 
 from .lattice import FaceLattice, face_lattice, mask_of
 from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
+from .localhull import UncertifiedHull, local_hull
 from .polytope import HPolytope, HullResult, VPolytope, convex_hull
 from .rational import QQ
 
@@ -170,18 +211,26 @@ class ProjectionChecker:
 
     Computes the projected hull, which also reports the vertex
     correspondence and which projected vertices lie on each of its facets,
-    and the hull's face lattice.  No rank is computed per face: the
-    caller knows the face's dimension from its kind, and once the image is
-    a face of the projection its dimension is read from that lattice.  The
-    face checks are set arithmetic plus one positive-span certificate,
-    computed once per distinct input and kept for the checker's lifetime.
+    and the hull's face lattice.  With the source's product ``labeling``
+    the hull comes from ``local_hull``; without one, or when its
+    certificate fails, from ``convex_hull``.  No rank is computed per
+    face: the caller knows the face's dimension from its kind, and once the
+    image is a face of the projection its dimension is read from that
+    lattice.  The face checks are set arithmetic plus one positive-span
+    certificate, computed once per distinct input and kept for the
+    checker's lifetime.
     """
 
-    def __init__(self, ph: HPolytope, pv: VPolytope):
+    def __init__(
+        self, ph: HPolytope, pv: VPolytope, labeling: Sequence[tuple[int, ...]] | None = None
+    ):
         self.pv = pv
         self.images: list[Point] = project(pv)
         self.drop_coords = range(pv.dim - 4)
-        self.hull: HullResult = convex_hull(self.images)
+        try:
+            self.hull: HullResult = local_hull(self.images, labeling)
+        except UncertifiedHull:
+            self.hull = convex_hull(self.images)
         self.qv: VPolytope = self.hull.v
         self.q_lattice: FaceLattice = face_lattice(self.qv)
         # P-vertex index -> Q-vertex index (None when the image is not

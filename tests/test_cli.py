@@ -345,6 +345,19 @@ def test_truncated_ine_is_invalid_input(tmp_path, capsys, command):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_verify_and_analyze_refuse_an_ine_file(tmp_path, capsys, monkeypatch, command):
+    system, ine = tmp_path / "p42.json", tmp_path / "p42.ine"
+    run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(system), "--ine", str(ine))
+    monkeypatch.setattr(io, "h_to_v", None)  # no geometry is computed
+    code, stdout, stderr = run(capsys, command, str(ine))
+    assert code == 2
+    assert stderr == (
+        f"error: {ine}: an .ine file carries no row labels; {command} needs the system JSON\n"
+    )
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze", "export"])
 def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, command):
     path = tmp_path / "deep.json"

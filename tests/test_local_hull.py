@@ -1,0 +1,184 @@
+"""The projected hull read from the product's 3-faces, against the DD hull.
+
+``local_hull`` must return what ``convex_hull`` returns, up to the order of
+the facets, on every system it certifies, and every clause of its
+certificate must be able to refuse: each mutated input below breaks one
+clause, with the clauses before it holding, and the checker then falls
+back to the DD and returns its hull.
+"""
+
+import re
+from fractions import Fraction as QQ
+from functools import cache
+
+import pytest
+
+from conftest import GRID, run_case
+from projpoly import localhull, polytope, projection
+from projpoly.linalg import QMatrix
+from projpoly.pipeline import construct_system
+from projpoly.polytope import HPolytope, VPolytope, convex_hull
+from projpoly.localhull import UncertifiedHull, local_hull
+from projpoly.projection import ProjectionChecker, project
+
+# Systems constructed with explicit (eps, M) that pass the construction
+# gates but fail verify: (4,3) and (4,4) lose edges, and at (6,3) the
+# 3-faces kept are not closed, so the certificate refuses.
+ITEM2 = {
+    "4x3-1/16-2^32": (4, 3, QQ(1, 16), QQ(2**32)),
+    "4x3-1/8-256": (4, 3, QQ(1, 8), QQ(256)),
+    "4x4-1/16-2^32": (4, 4, QQ(1, 16), QQ(2**32)),
+    "6x3-1/16-2^16": (6, 3, QQ(1, 16), QQ(2**16)),
+}
+REFUSED = {"6x3-1/16-2^16": "(b)"}
+
+
+@cache
+def _system(name):
+    if name in ITEM2:
+        n, r, eps, big_m = ITEM2[name]
+        return construct_system(n, r, eps=eps, big_m=big_m)
+    n, r = map(int, name.split("x"))
+    return run_case(n, r).system if (n, r) in GRID else construct_system(n, r)
+
+
+def assert_same_hull(got, want):
+    """Equal HullResults up to a relabeling of the facets."""
+    assert got.v.vertices == want.v.vertices
+    assert got.point_vertex == want.point_vertex
+    rows = {(row, b): j for j, (row, b) in enumerate(zip(want.h.A.entries, want.h.b))}
+    relabel = [rows[row, b] for row, b in zip(got.h.A.entries, got.h.b)]
+    assert sorted(relabel) == list(range(want.h.nrows))
+    assert [want.facet_points[j] for j in relabel] == list(got.facet_points)
+    assert [frozenset(relabel[j] for j in inc) for inc in got.v.incidence] == list(want.v.incidence)
+
+
+@pytest.mark.parametrize("name", [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2))
+def test_local_hull_equals_the_dd_hull(name):
+    system = _system(name)
+    images = project(system.vertices)
+    want = convex_hull(images)
+    if name in REFUSED:
+        with pytest.raises(UncertifiedHull, match=f"^{re.escape(REFUSED[name])} "):
+            local_hull(images, system.labeling)
+    else:
+        assert_same_hull(local_hull(images, system.labeling), want)
+    assert_same_hull(ProjectionChecker(system.h, system.vertices, system.labeling).hull, want)
+
+
+# --- one mutated input per clause -----------------------------------------
+
+# Integer polygons in convex position, counterclockwise about the origin.
+SQUARE = [(3, 0), (0, 3), (-3, 0), (0, -3)]
+KITE = [(4, 1), (-1, 3), (-3, -1), (1, -4)]
+PENTAGON = [(5, 0), (1, 5), (-4, 3), (-4, -3), (1, -5)]
+
+
+def _product(*polygons):
+    """Images and labeling of the product of two polygons with equal
+    vertex counts, in R^4."""
+    a, b = polygons
+    labeling = [(i, j) for i in range(len(a)) for j in range(len(b))]
+    return [tuple(map(QQ, a[i] + b[j])) for i, j in labeling], labeling
+
+
+def _duplicate_image():
+    points, labeling = _product(SQUARE, KITE)
+    points[5] = points[0]
+    return points, labeling
+
+
+def _flat_vertex():
+    # the third vertex sits on the segment between its neighbours
+    return _product([(4, -4), (4, 4), (0, 4), (-4, 4), (-4, -4)], PENTAGON)
+
+
+def _pentagram():
+    # the pentagon visited as a star: locally convex at every vertex, but
+    # each edge line has a vertex beyond it
+    star = [PENTAGON[2 * t % 5] for t in range(5)]
+    return _product(PENTAGON, star)
+
+
+def _one_level_is_the_hull():
+    # r = 3: the factor-3 level t_3 = 0 is a full-size square x kite, the
+    # other levels are smaller copies inside it.  The boundary of that
+    # level is a closed convex surface that misses their images.
+    labeling = [(i, j, k) for k in range(4) for j in range(4) for i in range(4)]
+    shrink = (1, 2, 4, 3)
+    points = [tuple(QQ(x, shrink[k]) for x in SQUARE[i] + KITE[j]) for i, j, k in labeling]
+    return points, labeling
+
+
+MUTATED = {
+    "(a)": _duplicate_image,
+    "(b)": _flat_vertex,
+    "(c)": _pentagram,
+    "(d)": _one_level_is_the_hull,
+}
+
+
+def _checker(points, labeling):
+    pv = VPolytope(tuple(points), tuple(frozenset() for _ in points), 4)
+    return ProjectionChecker(HPolytope(QMatrix(()), ()), pv, labeling)
+
+
+def _count_dd_calls(monkeypatch):
+    calls = []
+    dd = polytope.convex_hull
+
+    def counting(points):
+        calls.append(1)
+        return dd(points)
+
+    monkeypatch.setattr(projection, "convex_hull", counting)
+    return calls
+
+
+def test_the_unmutated_products_are_certified(monkeypatch):
+    calls = _count_dd_calls(monkeypatch)
+    for points, labeling in (_product(SQUARE, KITE), _product(PENTAGON, PENTAGON)):
+        assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert calls == []
+
+
+@pytest.mark.parametrize("clause", list(MUTATED))
+def test_each_clause_refuses_its_mutated_input(monkeypatch, clause):
+    points, labeling = MUTATED[clause]()
+    with pytest.raises(UncertifiedHull, match=f"^{re.escape(clause)} "):
+        local_hull(points, labeling)
+    calls = _count_dd_calls(monkeypatch)
+    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("target", ["ridge", "edge", "vertex"])
+def test_a_ray_through_a_ridge_or_vertex_refuses(monkeypatch, target):
+    # On a convex surface the ray through the first facet's centroid meets
+    # no 2-face, so no product input breaks clause (e) alone; here the ray
+    # is aimed instead at a point inside the first facet's first polygon
+    # (its first three vertices lie on it), on an edge or at a vertex.
+    points, labeling = _product(SQUARE, KITE)
+    head = {"ridge": 3, "edge": 2, "vertex": 1}[target]
+
+    def aimed(coords, members):
+        return [sum(col) for col in zip(*(coords[c] for c in members[0][:head]))]
+
+    monkeypatch.setattr(localhull, "_ray_target", aimed)
+    with pytest.raises(UncertifiedHull, match=r"^\(e\) the ray meets a 2-face"):
+        local_hull(points, labeling)
+    calls = _count_dd_calls(monkeypatch)
+    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("labeling", [
+    None,
+    [(0, 0)] * 16,
+    [(i, j, 0) for i in range(4) for j in range(4)],
+], ids=["none", "not-a-bijection", "not-a-product-count"])
+def test_without_a_product_labeling_the_checker_uses_the_dd(monkeypatch, labeling):
+    points, _ = _product(SQUARE, KITE)
+    calls = _count_dd_calls(monkeypatch)
+    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert calls == [1]

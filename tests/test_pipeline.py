@@ -8,7 +8,7 @@ from projpoly.metrics import metrics_report
 from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 
-def test_construct_verify_analyze_build_the_projected_hull_once(monkeypatch):
+def _count_hull_builds(monkeypatch):
     calls = {"convex_hull": 0, "ProjectionChecker": 0}
     hull, init = polytope.convex_hull, projection.ProjectionChecker.__init__
 
@@ -23,9 +23,24 @@ def test_construct_verify_analyze_build_the_projected_hull_once(monkeypatch):
     monkeypatch.setattr(polytope, "convex_hull", counting_hull)
     monkeypatch.setattr(projection, "convex_hull", counting_hull)
     monkeypatch.setattr(projection.ProjectionChecker, "__init__", counting_init)
+    return calls
+
+
+def test_construct_verify_analyze_build_the_projected_hull_once(monkeypatch):
+    # The local certificate holds, so the double description never runs.
+    calls = _count_hull_builds(monkeypatch)
     system = construct_system(4, 3)
     assert verify_system(system).ok
     assert analyze_system(system).ok
+    assert calls == {"convex_hull": 0, "ProjectionChecker": 1}
+
+
+def test_a_system_the_local_certificate_refuses_runs_the_dd_hull_once(monkeypatch):
+    # At (6,3) with eps 1/16 and M 2^16 the kept 3-faces are not closed.
+    calls = _count_hull_builds(monkeypatch)
+    system = construct_system(6, 3, eps=Fraction(1, 16), big_m=Fraction(2**16))
+    assert not verify_system(system).ok
+    assert not analyze_system(system).ok
     assert calls == {"convex_hull": 1, "ProjectionChecker": 1}
 
 
