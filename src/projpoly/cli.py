@@ -390,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate predicted metrics over an (n, r) grid")
     p.add_argument("--n", required=True, help="values: '4,6,8' or '4:10:2'")
     p.add_argument("--r", required=True, help="values: '2,3' or '2:5'")
-    p.add_argument("--geometric-budget", type=int, default=5000,
-                   help="verify geometrically when n^r is at most this (default 5000)")
+    budget = pipeline.GEOMETRIC_BUDGET
+    p.add_argument("--geometric-budget", type=int, default=budget,
+                   help=f"verify geometrically when n^r is at most this (default {budget})")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid rows")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="output path (default: stdout)")

@@ -4,9 +4,10 @@ The system chains three fixed 2-column blocks per block row: the
 perturbed polygon block on the diagonal, a coupling block U one position
 below the diagonal, and a second coupling block W two positions below.
 This placement is the unique layout under which the zero-sum identity of
-the generator vectors (see ``projection.zero_sum_check``) produces
-positive row dependences with the documented index offsets; it is
-verified a posteriori by the certificate checks rather than assumed.
+the generator vectors (``zero_sum_check``) produces positive row
+dependences with the documented index offsets; it is verified a
+posteriori by the certificate checks (``deletion_certificates``) rather
+than assumed.
 
 The scalar parameters are adapted, not solved for: eps halves and M squares
 until the polygon description is valid and the product structure is
@@ -19,10 +20,19 @@ import dataclasses
 from fractions import Fraction
 
 from .io import AdaptationAttempt, SystemFile
-from .linalg import QMatrix, positively_spans
+from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
 from .polytope import HPolytope, PolytopeError
-from .projection import U0, U1, W0, W1, block_row
 from .rational import QQ
+
+# Generator vectors of the coupling blocks.  Up to the choice of basis
+# (v0, u0), these five directions are forced by the zero-sum identity.
+V0 = (QQ(1), QQ(0))
+V1 = (QQ(0), QQ(0))
+U0 = (QQ(0), QQ(1))
+U1 = (QQ(-3), QQ(-2, 3))
+W0 = (QQ(-31, 4), QQ(1, 2))
+W1 = (QQ(9), QQ(-2, 3))
+ZERO2 = (QQ(0), QQ(0))
 
 # Twelve failed rounds signal an implementation bug, not a parameter gap.
 MAX_ROUNDS = 12
@@ -236,3 +246,99 @@ def check_parameters(system: SystemFile) -> str | None:
     if system.labeling is None:
         return "vertex-facet incidences do not match the product"
     return None
+
+
+# --- generator identities and deletion certificates -------------------------
+
+
+class CertificateError(Exception):
+    pass
+
+
+# The coefficients of the block-system positive dependences: both are
+# nonnegative for every integer k and vanish exactly at k = 0.
+def alpha_coeff(k: int) -> Fraction:
+    return QQ(2) ** k + QQ(2) ** (-k) - 2
+
+
+def beta_coeff(k: int) -> Fraction:
+    return QQ(2) ** k + QQ(5, 4) * QQ(2) ** (-k) - QQ(9, 4)
+
+
+def zero_sum_check(k: int) -> bool:
+    """Exact check of the generator identity
+
+    alpha_{k-1} v0 + alpha_k u0 + beta_k u1 + alpha_{k+1} w0 + beta_{k+1} w1 = 0.
+    """
+    coeffs = (alpha_coeff(k - 1), alpha_coeff(k), beta_coeff(k), alpha_coeff(k + 1), beta_coeff(k + 1))
+    vectors = (V0, U0, U1, W0, W1)
+    return all(sum(c * v[i] for c, v in zip(coeffs, vectors)) == 0 for i in range(2))
+
+
+def block_row(
+    k: int,
+    blocks: int,
+    v: tuple[Fraction, Fraction],
+    u: tuple[Fraction, Fraction],
+    w: tuple[Fraction, Fraction],
+) -> tuple[Fraction, ...]:
+    """One row of the deformed layout over block columns 1..blocks: ``v``
+    at block column k, ``u`` at k-1, ``w`` at k-2, zeros elsewhere."""
+    at = {k: v, k - 1: u, k - 2: w}
+    return sum((at.get(j, ZERO2) for j in range(1, blocks + 1)), ())
+
+
+def reduced_matrix(r: int) -> QMatrix:
+    """The 2r x (2r-4) unperturbed block matrix restricted to the deleted
+    coordinates.
+
+    Each block contributes its two distinct row patterns; any two
+    cyclically adjacent rows of a block realize exactly this pair.  For
+    r = 2 the matrix has no columns and every downstream check is vacuous.
+    """
+    if r < 2:
+        raise CertificateError(f"r must be at least 2, got {r}")
+    rows = [
+        block_row(k, r - 2, *pattern)
+        for k in range(1, r + 1)
+        for pattern in ((V0, U0, W0), (V1, U1, W1))
+    ]
+    return QMatrix(tuple(rows))
+
+
+def deletion_certificates(r: int) -> list[PositiveCertificate]:
+    """One spanning certificate per deleted block t = 1..r.
+
+    Deleting block t's pair of rows from the reduced matrix must leave
+    (a) rows of full rank 2r-4 and (b) an exact zero-sum dependence with
+    strictly positive coefficients alpha_{k-t}, beta_{k-t} on the rows of
+    every remaining block k.  Raises naming t and the failed sub-condition.
+    """
+    if r == 2:
+        return []
+    matrix = reduced_matrix(r)
+    dim = 2 * r - 4
+    certificates: list[PositiveCertificate] = []
+    for t in range(1, r + 1):
+        remaining_rows: list[tuple[Fraction, ...]] = []
+        coeffs: list[Fraction] = []
+        for k in range(1, r + 1):
+            if k == t:
+                continue
+            a, b = alpha_coeff(k - t), beta_coeff(k - t)
+            if a <= 0 or b <= 0:
+                raise CertificateError(f"block {t}: coefficient for block {k} is not positive")
+            remaining_rows.append(matrix.row(2 * (k - 1)))
+            remaining_rows.append(matrix.row(2 * (k - 1) + 1))
+            coeffs.extend((a, b))
+        got_rank = rank_rows(remaining_rows)
+        if got_rank != dim:
+            raise CertificateError(
+                f"block {t}: remaining rows span rank {got_rank}, expected {dim}"
+            )
+        for j in range(dim):
+            total = sum(c * row[j] for c, row in zip(coeffs, remaining_rows))
+            if total != 0:
+                raise CertificateError(f"block {t}: dependence sum is nonzero in column {j}")
+        certificates.append(PositiveCertificate("spanning", tuple(coeffs)))
+    return certificates

@@ -35,13 +35,12 @@ class FaceLattice:
     full polytope (dim d), keyed by vertex-index bitmask, with the cover
     relation: the facets of each face."""
 
-    def __init__(self, dim: int, n_vertices: int, ids: dict[int, int], dims: array,
-                 cover_ids: array, cover_bounds: array):
+    def __init__(self, dim: int, ids: dict[int, int], dims: array, cover_ids: array,
+                 cover_bounds: array):
         # Face i is the i-th key of ``ids``, which maps it to i.  dims[i] is
         # its dimension and cover_ids[cover_bounds[i]:cover_bounds[i + 1]]
         # are the ids of its facets.
         self.dim = dim
-        self.n_vertices = n_vertices
         self._ids = ids
         self._masks = list(ids)
         self._dims = dims
@@ -161,7 +160,7 @@ def face_lattice(v: VPolytope) -> FaceLattice:
         raise LatticeError("vertex set is not full-dimensional")
     # The empty face, found last, is the one face never scanned.
     cover_bounds.append(len(cover_ids))
-    return FaceLattice(d, v.nvertices, ids, dims, cover_ids, cover_bounds)
+    return FaceLattice(d, ids, dims, cover_ids, cover_bounds)
 
 
 def mask_of(indices) -> int:

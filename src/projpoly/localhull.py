@@ -1,29 +1,60 @@
 """The hull of a projected polygon product, read from its 3-faces.
 
-``local_hull`` builds the facets of Q, the image in R^4 of a product of r
-n-gons, from the product's prisms and cubes, and certifies them by
-clauses (a)-(e); ``projection``'s module docstring sets out the method
-and why the clauses prove that the result is Q.  Everything runs on
-``convex_hull``'s integer grid, so the rows returned are the ones the
-double description method returns.  Vertices are addressed by their
-mixed-radix code sum(t_k * n^k), a 2-face by an integer key, and the
-neighbours of a vertex by stride arithmetic, so no candidate builds a
-set.
+``local_hull`` builds Q, the image in R^4 of a product of r n-gons, from
+the product's 3-faces.  If the projection keeps every vertex, edge and
+polygon of the product, Q's facets are images of 3-faces: prisms (polygon
+x edge) and cubes (edge x edge x edge).  Each 3-face G is a candidate.
+Its plane is the integer cofactor normal of three edge vectors at one
+vertex; every vertex of G must lie on it and the barycenter of the images
+strictly inside it.  For each 2-face F of G and each other 3-face through
+F, one vertex of that 3-face off F must also lie strictly inside.
+Candidates that pass are kept.  The selection is only a heuristic, and the
+kept set K is then certified (Mehlhorn et al., "Checking geometric
+programs or verification of geometric structures", 1999):
+
+(a) the images are pairwise distinct;
+(b) every 2-face of a kept facet lies in exactly two kept facets;
+(c) across each such 2-face F, every vertex of either facet off F is
+    strictly inside the other facet's plane;
+(d) every image lies on a kept facet, and K is connected through 2-faces;
+(e) the ray from the barycenter through the centroid of one kept facet
+    crosses exactly one kept facet, and meets no 2-face.
+
+Why this proves that K is the set of Q's facets.  By (c), the plane across
+each 2-face F of a kept G meets conv(G) exactly in conv(F); so each image
+of F spans a face of conv(G), each vertex of G (the one vertex common to
+three of its 2-faces) has an image that is a vertex of conv(G), and the
+2-faces, which cover the sphere boundary of G, are all the facets of
+conv(G).  So conv(G) is combinatorially G, and it is the part of its plane
+inside the planes across its 2-faces.  By (b) and (d) these pieces form
+a closed connected surface, locally convex at every ridge by (c), with
+the barycenter strictly inside every facet plane; with (e), such a
+surface bounds a convex body B (van Heijenoort, "On locally convex
+manifolds", 1952; the ray is the check of Mehlhorn et al.).  Every
+vertex of B is a vertex of a piece, hence an image, and every image lies
+on B by (d), so B = Q.  Strict convexity across each ridge gives each
+kept facet a plane of its own, so Q's facets are exactly the pieces, each
+with exactly its 3-face's images, and every image is a vertex of Q.  When
+a clause fails, ``projection.ProjectionChecker`` computes Q with
+``convex_hull`` instead, and both routes give the same ``HullResult`` up
+to the order of the facets.
+
+Everything runs on ``convex_hull``'s integer grid, so the rows returned
+are the ones the double description method returns.  Vertices are
+addressed by their mixed-radix code (``polytope.product_index``), a 2-face
+by an integer key, and the neighbours of a vertex by stride arithmetic, so
+no candidate builds a set.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Sequence
 
 from .linalg import QMatrix
-from .polytope import HPolytope, HullResult, VPolytope
-from .rational import QQ
-
-Point = tuple[Fraction, ...]
+from .polytope import HPolytope, HullResult, Point, VPolytope, _facet_row, _grid, product_index
 
 
 class UncertifiedHull(Exception):
@@ -39,20 +70,15 @@ def local_hull(points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | No
     facets, or raises ``UncertifiedHull`` naming the clause that failed.
     """
     count = len(points)
-    r = len(labeling[0]) if labeling else 0
-    n = 1 + max(map(max, labeling)) if r else 0
-    if r < 2 or n < 3 or n**r != count or len(labeling) != count or len(points[0]) != 4:
+    try:
+        n, r, vid = product_index(labeling)
+    except ValueError as exc:
+        raise UncertifiedHull(str(exc)) from None
+    if r < 2 or n < 3 or count != len(vid) or len(points[0]) != 4:
         raise UncertifiedHull("the labeling is not a product of r >= 2 polygons in R^4")
 
-    # Vertex id by mixed-radix code sum(t_k * n^k), and the code one step
-    # up and down in each factor.
+    # The code one step up and down in each factor.
     strides = [n**k for k in range(r)]
-    vid = [-1] * count
-    for i, t in enumerate(labeling):
-        code = sum(map(mul, t, strides))
-        if len(t) != r or min(t) < 0 or vid[code] >= 0:
-            raise UncertifiedHull("the labeling is not a bijection onto the product tuples")
-        vid[code] = i
     ups: list[list[int]] = []
     downs: list[list[int]] = []
     for s in strides:
@@ -60,10 +86,9 @@ def local_hull(points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | No
         ups.append([c + s if c // s % n < n - 1 else c + s - wrap for c in range(count)])
         downs.append([c - s if c // s % n else c - s + wrap for c in range(count)])
 
-    # convex_hull's integer grid: points times the lcm of the denominators,
-    # then h = count * g - sum(g), so that the barycenter is the origin.
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    grid = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    # h = count * g - sum(g) on convex_hull's grid, so that the barycenter
+    # is the origin.
+    scale, grid = _grid(points)
     if len(set(grid)) != count:
         raise UncertifiedHull("(a) two vertices have the same image")
     total = [sum(col) for col in zip(*grid)]
@@ -248,12 +273,9 @@ def local_hull(points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | No
         raise UncertifiedHull(f"(e) the ray crosses {crossings} kept facets")
 
     # Certified: Q's facets are the kept ones, each with exactly its
-    # candidate's vertices, and every image is a vertex of Q.  With
-    # D = count * scale and S = sum(g), the facet a . h <= b is
-    # (D a / b) . x <= (b + a . S) / b, the row convex_hull writes for it.
+    # candidate's vertices, and every image is a vertex of Q.
     denom = count * scale
-    normals = tuple(tuple(QQ(denom * x, b) for x in a) for a, b in zip(planes, offsets))
-    rhs = tuple(QQ(b + sum(map(mul, a, total)), b) for a, b in zip(planes, offsets))
+    normals, rhs = zip(*(_facet_row(a, b, denom, total) for a, b in zip(planes, offsets)))
     incidence: list[list[int]] = [[] for _ in range(count)]
     facet_points: list[int] = []
     for j, verts in enumerate(members):

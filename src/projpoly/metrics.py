@@ -169,17 +169,17 @@ class CountingReport:
 
 
 def counting_identities(
-    lattice: FaceLattice, n: int, r: int, polygon_masks: Collection[int]
+    lattice: FaceLattice, flag: FlagVector4, n: int, r: int, polygon_masks: Collection[int]
 ) -> CountingReport:
     """Classify facets into prisms and cubes and check the ridge and
-    vertex-facet counting identities.
+    vertex-facet counting identities against ``flag``, the lattice's flag
+    vector.
 
     A prism facet has 2n vertices, n+2 two-dimensional subfaces of which
     exactly two are polygon images; a cube facet has 8 vertices and six
     quadrilaterals.  Any other facet shape falsifies the counting argument
     and raises.  A facet's 2-faces are its covers in the lattice.
     """
-    flag = FlagVector4.from_lattice(lattice)
     polygons = set(polygon_masks)
     if not all(m in lattice and lattice.dim_of(m) == 2 for m in polygons):
         raise CountingError("a polygon image is not a 2-face of the lattice")

@@ -15,7 +15,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .construction import ConstructionError, InvalidParameterError, choose_parameters
+from .construction import (
+    CertificateError,
+    ConstructionError,
+    InvalidParameterError,
+    alpha_coeff,
+    beta_coeff,
+    choose_parameters,
+    deletion_certificates,
+    zero_sum_check,
+)
 from .io import SystemFile
 from .lattice import FlagVector4, mask_of
 from .metrics import (
@@ -30,19 +39,12 @@ from .metrics import (
 )
 from .polytope import PolytopeError, VPolytope
 from .polytope import h_to_v  # noqa: F401  (kept as pipeline.h_to_v, which perfbench wraps)
-from .projection import (
-    CertificateError,
-    PreservationReport,
-    ProjectionChecker,
-    alpha_coeff,
-    beta_coeff,
-    deletion_certificates,
-    product_faces,
-    zero_sum_check,
-)
+from .projection import PreservationReport, ProjectionChecker, product_faces
 from .rational import format_rational, rational_to_decimal
 
 ZERO_SUM_RANGE = range(-20, 21)
+# ``sweep`` verifies geometrically only when n^r is at most this.
+GEOMETRIC_BUDGET = 5000
 
 
 construct_system = choose_parameters
@@ -164,7 +166,7 @@ def verify_system(system: SystemFile) -> VerifyResult:
     # product's, so each face has exactly the dimension it is listed under.
     counts: dict[int, tuple[int, int]] = {}
     for dim in (0, 1, 2):
-        faces = product_faces(labeling, n, r, dim)
+        faces = product_faces(labeling, dim)
         preserved = 0
         for face in faces:
             rep = checker.check_face(face.vertices, dim, face_id=face.face_id, factor=face.factor)
@@ -244,28 +246,27 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
     if checker is None:
         return result
     # The flag vector of the projection needs only its lattice.
-    result.flag_actual = FlagVector4.from_lattice(checker.q_lattice)
+    flag = result.flag_actual = FlagVector4.from_lattice(checker.q_lattice)
     if not checker.vertex_bijection_ok():
         result.failures.append("projected vertices are not in bijection with the source")
         return result
 
-    result.flag_match = result.flag_actual == result.flag_predicted
+    result.flag_match = flag == result.flag_predicted
     if result.flag_predicted is not None and not result.flag_match:
         result.failures.append("flag_vector_mismatch")
 
     polygon_masks = [
         mask_of(checker.vertex_map[i] for i in face.vertices)
-        for face in product_faces(labeling, n, r, 2)
+        for face in product_faces(labeling, 2)
     ]
     try:
-        result.counting = counting_identities(checker.q_lattice, n, r, polygon_masks)
+        result.counting = counting_identities(checker.q_lattice, flag, n, r, polygon_masks)
         if not result.counting.ok:
             bad = [name for name, ok in result.counting.identities.items() if not ok]
             result.failures.append("counting_identities: " + ", ".join(bad))
     except CountingError as exc:
         result.failures.append(f"counting_identities: {exc}")
 
-    flag = result.flag_actual
     result.report = metrics_report(flag, paper_literal=paper_literal)
     if paper_literal and result.flag_predicted is not None:
         literal = predicted_flag_paper_literal(n, r)
@@ -301,7 +302,7 @@ class SweepRow:
         }
 
 
-def sweep_row(n: int, r: int, geometric_budget: int = 5000) -> SweepRow:
+def sweep_row(n: int, r: int, geometric_budget: int = GEOMETRIC_BUDGET) -> SweepRow:
     """One sweep entry; runs the geometric pipeline when n^r is within
     budget, otherwise reports formula-only values."""
     flag = predicted_flag(n, r)
@@ -329,7 +330,7 @@ def _sweep_task(args: tuple[int, int, int]) -> SweepRow:
 def sweep(
     n_values: list[int],
     r_values: list[int],
-    geometric_budget: int = 5000,
+    geometric_budget: int = GEOMETRIC_BUDGET,
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Sweep the (n, r) grid; output order is the sorted grid regardless of

@@ -355,6 +355,21 @@ class HullResult:
     facet_points: tuple[int, ...]
 
 
+def _grid(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm L of the points' denominators, and each point times L."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
+def _facet_row(
+    a: Sequence[int], b: int, denom: int, total: Sequence[int]
+) -> tuple[Point, Fraction]:
+    """The row ``convex_hull`` writes for the facet a . h <= b (b > 0) of
+    the grid points centred as h = N * g - S: with D = N * L, it is
+    (D a / b) . x <= (b + a . S) / b over the input points x = g / L."""
+    return tuple(QQ(denom * x, b) for x in a), QQ(b + sum(map(mul, a, total)), b)
+
+
 def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     """Irredundant facet description and vertex set of conv(points).
 
@@ -380,22 +395,20 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
 
     # Distinct grid points, each with its first input point and the
     # bitmask of input points equal to it.
-    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    scale, keys = _grid(pts)
     seen: dict[tuple[int, ...], int] = {}
-    grid: list[tuple[int, ...]] = []
     first: list[int] = []
     copies: list[int] = []
     point_unique: list[int] = []
-    for i, p in enumerate(pts):
-        key = tuple(x.numerator * (scale // x.denominator) for x in p)
-        u = seen.setdefault(key, len(grid))
-        if u == len(grid):
-            grid.append(key)
+    for i, key in enumerate(keys):
+        u = seen.setdefault(key, len(first))
+        if u == len(first):
             first.append(i)
             copies.append(0)
         copies[u] |= 1 << i
         point_unique.append(u)
 
+    grid = list(seen)
     count = len(grid)
     total = [sum(col) for col in zip(*grid)]
     denom = count * scale
@@ -409,15 +422,9 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
         raise DegeneratePolytopeError("degenerate")
     rays, tights = dd
 
-    # Facet j is a . y <= 1 + a . S / D with a = ray[:d] / t.
-    normals: list[Point] = []
-    rhs: list[Fraction] = []
-    for ray in rays:
-        t = ray[d]
-        normals.append(tuple(QQ(ray[i], t) for i in range(d)))
-        td = t * denom
-        rhs.append(QQ(td + sum(map(mul, ray, total)), td))
-    hull_h = HPolytope(QMatrix(tuple(normals)), tuple(rhs))
+    # Ray (y, t) is the facet y . h <= t * D over the centred grid points.
+    normals, rhs = zip(*(_facet_row(ray[:d], ray[d] * denom, denom, total) for ray in rays))
+    hull_h = HPolytope(QMatrix(normals), rhs)
 
     every_point = (1 << count) - 1
     point_tight: list[list[int]] = [[] for _ in grid]
@@ -473,33 +480,19 @@ def product_labeling(
     """
     if labels is None:
         raise ValueError("row labels (block, index) are required")
-    block_rows: dict[int, dict[int, int]] = {}
-    for row_idx, (k, i) in enumerate(labels):
-        block_rows.setdefault(k, {})[i] = row_idx
-    if sorted(block_rows) != list(range(1, r + 1)):
-        return None
-    if any(sorted(rows) != list(range(n)) for rows in block_rows.values()):
-        return None
-    if v.nvertices != n**r:
+    if sorted(labels) != [(k, i) for k in range(1, r + 1) for i in range(n)] or v.nvertices != n**r:
         return None
 
-    row_label = {row: lab for row, lab in enumerate(labels)}
+    # A product vertex's tight labels, sorted, are two rows of each block
+    # in turn: (k, a) and (k, b) with a < b.
+    blocks = [k for k in range(1, r + 1) for _ in (0, 1)]
     tuples: list[tuple[int, ...]] = []
     for tight in v.incidence:
-        if len(tight) != 2 * r:
-            return None
-        per_block: dict[int, list[int]] = {}
-        for row in tight:
-            k, i = row_label[row]
-            per_block.setdefault(k, []).append(i)
-        if sorted(per_block) != list(range(1, r + 1)):
+        pairs = sorted(labels[row] for row in tight)
+        if [k for k, _ in pairs] != blocks:
             return None
         t = []
-        for k in range(1, r + 1):
-            pair = sorted(per_block[k])
-            if len(pair) != 2:
-                return None
-            a, b = pair
+        for (_, a), (_, b) in zip(pairs[::2], pairs[1::2]):
             if b == a + 1:
                 t.append(b)
             elif a == 0 and b == n - 1:
@@ -510,3 +503,24 @@ def product_labeling(
     if len(set(tuples)) != n**r:
         return None
     return tuples
+
+
+def product_index(labeling: Sequence[tuple[int, ...]]) -> tuple[int, int, list[int]]:
+    """(n, r, vertex) of a product labeling: ``vertex[c]`` is the index i
+    whose tuple ``labeling[i]`` has the mixed-radix code c = sum(t_k * n^k).
+
+    Raises ``ValueError`` unless the labeling is a bijection onto
+    {0..n-1}^r, with n one more than its largest entry.
+    """
+    r = len(labeling[0]) if labeling else 0
+    n = 1 + max(map(max, labeling)) if r else 0
+    if not r or len(labeling) != n**r:
+        raise ValueError("labeling is not a bijection onto the product tuples")
+    strides = [n**k for k in range(r)]
+    vertex = [-1] * len(labeling)
+    for i, t in enumerate(labeling):
+        code = sum(map(mul, t, strides))
+        if len(t) != r or min(t) < 0 or vertex[code] >= 0:
+            raise ValueError("labeling is not a bijection onto the product tuples")
+        vertex[code] = i
+    return n, r, vertex

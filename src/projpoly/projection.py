@@ -10,167 +10,21 @@ Independently, the sufficient linear-algebra certificate is evaluated: the
 coordinates that the projection deletes, taken from the normals of all
 facets containing the face, must positively span.
 
-The projected polytope Q is read from the product's 3-faces when a
-product labeling is known (``localhull.local_hull``).  If the projection
-keeps every vertex, edge and polygon of the product, Q's facets are
-images of 3-faces: prisms (polygon x edge) and cubes (edge x edge x
-edge).  Each 3-face G is a candidate.  Its plane is the integer cofactor
-normal of three edge vectors at one vertex; every vertex of G must lie on
-it and the barycenter of the images strictly inside it.  For each 2-face F of G and
-each other 3-face through F, one vertex of that 3-face off F must also lie
-strictly inside.  Candidates that pass are kept.  The selection is only a
-heuristic, and the kept set K is then certified (Mehlhorn et al.,
-"Checking geometric programs or verification of geometric structures",
-1999):
-
-(a) the images are pairwise distinct;
-(b) every 2-face of a kept facet lies in exactly two kept facets;
-(c) across each such 2-face F, every vertex of either facet off F is
-    strictly inside the other facet's plane;
-(d) every image lies on a kept facet, and K is connected through 2-faces;
-(e) the ray from the barycenter through the centroid of one kept facet
-    crosses exactly one kept facet, and meets no 2-face.
-
-Why this proves that K is the set of Q's facets.  By (c), the plane across
-each 2-face F of a kept G meets conv(G) exactly in conv(F); so each image
-of F spans a face of conv(G), each vertex of G (the one vertex common to
-three of its 2-faces) has an image that is a vertex of conv(G), and the
-2-faces, which cover the sphere boundary of G, are all the facets of
-conv(G).  So conv(G) is combinatorially G, and it is the part of its plane
-inside the planes across its 2-faces.  By (b) and (d) these pieces form
-a closed connected surface, locally convex at every ridge by (c), with
-the barycenter strictly inside every facet plane; with (e), such a
-surface bounds a convex body B (van Heijenoort, "On locally convex
-manifolds", 1952; the ray is the check of Mehlhorn et al.).  Every
-vertex of B is a vertex of a piece, hence an image, and every image lies
-on B by (d), so B = Q.  Strict convexity across each ridge gives each
-kept facet a plane of its own, so Q's facets are exactly the pieces, each
-with exactly its 3-face's images, and every image is a vertex of Q.  When
-a clause fails, ``ProjectionChecker`` computes Q with ``convex_hull``
-instead, and both routes give the same ``HullResult`` up to the order of
-the facets.
+The projected polytope Q comes from ``localhull.local_hull``, whose module
+docstring gives the method and its proof, or else from ``convex_hull``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
+from operator import mul
 from typing import Iterable, Sequence
 
 from .lattice import FaceLattice, face_lattice, mask_of
-from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
+from .linalg import positively_spans
 from .localhull import UncertifiedHull, local_hull
-from .polytope import HPolytope, HullResult, VPolytope, convex_hull
-from .rational import QQ
-
-Point = tuple[Fraction, ...]
-
-# Generator vectors of the coupling blocks.  Up to the choice of basis
-# (v0, u0), these five directions are forced by the zero-sum identity.
-V0 = (QQ(1), QQ(0))
-V1 = (QQ(0), QQ(0))
-U0 = (QQ(0), QQ(1))
-U1 = (QQ(-3), QQ(-2, 3))
-W0 = (QQ(-31, 4), QQ(1, 2))
-W1 = (QQ(9), QQ(-2, 3))
-ZERO2 = (QQ(0), QQ(0))
-
-
-class CertificateError(Exception):
-    pass
-
-
-# The coefficients of the block-system positive dependences: both are
-# nonnegative for every integer k and vanish exactly at k = 0.
-def alpha_coeff(k: int) -> Fraction:
-    return QQ(2) ** k + QQ(2) ** (-k) - 2
-
-
-def beta_coeff(k: int) -> Fraction:
-    return QQ(2) ** k + QQ(5, 4) * QQ(2) ** (-k) - QQ(9, 4)
-
-
-def zero_sum_check(k: int) -> bool:
-    """Exact check of the generator identity
-
-    alpha_{k-1} v0 + alpha_k u0 + beta_k u1 + alpha_{k+1} w0 + beta_{k+1} w1 = 0.
-    """
-    coeffs = (alpha_coeff(k - 1), alpha_coeff(k), beta_coeff(k), alpha_coeff(k + 1), beta_coeff(k + 1))
-    vectors = (V0, U0, U1, W0, W1)
-    for i in range(2):
-        if sum(c * v[i] for c, v in zip(coeffs, vectors)) != 0:
-            return False
-    return True
-
-
-def block_row(
-    k: int,
-    blocks: int,
-    v: tuple[Fraction, Fraction],
-    u: tuple[Fraction, Fraction],
-    w: tuple[Fraction, Fraction],
-) -> tuple[Fraction, ...]:
-    """One row of the deformed layout over block columns 1..blocks: ``v``
-    at block column k, ``u`` at k-1, ``w`` at k-2, zeros elsewhere."""
-    at = {k: v, k - 1: u, k - 2: w}
-    return sum((at.get(j, ZERO2) for j in range(1, blocks + 1)), ())
-
-
-def reduced_matrix(r: int) -> QMatrix:
-    """The 2r x (2r-4) unperturbed block matrix restricted to the deleted
-    coordinates.
-
-    Each block contributes its two distinct row patterns; any two
-    cyclically adjacent rows of a block realize exactly this pair.  For
-    r = 2 the matrix has no columns and every downstream check is vacuous.
-    """
-    if r < 2:
-        raise CertificateError(f"r must be at least 2, got {r}")
-    rows = [
-        block_row(k, r - 2, *pattern)
-        for k in range(1, r + 1)
-        for pattern in ((V0, U0, W0), (V1, U1, W1))
-    ]
-    return QMatrix(tuple(rows))
-
-
-def deletion_certificates(r: int) -> list[PositiveCertificate]:
-    """One spanning certificate per deleted block t = 1..r.
-
-    Deleting block t's pair of rows from the reduced matrix must leave
-    (a) rows of full rank 2r-4 and (b) an exact zero-sum dependence with
-    strictly positive coefficients alpha_{k-t}, beta_{k-t} on the rows of
-    every remaining block k.  Raises naming t and the failed sub-condition.
-    """
-    if r == 2:
-        return []
-    matrix = reduced_matrix(r)
-    dim = 2 * r - 4
-    certificates: list[PositiveCertificate] = []
-    for t in range(1, r + 1):
-        remaining_rows: list[tuple[Fraction, ...]] = []
-        coeffs: list[Fraction] = []
-        for k in range(1, r + 1):
-            if k == t:
-                continue
-            a, b = alpha_coeff(k - t), beta_coeff(k - t)
-            if a <= 0 or b <= 0:
-                raise CertificateError(f"block {t}: coefficient for block {k} is not positive")
-            remaining_rows.append(matrix.row(2 * (k - 1)))
-            remaining_rows.append(matrix.row(2 * (k - 1) + 1))
-            coeffs.extend((a, b))
-        got_rank = rank_rows(remaining_rows)
-        if got_rank != dim:
-            raise CertificateError(
-                f"block {t}: remaining rows span rank {got_rank}, expected {dim}"
-            )
-        for j in range(dim):
-            total = sum(c * row[j] for c, row in zip(coeffs, remaining_rows))
-            if total != 0:
-                raise CertificateError(f"block {t}: dependence sum is nonzero in column {j}")
-        certificates.append(PositiveCertificate("spanning", tuple(coeffs)))
-    return certificates
+from .polytope import HPolytope, HullResult, Point, VPolytope, convex_hull, product_index
 
 
 def project(v: VPolytope) -> list[Point]:
@@ -340,25 +194,26 @@ class ProductFace:
     vertices: tuple[int, ...]
 
 
-def product_faces(labeling: Sequence[tuple[int, ...]], n: int, r: int, dim: int) -> list[ProductFace]:
+def product_faces(labeling: Sequence[tuple[int, ...]], dim: int) -> list[ProductFace]:
     """The product's faces of dimension ``dim``: 0, 1 or 2.
 
     Each is one face of one polygon factor k, taken with one vertex of
     every other factor: a vertex is one tuple, an edge joins a tuple to its
     +1 neighbor in factor k, and a polygon runs through all n values of
     coordinate k.  Only polygons get a ``face_id``, since only their
-    reports reach an output.
+    reports reach an output.  Raises ``ValueError`` as ``product_index``
+    does.
     """
-    index_of = {t: i for i, t in enumerate(labeling)}
-    if len(index_of) != n**r:
-        raise ValueError("labeling is not a bijection onto the product tuples")
+    n, r, vertex = product_index(labeling)
     if dim == 0:
         return [ProductFace(None, None, (i,)) for i in range(len(labeling))]
+    strides = [n**k for k in range(r)]
     faces: list[ProductFace] = []
     for k in range(r):
         for fixed in iter_product(range(n), repeat=r - 1):
             head, tail = fixed[:k], fixed[k:]
-            cycle = [index_of[head + (value,) + tail] for value in range(n)]
+            base = sum(map(mul, head + (0,) + tail, strides))
+            cycle = vertex[base : base + n * strides[k] : strides[k]]
             if dim == 1:
                 faces += [
                     ProductFace(None, k + 1, tuple(sorted((i, cycle[(v + 1) % n]))))

@@ -25,12 +25,12 @@ from itertools import combinations
 from itertools import product as iter_product
 from random import Random
 
-from projpoly.construction import ConstructionError, require_r, validate_polygon
+from projpoly.construction import ZERO2, ConstructionError, require_r, validate_polygon
 from projpoly.lattice import LatticeError
 from projpoly.linalg import QMatrix, clear_denominators, independent_rows, null_vector, primitive, rank_int_rows
 from projpoly.metrics import CountingError, CountingReport
 from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
-from projpoly.projection import ZERO2, ProductFace
+from projpoly.projection import ProductFace
 
 
 def qmatrix(rows):

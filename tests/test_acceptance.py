@@ -12,6 +12,12 @@ from itertools import combinations, product
 from conftest import GRID, run_case
 from oracle import euler_ok, is_irredundant, span_oracle_cases
 from projpoly.cli import main
+from projpoly.construction import (
+    alpha_coeff,
+    beta_coeff,
+    deletion_certificates,
+    zero_sum_check,
+)
 from projpoly.lattice import FlagVector4, face_lattice
 from projpoly.linalg import positively_spans
 from projpoly.metrics import (
@@ -24,12 +30,6 @@ from projpoly.metrics import (
     predicted_flag_paper_literal,
 )
 from projpoly.polytope import convex_hull, h_to_v, v_to_h
-from projpoly.projection import (
-    alpha_coeff,
-    beta_coeff,
-    deletion_certificates,
-    zero_sum_check,
-)
 
 EXPECTED_VERTICES = {(4, 2): 16, (6, 2): 36, (8, 2): 64, (4, 3): 64, (6, 3): 216, (4, 4): 256}
 

@@ -4,6 +4,12 @@ import pytest
 
 from oracle import build_plain_product, qmatrix
 from projpoly.construction import (
+    U0,
+    U1,
+    V0,
+    V1,
+    W0,
+    W1,
     ConstructionError,
     build_deformed_product,
     check_parameters,
@@ -14,7 +20,6 @@ from projpoly.construction import (
 )
 from projpoly.io import SystemFile, system_to_dict, dumps_json
 from projpoly.polytope import h_to_v, product_labeling
-from projpoly.projection import U0, U1, V0, V1, W0, W1
 
 SQUARE_POLYGON = qmatrix([[1, 0], [0, 1], [-1, 0], [0, -1]])
 HEXAGON_POLYGON = qmatrix([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])

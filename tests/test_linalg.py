@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import determinant_oracle, nonneg_solution_oracle, qmatrix, row_reduce_rank, span_oracle_cases
+from projpoly.construction import U0, U1, V0, W0, W1, alpha_coeff, beta_coeff
 from projpoly.linalg import (
     PositiveCertificate,
     QMatrix,
@@ -16,7 +17,6 @@ from projpoly.linalg import (
     positively_spans,
     rank_rows,
 )
-from projpoly.projection import U0, U1, V0, W0, W1, alpha_coeff, beta_coeff
 
 
 def test_rank_identity():

@@ -183,30 +183,32 @@ def test_counting_identities_rejects_wrong_polygons(grid_case):
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
     checker = ProjectionChecker(case.system.h, v)
-    report = counting_identities(checker.q_lattice, 4, 2, [])
+    flag = FlagVector4.from_lattice(checker.q_lattice)
+    report = counting_identities(checker.q_lattice, flag, 4, 2, [])
     assert not report.ok
 
     # n=6: a hexagon prism has 12 vertices and cannot pass as a cube
     case62 = grid_case(6, 2)
     v62 = h_to_v(case62.system.h)
     checker62 = ProjectionChecker(case62.system.h, v62)
+    flag62 = FlagVector4.from_lattice(checker62.q_lattice)
     with pytest.raises(CountingError):
-        counting_identities(checker62.q_lattice, 6, 2, [])
+        counting_identities(checker62.q_lattice, flag62, 6, 2, [])
 
 
-def _polygon_masks(system, n, r):
+def _polygon_masks(system):
     """The polygon images as Q-vertex masks, as ``analyze_system`` builds them."""
     vertex_map = system.checker.vertex_map
     return [sum(1 << vertex_map[i] for i in face.vertices)
-            for face in product_faces(system.labeling, n, r, 2)]
+            for face in product_faces(system.labeling, 2)]
 
 
 @pytest.mark.parametrize("n,r", GRID)
 def test_counting_identities_equal_the_subset_scan_oracle(n, r, grid_case):
     system = grid_case(n, r).system
     lattice = system.checker.q_lattice
-    masks = _polygon_masks(system, n, r)
-    report = counting_identities(lattice, n, r, masks)
+    masks = _polygon_masks(system)
+    report = counting_identities(lattice, FlagVector4.from_lattice(lattice), n, r, masks)
     expected = counting_identities_oracle(dict(lattice.faces), n, r, masks)
     assert (report.prisms, report.cubes) == (expected.prisms, expected.cubes)
     assert report.identities == expected.identities
@@ -217,11 +219,11 @@ def test_counting_identities_equal_the_subset_scan_oracle(n, r, grid_case):
 def test_counting_identities_reject_a_polygon_of_the_wrong_dimension(dim, grid_case):
     system = grid_case(4, 3).system
     lattice = system.checker.q_lattice
-    masks = _polygon_masks(system, 4, 3)
+    masks = _polygon_masks(system)
     masks[0] = lattice.faces_of_dim(dim)[0]
     message = "^a polygon image is not a 2-face of the lattice$"
     with pytest.raises(CountingError, match=message):
-        counting_identities(lattice, 4, 3, masks)
+        counting_identities(lattice, FlagVector4.from_lattice(lattice), 4, 3, masks)
     with pytest.raises(CountingError, match=message):
         counting_identities_oracle(dict(lattice.faces), 4, 3, masks)
 

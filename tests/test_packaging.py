@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,3 +153,35 @@ def unread_parameters(package: Path) -> list[str]:
 def test_every_parameter_is_read():
     unread = unread_parameters(PACKAGE)
     assert not unread, "parameters no body reads:\n" + "\n".join(unread)
+
+
+def _resolves(owner, parts: list[str]) -> bool:
+    for part in parts:
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_every_name_in_the_readme_library_layout_exists():
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `projpoly.")]
+    assert len(rows) == len(list(PACKAGE.glob("*.py"))) - 1
+    modules = {path.stem: importlib.import_module(f"projpoly.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    missing = []
+    for row in rows:
+        for name in re.findall(r"`([^`]*)`", row):
+            parts = name.split(".")
+            if not all(part.isidentifier() for part in parts):
+                continue
+            if parts[0] == "projpoly":
+                found = parts[1] in modules and _resolves(modules[parts[1]], parts[2:])
+            elif parts[0] in modules:
+                found = _resolves(modules[parts[0]], parts[1:])
+            else:
+                found = any(_resolves(module, parts) for module in modules.values())
+            if not found:
+                missing.append(name)
+    assert missing == []

@@ -13,10 +13,7 @@ from oracle import (
     vertex_faces_oracle,
 )
 from projpoly import linalg, projection
-from projpoly.lattice import mask_of
-from projpoly.pipeline import construct_system, verify_system
-from projpoly.polytope import HPolytope, h_to_v, product_labeling
-from projpoly.projection import (
+from projpoly.construction import (
     U0,
     U1,
     V0,
@@ -24,15 +21,16 @@ from projpoly.projection import (
     W0,
     W1,
     CertificateError,
-    ProjectionChecker,
     alpha_coeff,
     beta_coeff,
     deletion_certificates,
-    product_faces,
-    project,
     reduced_matrix,
     zero_sum_check,
 )
+from projpoly.lattice import mask_of
+from projpoly.pipeline import construct_system, verify_system
+from projpoly.polytope import HPolytope, h_to_v, product_labeling
+from projpoly.projection import ProjectionChecker, product_faces, project
 
 
 def test_alpha_beta_values():
@@ -225,7 +223,7 @@ def test_face_dimensions_agree_with_affine_rank_oracle(n, r, grid_case):
     system = grid_case(n, r).system
     checker, labeling = system.checker, system.labeling
     for dim in (0, 1, 2):
-        for face in product_faces(labeling, n, r, dim):
+        for face in product_faces(labeling, dim):
             assert affine_rank_oracle([system.vertices.vertices[i] for i in face.vertices]) == dim
             qmask = mask_of(checker.vertex_map[i] for i in face.vertices)
             images = [checker.images[i] for i in face.vertices]
@@ -237,7 +235,7 @@ def test_all_polygon_faces_strictly_preserved(grid_case):
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
     checker = ProjectionChecker(case.system.h, v)
-    for face in product_faces(labeling, 4, 3, 2):
+    for face in product_faces(labeling, 2):
         rep = checker.check_face(face.vertices, 2, face_id=face.face_id, factor=face.factor)
         assert rep.direct_ok, rep.details
         assert rep.certificate_ok, rep.details
@@ -253,47 +251,47 @@ def test_enumerate_polygon_faces_counts(grid_case):
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 2)
-    faces = product_faces(labeling, 4, 2, 2)
+    faces = product_faces(labeling, 2)
     assert len(faces) == 2 * 4
     assert all(len(f.vertices) == 4 for f in faces)
 
     case63 = grid_case(6, 3)
     v63 = h_to_v(case63.system.h)
     labeling63 = product_labeling(v63, case63.system.h.labels, 6, 3)
-    faces63 = product_faces(labeling63, 6, 3, 2)
+    faces63 = product_faces(labeling63, 2)
     assert len(faces63) == 3 * 36
     assert all(len(f.vertices) == 6 for f in faces63)
 
     case43 = grid_case(4, 3)
     v43 = h_to_v(case43.system.h)
     labeling43 = product_labeling(v43, case43.system.h.labels, 4, 3)
-    assert len(product_faces(labeling43, 4, 3, 2)) == 48
+    assert len(product_faces(labeling43, 2)) == 48
 
 
 def test_enumerate_edges_counts(grid_case):
     case = grid_case(4, 2)
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 2)
-    edges = product_faces(labeling, 4, 2, 1)
+    edges = product_faces(labeling, 1)
     assert len(edges) == 2 * 16
     assert len({e.vertices for e in edges}) == 32
-    assert len(product_faces(labeling, 4, 2, 0)) == 16
+    assert len(product_faces(labeling, 0)) == 16
 
 
 @pytest.mark.parametrize("n,r", GRID + [(8, 3)])
 def test_product_faces_equal_the_per_kind_oracles(n, r, grid_case):
     system = grid_case(n, r).system if (n, r) in GRID else construct_system(n, r)
     labeling = system.labeling
-    vertices = product_faces(labeling, n, r, 0)
+    vertices = product_faces(labeling, 0)
     assert [f.vertices for f in vertices] == [f.vertices for f in vertex_faces_oracle(labeling)]
-    edges = product_faces(labeling, n, r, 1)
+    edges = product_faces(labeling, 1)
     expected = enumerate_edges_oracle(labeling, n, r)
     assert sorted((f.vertices, f.factor) for f in edges) == sorted(
         (f.vertices, f.factor) for f in expected
     )
     assert len({f.vertices for f in edges}) == len(edges) == r * n**r
     assert {f.face_id for f in vertices + edges} == {None}
-    polygons = product_faces(labeling, n, r, 2)
+    polygons = product_faces(labeling, 2)
     assert [(f.face_id, f.factor, f.vertices) for f in polygons] == [
         (f.face_id, f.factor, f.vertices) for f in enumerate_polygon_faces_oracle(labeling, n, r)
     ]
@@ -303,7 +301,7 @@ def test_product_faces_equal_the_per_kind_oracles(n, r, grid_case):
 def test_product_faces_reject_a_labeling_that_is_not_a_bijection(dim, grid_case):
     labeling = grid_case(4, 2).system.labeling
     with pytest.raises(ValueError, match="not a bijection"):
-        product_faces(labeling[:-1] + labeling[:1], 4, 2, dim)
+        product_faces(labeling[:-1] + labeling[:1], dim)
 
 
 def test_stability_certificates_on_perturbed_normals(grid_case):
@@ -315,7 +313,7 @@ def test_stability_certificates_on_perturbed_normals(grid_case):
     v = h_to_v(case.system.h)
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
     a = case.system.h.A
-    for face in product_faces(labeling, 4, 3, 2)[:16]:
+    for face in product_faces(labeling, 2)[:16]:
         common = None
         for i in face.vertices:
             inc = v.incidence[i]
@@ -335,7 +333,7 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     system = construct_system(4, 3)
     assert verify_system(system).ok
     checker, labeling = system.checker, system.labeling
-    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, 4, 3, dim)]
+    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
     distinct = set()
     for dim, face in faces:
         common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
@@ -349,11 +347,11 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     assert Counter(inputs) == Counter(distinct)
 
 
-def _distinct_certificate_inputs(system, n, r):
+def _distinct_certificate_inputs(system):
     """Every distinct certificate input of the system's checker, as the
     vectors in the facet-row order that ``check_face`` passes."""
     checker, labeling = system.checker, system.labeling
-    faces = [face for dim in (0, 1, 2) for face in product_faces(labeling, n, r, dim)]
+    faces = [face for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
     inputs = {}
     for face in faces:
         common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
@@ -368,7 +366,7 @@ def _distinct_certificate_inputs(system, n, r):
 def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
     system = grid_case(n, r).system
     dim = len(system.checker.drop_coords)
-    inputs = _distinct_certificate_inputs(system, n, r)
+    inputs = _distinct_certificate_inputs(system)
     assert len(inputs) == len(system.checker._spans)
     for vectors in inputs:
         target = [-sum(v[i] for v in vectors) for i in range(dim)]
@@ -378,7 +376,7 @@ def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
 def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     system = grid_case(4, 3).system
     checker, labeling = system.checker, system.labeling
-    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, 4, 3, dim)]
+    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
     expected = [checker.check_face(face.vertices, dim) for dim, face in faces]
     hashes = []
     original = QQ.__hash__
