@@ -210,20 +210,28 @@ def _load_system(path: str) -> pio.SystemFile:
         return pio.SystemFile(pio.load_ine(path)) if path.endswith(".ine") else pio.load_system(path)
 
 
-def _load_labeled_system(path: str, command: str) -> tuple[pio.SystemFile, int, int]:
-    """The system at ``path`` with its (n, r) from the row labels.  A
-    readable ``.ine`` file is refused before any geometry is computed."""
+def _load_labeled_system(args: argparse.Namespace) -> tuple[pio.SystemFile, int, int]:
+    """The system at ``args.input`` with its (n, r) from the row labels.  A
+    readable ``.ine`` file, and a system with n^r over the geometric
+    budget, are refused before any geometry is computed."""
+    path, command = args.input, args.command
     system = _load_system(path)
     if path.endswith(".ine"):
         raise _InputError(
             f"{path}: an .ine file carries no row labels; {command} needs the system JSON"
         )
     with _reading(path):
-        return (system, *system.require_nr())
+        n, r = system.require_nr()
+    if n**r > args.geometric_budget:
+        raise _InputError(
+            f"{path}: n={n}, r={r}: n^r is over the geometric budget {args.geometric_budget}; "
+            f"raise --geometric-budget to {command} it"
+        )
+    return system, n, r
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    system, n, r = _load_labeled_system(args.input, "verify")
+    system, n, r = _load_labeled_system(args)
     result = pipeline.verify_system(system)
     print(f"system: n={n} r={r} ({system.h.nrows}x{system.h.dim})")
     print(f"product structure: {'ok' if result.product_ok else 'FAILED'} "
@@ -253,7 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    system, n, r = _load_labeled_system(args.input, "analyze")
+    system, n, r = _load_labeled_system(args)
     result = pipeline.analyze_system(system, paper_literal=args.paper_literal)
     print(f"system: n={n} r={r}")
     if result.flag_actual is not None:
@@ -357,6 +365,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_budget(p: argparse.ArgumentParser, verb: str) -> None:
+    budget = pipeline.GEOMETRIC_BUDGET
+    p.add_argument("--geometric-budget", type=int, default=budget,
+                   help=f"{verb} geometrically when n^r is at most this (default {budget})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projpoly",
@@ -378,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify product structure, certificates, preservation")
     p.add_argument("input", help="system JSON with row labels")
     p.add_argument("--report", help="write a JSON report")
+    _add_budget(p, "verify")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="flag vector, metrics, counting identities")
@@ -385,14 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON report")
     p.add_argument("--paper-literal", action="store_true",
                    help="also evaluate the commonly printed formula variants and their discrepancy")
+    _add_budget(p, "analyze")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="tabulate predicted metrics over an (n, r) grid")
     p.add_argument("--n", required=True, help="values: '4,6,8' or '4:10:2'")
     p.add_argument("--r", required=True, help="values: '2,3' or '2:5'")
-    budget = pipeline.GEOMETRIC_BUDGET
-    p.add_argument("--geometric-budget", type=int, default=budget,
-                   help=f"verify geometrically when n^r is at most this (default {budget})")
+    _add_budget(p, "verify")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid rows")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="output path (default: stdout)")

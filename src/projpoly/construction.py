@@ -17,6 +17,7 @@ certified on the computed vertices.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .io import AdaptationAttempt, SystemFile
@@ -258,21 +259,43 @@ class CertificateError(Exception):
 # The coefficients of the block-system positive dependences: both are
 # nonnegative for every integer k and vanish exactly at k = 0.
 def alpha_coeff(k: int) -> Fraction:
-    return QQ(2) ** k + QQ(2) ** (-k) - 2
+    """2^k + 2^-k - 2."""
+    a, _, d = _cleared(k)
+    return QQ(a, d)
 
 
 def beta_coeff(k: int) -> Fraction:
-    return QQ(2) ** k + QQ(5, 4) * QQ(2) ** (-k) - QQ(9, 4)
+    """2^k + (5/4) 2^-k - 9/4."""
+    _, b, d = _cleared(k)
+    return QQ(b, d)
+
+
+def _cleared(k: int) -> tuple[int, int, int]:
+    """(d alpha_k, d beta_k, d) for d = 4 * 2^|k|: both coefficients as
+    integers over one denominator, with no rational power taken."""
+    half = 1 << abs(k)
+    # 2^k and 2^-k times 2^|k|
+    up, down = (half * half, 1) if k >= 0 else (1, half * half)
+    return 4 * (up + down - 2 * half), 4 * up + 5 * down - 9 * half, 4 * half
 
 
 def zero_sum_check(k: int) -> bool:
     """Exact check of the generator identity
 
-    alpha_{k-1} v0 + alpha_k u0 + beta_k u1 + alpha_{k+1} w0 + beta_{k+1} w1 = 0.
+    alpha_{k-1} v0 + alpha_k u0 + beta_k u1 + alpha_{k+1} w0 + beta_{k+1} w1 = 0,
+
+    summed in integers over the common denominators of the coefficients
+    and of the vectors' entries.
     """
     coeffs = (alpha_coeff(k - 1), alpha_coeff(k), beta_coeff(k), alpha_coeff(k + 1), beta_coeff(k + 1))
     vectors = (V0, U0, U1, W0, W1)
-    return all(sum(c * v[i] for c, v in zip(coeffs, vectors)) == 0 for i in range(2))
+    dc = math.lcm(*(c.denominator for c in coeffs))
+    dv = math.lcm(*(x.denominator for v in vectors for x in v))
+    scaled = [c.numerator * (dc // c.denominator) for c in coeffs]
+    return all(
+        sum(c * x.numerator * (dv // x.denominator) for c, x in zip(scaled, column)) == 0
+        for column in zip(*vectors)
+    )
 
 
 def block_row(

@@ -39,6 +39,17 @@ a clause fails, ``projection.ProjectionChecker`` computes Q with
 ``convex_hull`` instead, and both routes give the same ``HullResult`` up
 to the order of the facets.
 
+Why it also proves Q's face lattice.  By (c) each kept facet conv(G) is
+combinatorially its 3-face G, and every proper face of Q lies in a facet,
+so Q's proper faces are exactly the faces of the kept 3-faces: the kept
+facets; the 2-faces keyed as ridges, each in exactly two facets by (b);
+their sides, the edges; and every image, a vertex by (d).  Each face's
+facets are read from the same structure: a kept facet's are its ridge
+keys, a polygon's are its n cycle steps, a square's its four sides and an
+edge's its two ends.  So the lattice is built level by level, each face
+once, in time linear in its size, and ``lattice.face_lattice`` is not
+called.
+
 Everything runs on ``convex_hull``'s integer grid, so the rows returned
 are the ones the double description method returns.  Vertices are
 addressed by their mixed-radix code (``polytope.product_index``), a 2-face
@@ -49,10 +60,12 @@ no candidate builds a set.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import combinations
 from operator import mul
 from typing import Sequence
 
+from .lattice import FaceLattice
 from .linalg import QMatrix
 from .polytope import HPolytope, HullResult, Point, VPolytope, _facet_row, _grid, product_index
 
@@ -61,30 +74,47 @@ class UncertifiedHull(Exception):
     """A clause of the local certificate failed; the message names it."""
 
 
-def local_hull(points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | None) -> HullResult:
-    """The hull of the images of a product of r polygons, read from the
-    product's 3-faces and certified without a global hull computation.
+def local_hull(
+    points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | None
+) -> tuple[HullResult, FaceLattice]:
+    """The hull of the images of a product of r polygons and its face
+    lattice, read from the product's 3-faces and certified without a global
+    hull computation.
 
     ``points[i]`` is the image in R^4 of the product vertex ``labeling[i]``.
     Returns what ``convex_hull(points)`` returns, up to the order of the
-    facets, or raises ``UncertifiedHull`` naming the clause that failed.
+    facets, with what ``face_lattice`` returns for its vertices, up to the
+    order of each face's facets; or raises ``UncertifiedHull`` naming the
+    clause that failed.
     """
-    count = len(points)
     try:
         n, r, vid = product_index(labeling)
     except ValueError as exc:
         raise UncertifiedHull(str(exc)) from None
-    if r < 2 or n < 3 or count != len(vid) or len(points[0]) != 4:
+    if r < 2 or n < 3 or len(points) != len(vid) or len(points[0]) != 4:
         raise UncertifiedHull("the labeling is not a product of r >= 2 polygons in R^4")
+    ups = _steps(n, r, 1)
+    hull, ridges = _certified_hull(points, n, vid, ups)
+    # The certificate's scratch went with its frame; the lattice is read
+    # from what it kept.
+    return hull, _lattice(n, r, ups, vid, hull.facet_points, ridges)
 
-    # The code one step up and down in each factor.
+
+def _steps(n: int, r: int, step: int) -> list[list[int]]:
+    """For each factor k, the code one ``step`` (+1 or -1) along factor k
+    from each code, cyclically."""
     strides = [n**k for k in range(r)]
-    ups: list[list[int]] = []
-    downs: list[list[int]] = []
-    for s in strides:
-        wrap = n * s
-        ups.append([c + s if c // s % n < n - 1 else c + s - wrap for c in range(count)])
-        downs.append([c - s if c // s % n else c - s + wrap for c in range(count)])
+    return [[c + ((c // s + step) % n - c // s % n) * s for c in range(n**r)] for s in strides]
+
+
+def _certified_hull(
+    points: Sequence[Point], n: int, vid: list[int], ups: list[list[int]]
+) -> tuple[HullResult, list[list[int]]]:
+    """The hull that ``local_hull`` returns, with the 2-face keys of each
+    of its facets; ``ups`` holds each code's step up in each factor."""
+    count, r = len(vid), len(ups)
+    strides = [n**k for k in range(r)]
+    downs = _steps(n, r, -1)
 
     # h = count * g - sum(g) on convex_hull's grid, so that the barycenter
     # is the origin.
@@ -287,7 +317,93 @@ def local_hull(points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | No
         facet_points.append(mask)
     hull_v = VPolytope(tuple(points), tuple(map(frozenset, incidence)), 4)
     hull_h = HPolytope(QMatrix(normals), rhs)
-    return HullResult(hull_h, hull_v, tuple(range(count)), tuple(facet_points))
+    return HullResult(hull_h, hull_v, tuple(range(count)), tuple(facet_points)), ridges
+
+
+def _lattice(
+    n: int, r: int, ups: list[list[int]], vid: list[int], facet_points: Sequence[int],
+    ridges: list[list[int]],
+) -> FaceLattice:
+    """Q's face lattice, read from the certified facets and their ridge
+    keys; the module docstring says why these are all of Q's faces.
+
+    Faces are numbered level by level, top down, as ``face_lattice``
+    numbers them: Q, the facets, their 2-faces in order of first listing,
+    the sides of those in the same order, the vertices and the empty face.
+    Edges are keyed like 2-faces: the edge from code c to its step up in
+    factor k by c * r + k.  Flat arrays map each key to its face's id, 0
+    while it is unseen (id 0 is Q), so no dictionary is built but the
+    lattice's own.
+    """
+    count = len(vid)
+    slots = r + r * (r - 1) // 2
+    pairs = list(combinations(range(r), 2))
+    bit = [1 << i for i in vid]
+    ids = {(1 << count) - 1: 0}
+    for mask in facet_points:
+        ids[mask] = len(ids)
+    cover_ids = array("I", range(1, len(ids)))
+    cover_bounds = array("I", [0, len(cover_ids)])
+
+    base = len(ids)
+    two_id = array("I", bytes(4 * count * slots))
+    two_keys = array("I")
+    for keys in ridges:
+        for key in keys:
+            if not two_id[key]:
+                two_id[key] = base + len(two_keys)
+                two_keys.append(key)
+            cover_ids.append(two_id[key])
+        cover_bounds.append(len(cover_ids))
+
+    base += len(two_keys)
+    edge_id = array("I", bytes(4 * count * r))
+    edge_keys = array("I")
+    for key in two_keys:
+        c, slot = divmod(key, slots)
+        if slot < r:
+            stride = n**slot
+            ring = range(c, c + n * stride, stride)
+            sides = [x * r + slot for x in ring]
+            mask = 0
+            for x in ring:
+                mask |= bit[x]
+        else:
+            k, k2 = pairs[slot - r]
+            up, up2 = ups[k], ups[k2]
+            a, b = up[c], up2[c]
+            sides = [c * r + k, c * r + k2, a * r + k2, b * r + k]
+            mask = bit[c] | bit[a] | bit[b] | bit[up2[a]]
+        ids[mask] = len(ids)
+        for side in sides:
+            if not edge_id[side]:
+                edge_id[side] = base + len(edge_keys)
+                edge_keys.append(side)
+            cover_ids.append(edge_id[side])
+        cover_bounds.append(len(cover_ids))
+
+    base += len(edge_keys)
+    for side in edge_keys:
+        c, k = divmod(side, r)
+        d = ups[k][c]
+        ids[bit[c] | bit[d]] = len(ids)
+        cover_ids.append(base + vid[c])
+        cover_ids.append(base + vid[d])
+        cover_bounds.append(len(cover_ids))
+
+    # Each vertex's one facet is the empty face; the empty face has none.
+    for i in range(count):
+        ids[1 << i] = len(ids)
+    ids[0] = len(ids)
+    start = len(cover_ids)
+    cover_ids.extend(array("I", [base + count]) * count)
+    cover_bounds.extend(range(start + 1, start + count + 1))
+    cover_bounds.append(len(cover_ids))
+
+    dims = array("i", [4]) + array("i", [3]) * len(facet_points)
+    dims += array("i", [2]) * len(two_keys) + array("i", [1]) * len(edge_keys)
+    dims += array("i", [0]) * count + array("i", [-1])
+    return FaceLattice(4, ids, dims, cover_ids, cover_bounds)
 
 
 def _ray_target(coords: list[tuple[int, ...]], members: list[list[int]]) -> list[int]:

@@ -135,11 +135,9 @@ def verify_system(system: SystemFile) -> VerifyResult:
     if not result.zero_sum_ok:
         result.failures.append("zero_sum_range")
     result.alpha_beta_ok = all(
-        alpha_coeff(k) >= 0
-        and beta_coeff(k) >= 0
-        and ((alpha_coeff(k) == 0) == (k == 0))
-        and ((beta_coeff(k) == 0) == (k == 0))
+        alpha >= 0 and beta >= 0 and (alpha == 0) == (k == 0) and (beta == 0) == (k == 0)
         for k in ZERO_SUM_RANGE
+        for alpha, beta in [(alpha_coeff(k), beta_coeff(k))]
     )
     if not result.alpha_beta_ok:
         result.failures.append("alpha_beta_nonneg")

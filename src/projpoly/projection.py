@@ -66,13 +66,14 @@ class ProjectionChecker:
     Computes the projected hull, which also reports the vertex
     correspondence and which projected vertices lie on each of its facets,
     and the hull's face lattice.  With the source's product ``labeling``
-    the hull comes from ``local_hull``; without one, or when its
-    certificate fails, from ``convex_hull``.  No rank is computed per
-    face: the caller knows the face's dimension from its kind, and once the
-    image is a face of the projection its dimension is read from that
-    lattice.  The face checks are set arithmetic plus one positive-span
-    certificate, computed once per distinct input and kept for the
-    checker's lifetime.
+    both come from ``local_hull``, which reads the lattice from the facets
+    it certified; without one, or when its certificate fails, the hull
+    comes from ``convex_hull`` and the lattice from ``face_lattice``'s scan
+    of the hull's incidences.  No rank is computed per face: the caller
+    knows the face's dimension from its kind, and once the image is a face
+    of the projection its dimension is read from that lattice.  The face
+    checks are set arithmetic plus one positive-span certificate, computed
+    once per distinct input and kept for the checker's lifetime.
     """
 
     def __init__(
@@ -81,12 +82,14 @@ class ProjectionChecker:
         self.pv = pv
         self.images: list[Point] = project(pv)
         self.drop_coords = range(pv.dim - 4)
+        self.hull: HullResult
+        self.q_lattice: FaceLattice
         try:
-            self.hull: HullResult = local_hull(self.images, labeling)
+            self.hull, self.q_lattice = local_hull(self.images, labeling)
         except UncertifiedHull:
             self.hull = convex_hull(self.images)
+            self.q_lattice = face_lattice(self.hull.v)
         self.qv: VPolytope = self.hull.v
-        self.q_lattice: FaceLattice = face_lattice(self.qv)
         # P-vertex index -> Q-vertex index (None when the image is not
         # a vertex of Q).
         self.vertex_map = self.hull.point_vertex

@@ -469,3 +469,54 @@ def test_sweep_rejects_jobs_below_one(capsys, jobs):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and "--jobs" in stderr
+
+
+class _GeometryReached(Exception):
+    pass
+
+
+def _ungated_system(tmp_path, n, r):
+    """A system file for (n, r) at the search's starting parameters,
+    written without running the gates or any geometry."""
+    eps, big_m = construction.start_parameters(n)
+    h = construction.build_deformed_product(n, r, eps, big_m)
+    path = tmp_path / f"p{n}{r}.json"
+    io.save_system(path, io.SystemFile(h, n=n, r=r, eps=eps, big_m=big_m, validated=True))
+    return path
+
+
+def _no_geometry(monkeypatch):
+    def reached(h):
+        raise _GeometryReached
+
+    monkeypatch.setattr(io, "h_to_v", reached)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("n,r,budget", [(4, 2, "15"), (6, 5, None), (4, 7, None)])
+def test_a_system_over_the_geometric_budget_exits_before_any_geometry(
+    tmp_path, capsys, monkeypatch, command, n, r, budget
+):
+    path = _ungated_system(tmp_path, n, r)
+    _no_geometry(monkeypatch)
+    extra = ["--geometric-budget", budget] if budget else []
+    code, stdout, stderr = run(capsys, command, str(path), *extra)
+    assert code == 2
+    limit = budget or pipeline.GEOMETRIC_BUDGET
+    assert stderr == (
+        f"error: {path}: n={n}, r={r}: n^r is over the geometric budget {limit}; "
+        f"raise --geometric-budget to {command} it\n"
+    )
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("n,r,budget", [(4, 2, "16"), (4, 6, None), (8, 4, None), (6, 5, "7776")])
+def test_a_system_within_the_geometric_budget_reaches_the_geometry(
+    tmp_path, capsys, monkeypatch, command, n, r, budget
+):
+    path = _ungated_system(tmp_path, n, r)
+    _no_geometry(monkeypatch)
+    extra = ["--geometric-budget", budget] if budget else []
+    with pytest.raises(_GeometryReached):
+        main([command, str(path), *extra])

@@ -1,10 +1,11 @@
 """The projected hull read from the product's 3-faces, against the DD hull.
 
 ``local_hull`` must return what ``convex_hull`` returns, up to the order of
-the facets, on every system it certifies, and every clause of its
+the facets, and the face lattice ``face_lattice`` scans from that hull's
+incidences, on every system it certifies.  Every clause of its
 certificate must be able to refuse: each mutated input below breaks one
 clause, with the clauses before it holding, and the checker then falls
-back to the DD and returns its hull.
+back to the DD, returns its hull and scans its lattice.
 """
 
 import re
@@ -14,7 +15,8 @@ from functools import cache
 import pytest
 
 from conftest import GRID, run_case
-from projpoly import localhull, polytope, projection
+from projpoly import lattice, localhull, polytope, projection
+from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system
 from projpoly.polytope import HPolytope, VPolytope, convex_hull
@@ -31,6 +33,9 @@ ITEM2 = {
     "6x3-1/16-2^16": (6, 3, QQ(1, 16), QQ(2**16)),
 }
 REFUSED = {"6x3-1/16-2^16": "(b)"}
+NAMES = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2)
+# What the checker runs when the certificate refuses.
+FALLBACK = ["convex_hull", "face_lattice"]
 
 
 @cache
@@ -40,6 +45,11 @@ def _system(name):
         return construct_system(n, r, eps=eps, big_m=big_m)
     n, r = map(int, name.split("x"))
     return run_case(n, r).system if (n, r) in GRID else construct_system(n, r)
+
+
+@cache
+def _dd_hull(name):
+    return convex_hull(project(_system(name).vertices))
 
 
 def assert_same_hull(got, want):
@@ -53,17 +63,54 @@ def assert_same_hull(got, want):
     assert [frozenset(relabel[j] for j in inc) for inc in got.v.incidence] == list(want.v.incidence)
 
 
-@pytest.mark.parametrize("name", [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2))
-def test_local_hull_equals_the_dd_hull(name):
+def assert_same_lattice(got, want):
+    """Equal face lattices: the same faces with the same dimensions, and
+    each face with the same facets."""
+    assert got.dim == want.dim
+    assert got.faces == want.faces
+    for mask, _ in want.faces:
+        assert sorted(got.covers(mask)) == sorted(want.covers(mask))
+
+
+def _count_dd_calls(monkeypatch):
+    """The names of the DD hull and lattice scan calls the checker makes,
+    in order."""
+    calls = []
+    hull, scan = polytope.convex_hull, lattice.face_lattice
+
+    def counting_hull(points):
+        calls.append("convex_hull")
+        return hull(points)
+
+    def counting_scan(v):
+        calls.append("face_lattice")
+        return scan(v)
+
+    monkeypatch.setattr(projection, "convex_hull", counting_hull)
+    monkeypatch.setattr(projection, "face_lattice", counting_scan)
+    return calls
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_local_hull_equals_the_dd_hull(monkeypatch, name):
     system = _system(name)
     images = project(system.vertices)
-    want = convex_hull(images)
+    want = _dd_hull(name)
     if name in REFUSED:
         with pytest.raises(UncertifiedHull, match=f"^{re.escape(REFUSED[name])} "):
             local_hull(images, system.labeling)
     else:
-        assert_same_hull(local_hull(images, system.labeling), want)
+        assert_same_hull(local_hull(images, system.labeling)[0], want)
+    calls = _count_dd_calls(monkeypatch)
     assert_same_hull(ProjectionChecker(system.h, system.vertices, system.labeling).hull, want)
+    assert calls == (FALLBACK if name in REFUSED else [])
+
+
+@pytest.mark.parametrize("name", [name for name in NAMES if name not in REFUSED])
+def test_the_certified_lattice_equals_the_scanned_lattice(name):
+    system = _system(name)
+    _, got = local_hull(project(system.vertices), system.labeling)
+    assert_same_lattice(got, face_lattice(_dd_hull(name).v))
 
 
 # --- one mutated input per clause -----------------------------------------
@@ -123,22 +170,13 @@ def _checker(points, labeling):
     return ProjectionChecker(HPolytope(QMatrix(()), ()), pv, labeling)
 
 
-def _count_dd_calls(monkeypatch):
-    calls = []
-    dd = polytope.convex_hull
-
-    def counting(points):
-        calls.append(1)
-        return dd(points)
-
-    monkeypatch.setattr(projection, "convex_hull", counting)
-    return calls
-
-
 def test_the_unmutated_products_are_certified(monkeypatch):
     calls = _count_dd_calls(monkeypatch)
     for points, labeling in (_product(SQUARE, KITE), _product(PENTAGON, PENTAGON)):
-        assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+        checker = _checker(points, labeling)
+        want = convex_hull(points)
+        assert_same_hull(checker.hull, want)
+        assert_same_lattice(checker.q_lattice, face_lattice(want.v))
     assert calls == []
 
 
@@ -149,7 +187,7 @@ def test_each_clause_refuses_its_mutated_input(monkeypatch, clause):
         local_hull(points, labeling)
     calls = _count_dd_calls(monkeypatch)
     assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
-    assert calls == [1]
+    assert calls == FALLBACK
 
 
 @pytest.mark.parametrize("target", ["ridge", "edge", "vertex"])
@@ -169,7 +207,7 @@ def test_a_ray_through_a_ridge_or_vertex_refuses(monkeypatch, target):
         local_hull(points, labeling)
     calls = _count_dd_calls(monkeypatch)
     assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
-    assert calls == [1]
+    assert calls == FALLBACK
 
 
 @pytest.mark.parametrize("labeling", [
@@ -181,4 +219,4 @@ def test_without_a_product_labeling_the_checker_uses_the_dd(monkeypatch, labelin
     points, _ = _product(SQUARE, KITE)
     calls = _count_dd_calls(monkeypatch)
     assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
-    assert calls == [1]
+    assert calls == FALLBACK

@@ -3,18 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from projpoly import io, pipeline, polytope, projection
+from projpoly import construction, io, lattice, pipeline, polytope, projection
 from projpoly.metrics import metrics_report
 from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 
 def _count_hull_builds(monkeypatch):
-    calls = {"convex_hull": 0, "ProjectionChecker": 0}
-    hull, init = polytope.convex_hull, projection.ProjectionChecker.__init__
+    calls = {"convex_hull": 0, "face_lattice": 0, "ProjectionChecker": 0}
+    hull, scan = polytope.convex_hull, lattice.face_lattice
+    init = projection.ProjectionChecker.__init__
 
     def counting_hull(*args, **kwargs):
         calls["convex_hull"] += 1
         return hull(*args, **kwargs)
+
+    def counting_scan(*args, **kwargs):
+        calls["face_lattice"] += 1
+        return scan(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         calls["ProjectionChecker"] += 1
@@ -22,17 +27,20 @@ def _count_hull_builds(monkeypatch):
 
     monkeypatch.setattr(polytope, "convex_hull", counting_hull)
     monkeypatch.setattr(projection, "convex_hull", counting_hull)
+    monkeypatch.setattr(lattice, "face_lattice", counting_scan)
+    monkeypatch.setattr(projection, "face_lattice", counting_scan)
     monkeypatch.setattr(projection.ProjectionChecker, "__init__", counting_init)
     return calls
 
 
 def test_construct_verify_analyze_build_the_projected_hull_once(monkeypatch):
-    # The local certificate holds, so the double description never runs.
+    # The local certificate holds, so neither the double description nor
+    # the lattice scan runs.
     calls = _count_hull_builds(monkeypatch)
     system = construct_system(4, 3)
     assert verify_system(system).ok
     assert analyze_system(system).ok
-    assert calls == {"convex_hull": 0, "ProjectionChecker": 1}
+    assert calls == {"convex_hull": 0, "face_lattice": 0, "ProjectionChecker": 1}
 
 
 def test_a_system_the_local_certificate_refuses_runs_the_dd_hull_once(monkeypatch):
@@ -41,7 +49,7 @@ def test_a_system_the_local_certificate_refuses_runs_the_dd_hull_once(monkeypatc
     system = construct_system(6, 3, eps=Fraction(1, 16), big_m=Fraction(2**16))
     assert not verify_system(system).ok
     assert not analyze_system(system).ok
-    assert calls == {"convex_hull": 1, "ProjectionChecker": 1}
+    assert calls == {"convex_hull": 1, "face_lattice": 1, "ProjectionChecker": 1}
 
 
 def test_geometry_context_leaves_equality_and_hash_alone():
@@ -147,3 +155,16 @@ def test_analyze_fails_each_false_consistency_check(monkeypatch):
     result = analyze_system(system)
     assert result.failures == ["consistency: g2 >= 0", "consistency: cone"]
     assert result.as_dict()["consistency"]["cone"] is False
+
+
+def test_verify_reports_each_broken_identity(monkeypatch):
+    # Both identities are evaluated on every call: a broken generator
+    # vector or coefficient shows on a system that verified before.
+    system = construct_system(4, 2)
+    assert verify_system(system).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "V0", (Fraction(1), Fraction(1)))
+        assert verify_system(system).failures == ["zero_sum_range"]
+    alpha = construction.alpha_coeff
+    monkeypatch.setattr(pipeline, "alpha_coeff", lambda k: alpha(k) - Fraction(1, 2))
+    assert verify_system(system).failures == ["alpha_beta_nonneg"]
