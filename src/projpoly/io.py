@@ -53,7 +53,7 @@ class SystemFile:
     def require_nr(self) -> tuple[int, int]:
         """(n, r) as the row labels describe them; stored metadata and the
         dimension must agree."""
-        if self.h.labels is None:
+        if not self.h.labels:
             raise ValueError("system has no row labels")
         blocks: dict[int, int] = {}
         for k, _ in self.h.labels:

@@ -84,11 +84,11 @@ def _facets_of_polytope(v: VPolytope) -> list[tuple[int, list[int]]]:
     candidate left the empty face is the one facet, as in the level scan.
     """
     full = (1 << v.nvertices) - 1
-    max_row = max((max(t) for t in v.incidence if t), default=-1)
-    row_masks = [0] * (max_row + 1)
+    # The largest mask has the highest tight row as its top bit.
+    row_masks = [0] * max(v.incidence, default=0).bit_length()
     for vert_idx, tight in enumerate(v.incidence):
         bit = 1 << vert_idx
-        for row in tight:
+        for row in _bits(tight):
             row_masks[row] |= bit
     set_ids: dict[int, int] = {}
     for s in row_masks:

@@ -306,16 +306,16 @@ def _certified_hull(
     # candidate's vertices, and every image is a vertex of Q.
     denom = count * scale
     normals, rhs = zip(*(_facet_row(a, b, denom, total) for a, b in zip(planes, offsets)))
-    incidence: list[list[int]] = [[] for _ in range(count)]
+    incidence = [0] * count
     facet_points: list[int] = []
     for j, verts in enumerate(members):
         mask = 0
         for c in verts:
             i = vid[c]
-            incidence[i].append(j)
+            incidence[i] |= 1 << j
             mask |= 1 << i
         facet_points.append(mask)
-    hull_v = VPolytope(tuple(points), tuple(map(frozenset, incidence)), 4)
+    hull_v = VPolytope(tuple(points), tuple(incidence), 4)
     hull_h = HPolytope(QMatrix(normals), rhs)
     return HullResult(hull_h, hull_v, tuple(range(count)), tuple(facet_points)), ridges
 

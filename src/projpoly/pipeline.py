@@ -11,8 +11,7 @@ metrics.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .construction import (
@@ -96,7 +95,7 @@ class VerifyResult:
                 "polygons_certified": f"{self.polygons_certified}/{self.polygons_total}",
                 "certificate_implies_direct": self.implication_ok,
             },
-            "polygon_reports": [rep.as_dict() for rep in sorted(
+            "polygon_reports": [asdict(rep) for rep in sorted(
                 self.polygon_reports, key=lambda rep: rep.face_id
             )],
         }
@@ -338,5 +337,9 @@ def sweep(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_sweep_task(t) for t in tasks]
+    # Imported here: loading the process pool pulls in multiprocessing,
+    # which no other command needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_task, tasks))

@@ -102,10 +102,11 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Vertex list with per-vertex sets of tight row indices of the source system."""
+    """Vertex list with, per vertex, the bitmask of its tight rows of the
+    source system: bit j is set iff row j is tight."""
 
     vertices: tuple[Point, ...]
-    incidence: tuple[frozenset[int], ...]
+    incidence: tuple[int, ...]
     dim: int
 
     def __post_init__(self) -> None:
@@ -314,7 +315,7 @@ def h_to_v(p: HPolytope) -> VPolytope:
     rays, tights = dd
 
     vertices: list[Point] = []
-    incidence: list[frozenset[int]] = []
+    incidence: list[int] = []
     saw_recession = False
     for ray, tight in zip(rays, tights):
         t = ray[d]
@@ -322,7 +323,7 @@ def h_to_v(p: HPolytope) -> VPolytope:
             saw_recession = True
             continue
         vertices.append(tuple(QQ(ray[i], t) for i in range(d)))
-        incidence.append(frozenset(i for i in _bits(tight) if i < m))
+        incidence.append(tight & ((1 << m) - 1))
     if not vertices:
         raise EmptyPolytopeError("empty")
     if saw_recession:
@@ -427,14 +428,14 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     hull_h = HPolytope(QMatrix(normals), rhs)
 
     every_point = (1 << count) - 1
-    point_tight: list[list[int]] = [[] for _ in grid]
+    point_tight = [0] * count
     facet_points: list[int] = []
     facet_unique: list[int] = []
     for facet_idx, tight in enumerate(tights):
         unique_mask = tight & every_point
         mask = 0
         for point_idx in _bits(unique_mask):
-            point_tight[point_idx].append(facet_idx)
+            point_tight[point_idx] |= 1 << facet_idx
             mask |= copies[point_idx]
         facet_points.append(mask)
         facet_unique.append(unique_mask)
@@ -443,16 +444,16 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     # containing it.  That face is the convex hull of the input points on
     # it, so the point is a vertex iff it is the only distinct point there.
     vertices: list[Point] = []
-    incidence: list[frozenset[int]] = []
+    incidence: list[int] = []
     unique_vertex: list[int | None] = []
     for i, tight in enumerate(point_tight):
         face = -1
-        for j in tight:
+        for j in _bits(tight):
             face &= facet_unique[j]
         if face == 1 << i:
             unique_vertex.append(len(vertices))
             vertices.append(tuple(pts[first[i]]))
-            incidence.append(frozenset(tight))
+            incidence.append(tight)
         else:
             unique_vertex.append(None)
     hull_v = VPolytope(tuple(vertices), tuple(incidence), d)
@@ -488,7 +489,7 @@ def product_labeling(
     blocks = [k for k in range(1, r + 1) for _ in (0, 1)]
     tuples: list[tuple[int, ...]] = []
     for tight in v.incidence:
-        pairs = sorted(labels[row] for row in tight)
+        pairs = sorted(labels[row] for row in _bits(tight))
         if [k for k, _ in pairs] != blocks:
             return None
         t = []

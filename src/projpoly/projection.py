@@ -17,14 +17,15 @@ docstring gives the method and its proof, or else from ``convex_hull``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .lattice import FaceLattice, face_lattice, mask_of
 from .linalg import positively_spans
 from .localhull import UncertifiedHull, local_hull
-from .polytope import HPolytope, HullResult, Point, VPolytope, convex_hull, product_index
+from .polytope import HPolytope, HullResult, Point, VPolytope, _bits, convex_hull, product_index
 
 
 def project(v: VPolytope) -> list[Point]:
@@ -43,21 +44,17 @@ class PreservationReport:
     certificate_ok: bool
     details: str
 
-    def as_dict(self) -> dict:
-        return {
-            "face_id": self.face_id,
-            "factor": self.factor,
-            "direct_ok": self.direct_ok,
-            "certificate_ok": self.certificate_ok,
-            "details": self.details,
-        }
-
 
 def _intern(values: Sequence[Point]) -> list[int]:
     """An integer id per value, in order of first appearance; equal values
     get equal ids."""
     ids: dict[Point, int] = {}
     return [ids.setdefault(value, len(ids)) for value in values]
+
+
+def _common_rows(incidence: Sequence[int], vertices: Sequence[int]) -> int:
+    """The rows tight at every listed vertex, as a bitmask; 0 for none."""
+    return reduce(and_, map(incidence.__getitem__, vertices)) if vertices else 0
 
 
 class ProjectionChecker:
@@ -96,15 +93,15 @@ class ProjectionChecker:
         self.all_p_mask = (1 << pv.nvertices) - 1
         # Each facet row's deleted normal coordinates and each vertex image
         # as an integer id, equal ids for equal vectors, so that the per-face
-        # work hashes no Fraction.
+        # work hashes no Fraction.  A row's id is kept as the bit 1 << id.
         self._drop_vectors: list[Point] = [
             tuple(row[c] for c in self.drop_coords) for row in ph.A.entries
         ]
-        self._drop_ids = _intern(self._drop_vectors)
+        self._drop_bits = [1 << i for i in _intern(self._drop_vectors)]
         self._image_ids = _intern(self.images)
         # Certificate verdict per distinct set of deleted normal coordinates,
-        # keyed by their ids.
-        self._spans: dict[frozenset[int], bool] = {}
+        # keyed by the bitmask of their ids.
+        self._spans: dict[int, bool] = {}
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
@@ -148,12 +145,8 @@ class ProjectionChecker:
         # (iii) the preimage of the image is the face itself.
         preimage_ok = False
         if is_face:
-            tight_rows: frozenset[int] | None = None
-            for q in qbits:
-                inc = self.qv.incidence[q]
-                tight_rows = inc if tight_rows is None else tight_rows & inc
             preimage = self.all_p_mask
-            for row in sorted(tight_rows or ()):
+            for row in _bits(_common_rows(self.qv.incidence, qbits)):
                 preimage &= self.hull.facet_points[row]
             preimage_ok = preimage == face_mask
             if not preimage_ok:
@@ -168,17 +161,15 @@ class ProjectionChecker:
 
         # Sufficient certificate: deleted coordinates of the normals of all
         # facets containing the face must positively span.
-        common: frozenset[int] | None = None
-        for i in face:
-            inc = self.pv.incidence[i]
-            common = inc if common is None else common & inc
-        rows = common or frozenset()
+        rows = _common_rows(self.pv.incidence, face)
         # Positive spanning depends only on the set of vectors, so each
         # distinct set runs one LP per checker.
-        key = frozenset(map(self._drop_ids.__getitem__, rows))
+        key = 0
+        for j in _bits(rows):
+            key |= self._drop_bits[j]
         certificate_ok = self._spans.get(key)
         if certificate_ok is None:
-            vectors = [self._drop_vectors[j] for j in sorted(rows)]
+            vectors = [self._drop_vectors[j] for j in _bits(rows)]
             cert = positively_spans(vectors, len(self.drop_coords))
             certificate_ok = self._spans[key] = cert.kind == "spanning"
         if not certificate_ok:

@@ -326,20 +326,21 @@ def convex_hull_oracle(points):
     polar = h_to_v(HPolytope(QMatrix(shifted), (QQ(1),) * len(shifted)))
     rhs = tuple(1 + sum(a * c for a, c in zip(normal, center)) for normal in polar.vertices)
     index = {p: i for i, p in enumerate(unique)}
-    point_facets = [{j for j, tight in enumerate(polar.incidence) if i in tight} for i in range(len(unique))]
+    polar_sets = [set(_bits(tight)) for tight in polar.incidence]
+    point_facets = [{j for j, tight in enumerate(polar_sets) if i in tight} for i in range(len(unique))]
     facet_points = tuple(
-        sum(1 << k for k, p in enumerate(pts) if index[p] in tight) for tight in polar.incidence
+        sum(1 << k for k, p in enumerate(pts) if index[p] in tight) for tight in polar_sets
     )
     vertices, incidence, unique_vertex = [], [], []
     for i, p in enumerate(unique):
         # p is a vertex iff it is the only distinct point on every facet through it
         face = set(range(len(unique)))
         for j in point_facets[i]:
-            face &= polar.incidence[j]
+            face &= polar_sets[j]
         if face == {i}:
             unique_vertex.append(len(vertices))
             vertices.append(p)
-            incidence.append(frozenset(point_facets[i]))
+            incidence.append(sum(1 << j for j in point_facets[i]))
         else:
             unique_vertex.append(None)
     return HullResult(
@@ -433,9 +434,10 @@ def face_lattice_oracle(v):
     facet set with every other, and no cover relation is kept."""
     n = v.nvertices
     d = v.dim
-    max_row = max((max(t) for t in v.incidence if t), default=-1)
+    incidence = [_bits(t) for t in v.incidence]
+    max_row = max((max(t) for t in incidence if t), default=-1)
     row_masks = [0] * (max_row + 1)
-    for vert_idx, tight in enumerate(v.incidence):
+    for vert_idx, tight in enumerate(incidence):
         bit = 1 << vert_idx
         for row in tight:
             row_masks[row] |= bit

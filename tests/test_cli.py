@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -315,22 +316,26 @@ def test_parse_range_accepts_the_limit():
 
 
 MALFORMED = [
-    ("rows_not_a_list", lambda d: {**d, "rows": 5}),
-    ("n_not_an_int", lambda d: {**d, "n": "4"}),
-    ("top_level_list", lambda d: [d]),
-    ("unknown_schema", lambda d: {**d, "schema": 99}),
-    ("n_contradicts_labels", lambda d: {**d, "n": 6}),
+    ("rows_not_a_list", lambda d: {**d, "rows": 5}, "malformed system file"),
+    ("n_not_an_int", lambda d: {**d, "n": "4"}, "'n' must be int"),
+    ("top_level_list", lambda d: [d], "must hold a JSON object"),
+    ("unknown_schema", lambda d: {**d, "schema": 99}, "unsupported schema 99"),
+    ("n_contradicts_labels", lambda d: {**d, "n": 6}, "contradicts the row labels"),
+    ("empty_system", lambda d: {**d, "rows": [], "rhs": [], "labels": [], "dim": 0},
+     "system has no row labels"),
 ]
 
 
-@pytest.mark.parametrize("corrupt", [c for _, c in MALFORMED], ids=[name for name, _ in MALFORMED])
-def test_verify_rejects_malformed_system(tmp_path, capsys, corrupt):
+@pytest.mark.parametrize("corrupt,message", [(c, m) for _, c, m in MALFORMED],
+                         ids=[name for name, _, _ in MALFORMED])
+def test_verify_rejects_malformed_system(tmp_path, capsys, corrupt, message):
     out = tmp_path / "p42.json"
     run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out))
     out.write_text(json.dumps(corrupt(json.loads(out.read_text()))))
     code, stdout, stderr = run(capsys, "verify", str(out))
     assert code == 2
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert message in stderr
     assert "VERIFY" not in stdout
 
 
@@ -401,7 +406,7 @@ def test_sweep_clamps_jobs(monkeypatch, capsys, cpus, workers):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     code, stdout, _ = run(capsys, "sweep", "--n", "4,6", "--r", "2,3",
                           "--geometric-budget", "0", "--jobs", "1000000")

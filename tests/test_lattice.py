@@ -171,7 +171,7 @@ def test_lower_dimensional_vertex_set_rejected():
     # the unit square's vertices and edge incidences, declared in dimension 3
     square = VPolytope(
         tuple((QQ(x), QQ(y), QQ(0)) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))),
-        (frozenset({0, 3}), frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+        (0b1001, 0b0011, 0b0110, 0b1100),
         dim=3,
     )
     with pytest.raises(LatticeError, match="not full-dimensional"):
@@ -237,7 +237,7 @@ def _square_vertices(extra_rows=(), dim=2):
     coords = ((0, 0), (1, 0), (1, 1), (0, 1))
     return VPolytope(
         tuple(tuple(QQ(x) for x in xy) + (QQ(0),) * (dim - 2) for xy in coords),
-        tuple(frozenset(t) for t in incidence),
+        tuple(sum(1 << row for row in t) for t in incidence),
         dim=dim,
     )
 
@@ -246,15 +246,15 @@ def _cube_with_rows(extra_rows):
     """The 3-cube's vertices with ``extra_rows`` (row index, tight
     vertices) added to its six facet rows."""
     cube = _cube3_vertices()
-    incidence = [set(t) for t in cube.incidence]
+    incidence = list(cube.incidence)
     for row, verts in extra_rows:
         for u in verts:
-            incidence[u].add(row)
-    return VPolytope(cube.vertices, tuple(frozenset(t) for t in incidence), cube.dim)
+            incidence[u] |= 1 << row
+    return VPolytope(cube.vertices, tuple(incidence), cube.dim)
 
 
 def _facet_vertices(cube, row):
-    return [u for u, tight in enumerate(cube.incidence) if row in tight]
+    return [u for u, tight in enumerate(cube.incidence) if tight >> row & 1]
 
 
 def _edge_cases():
@@ -263,7 +263,7 @@ def _edge_cases():
     facet0 = _facet_vertices(cube, 0)
     facet3 = _facet_vertices(cube, 3)
     edge = sorted(set(facet0) & set(_facet_vertices(cube, 2)))
-    segment = VPolytope(((QQ(0),), (QQ(1),)), (frozenset({0}), frozenset({1})), dim=1)
+    segment = VPolytope(((QQ(0),), (QQ(1),)), (0b01, 0b10), dim=1)
     return {
         # rows 6 and 7 repeat rows 0 and 3
         "duplicate-rows": (_cube_with_rows([(6, facet0), (7, facet3)]), (8, 12, 6)),

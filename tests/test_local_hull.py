@@ -19,7 +19,7 @@ from projpoly import lattice, localhull, polytope, projection
 from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system
-from projpoly.polytope import HPolytope, VPolytope, convex_hull
+from projpoly.polytope import HPolytope, VPolytope, _bits, convex_hull
 from projpoly.localhull import UncertifiedHull, local_hull
 from projpoly.projection import ProjectionChecker, project
 
@@ -60,7 +60,7 @@ def assert_same_hull(got, want):
     relabel = [rows[row, b] for row, b in zip(got.h.A.entries, got.h.b)]
     assert sorted(relabel) == list(range(want.h.nrows))
     assert [want.facet_points[j] for j in relabel] == list(got.facet_points)
-    assert [frozenset(relabel[j] for j in inc) for inc in got.v.incidence] == list(want.v.incidence)
+    assert [sum(1 << relabel[j] for j in _bits(inc)) for inc in got.v.incidence] == list(want.v.incidence)
 
 
 def assert_same_lattice(got, want):
@@ -166,7 +166,7 @@ MUTATED = {
 
 
 def _checker(points, labeling):
-    pv = VPolytope(tuple(points), tuple(frozenset() for _ in points), 4)
+    pv = VPolytope(tuple(points), (0,) * len(points), 4)
     return ProjectionChecker(HPolytope(QMatrix(()), ()), pv, labeling)
 
 

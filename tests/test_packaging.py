@@ -61,6 +61,19 @@ def test_every_module_imports_first_without_a_cycle():
     assert done.stdout.strip() == ""
 
 
+def test_loading_the_cli_leaves_the_process_pool_unloaded():
+    # Only a parallel sweep needs the pool; every other command should not
+    # pay for loading multiprocessing.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import projpoly.cli; "
+         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))",
+         str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 

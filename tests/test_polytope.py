@@ -30,6 +30,7 @@ from projpoly.polytope import (
     EmptyPolytopeError,
     HPolytope,
     UnboundedPolytopeError,
+    _bits,
     _cone_rows,
     _dd_extreme_rays,
     convex_hull,
@@ -54,7 +55,7 @@ def test_square_vertices():
     assert set(v.vertices) == {
         (QQ(1), QQ(1)), (QQ(1), QQ(-1)), (QQ(-1), QQ(1)), (QQ(-1), QQ(-1))
     }
-    assert all(len(t) == 2 for t in v.incidence)
+    assert all(t.bit_count() == 2 for t in v.incidence)
 
 
 def test_perturbed_polygon_matches_pairwise_intersection_oracle():
@@ -64,7 +65,7 @@ def test_perturbed_polygon_matches_pairwise_intersection_oracle():
     expected = brute_force_vertices([list(r) for r in block.entries], list(h.b))
     assert set(v.vertices) == expected
     assert v.nvertices == 4
-    assert all(len(t) == 2 for t in v.incidence)
+    assert all(t.bit_count() == 2 for t in v.incidence)
 
 
 def test_deformed_product_matches_subset_oracle(grid_case):
@@ -75,13 +76,17 @@ def test_deformed_product_matches_subset_oracle(grid_case):
     assert set(v.vertices) == expected
 
 
-def test_vertex_incidence_is_exact():
-    v = h_to_v(SQUARE)
-    for vertex, tight in zip(v.vertices, v.incidence):
-        for i, (row, b) in enumerate(zip(SQUARE.A.entries, SQUARE.b)):
-            lhs = sum(a * x for a, x in zip(row, vertex))
-            assert (lhs == b) == (i in tight)
-            assert lhs <= b
+def test_vertex_incidence_is_exact(grid_case):
+    # bit i of a vertex's mask is set iff row i is tight there, and no
+    # bit past the last row is set
+    for h in (SQUARE, grid_case(4, 3).system.h):
+        v = h_to_v(h)
+        for vertex, tight in zip(v.vertices, v.incidence):
+            assert tight >> h.nrows == 0
+            for i, (row, b) in enumerate(zip(h.A.entries, h.b)):
+                lhs = sum(a * x for a, x in zip(row, vertex))
+                assert (lhs == b) == bool(tight >> i & 1)
+                assert lhs <= b
 
 
 def test_unbounded_raises():
@@ -138,11 +143,20 @@ def test_v_to_h_ignores_interior_and_duplicate_points():
     assert sum(mask & 1 for mask in hull.facet_points) == 2
 
 
-@pytest.mark.parametrize("n,r", [(4, 3), (6, 3)])
-def test_hull_incidences_match_exact_dot_products(grid_case, n, r):
+@pytest.mark.parametrize("n,r,eps_m", [
+    pytest.param(4, 3, None, id="4-3"),
+    pytest.param(6, 3, None, id="6-3"),
+    # local_hull refuses this system, so its hull comes from the DD
+    pytest.param(6, 3, (QQ(1, 16), QQ(2**16)), id="6-3-dd-fallback"),
+])
+def test_hull_incidences_match_exact_dot_products(grid_case, n, r, eps_m):
     # the projected hull's facet_points and point_vertex, against the
-    # facet inequalities evaluated on every input point
-    checker = grid_case(n, r).system.checker
+    # facet inequalities evaluated on every input point; the vertex
+    # incidences, against the transpose of facet_points
+    if eps_m is None:
+        checker = grid_case(n, r).system.checker
+    else:
+        checker = construct_system(n, r, eps=eps_m[0], big_m=eps_m[1]).checker
     points, hull = checker.images, checker.hull
     assert len(hull.point_vertex) == len(points)
     for row, b, mask in zip(hull.h.A.entries, hull.h.b, hull.facet_points):
@@ -154,6 +168,9 @@ def test_hull_incidences_match_exact_dot_products(grid_case, n, r):
         assert mask == tight
     for p, q in zip(points, hull.point_vertex):
         assert q is not None and hull.v.vertices[q] == p
+    for q, tight in enumerate(hull.v.incidence):
+        images = sum(1 << i for i, v in enumerate(hull.point_vertex) if v == q)
+        assert tight == sum(1 << j for j, mask in enumerate(hull.facet_points) if mask & images)
 
 
 def test_v_to_h_degenerate_input():
@@ -207,7 +224,7 @@ def test_dd_results_do_not_depend_on_input_order(grid_case, n, r):
     w = h_to_v(shuffled)
     # row j of the shuffled system is row perm[j] of the original
     assert {x: inc for x, inc in zip(v.vertices, v.incidence)} == {
-        x: frozenset(perm[j] for j in inc) for x, inc in zip(w.vertices, w.incidence)
+        x: sum(1 << perm[j] for j in _bits(inc)) for x, inc in zip(w.vertices, w.incidence)
     }
 
     points = list(v.vertices)
@@ -231,7 +248,7 @@ def test_hull_vertices_have_full_rank_incidence(grid_case):
     hull = convex_hull(v.vertices)
     assert hull.v.nvertices == 36
     for vertex, tight in zip(hull.v.vertices, hull.v.incidence):
-        normals = [hull.h.A.row(j) for j in sorted(tight)]
+        normals = [hull.h.A.row(j) for j in _bits(tight)]
         assert affine_rank_oracle([tuple(x) for x in normals] + [(QQ(0),) * 4]) >= 4
 
 
@@ -287,7 +304,7 @@ def test_non_simple_polytope_is_not_a_product():
 def test_h_to_v_segment():
     v = h_to_v(HPolytope(qmatrix([[1], [-1]]), (QQ(1), QQ(0))))
     assert v.vertices == ((QQ(1),), (QQ(0),))
-    assert v.incidence == (frozenset({0}), frozenset({1}))
+    assert v.incidence == (0b01, 0b10)
 
 
 def test_convex_hull_of_collinear_points():
@@ -451,7 +468,7 @@ def test_zero_rows_tight_everywhere_are_not_implicit_equalities():
     h = HPolytope(qmatrix(CUBE3 + [[0, 0, 0]]), (QQ(1),) * 6 + (QQ(0),))
     v = h_to_v(h)
     assert v.nvertices == 8
-    assert all(6 in tight for tight in v.incidence)
+    assert all(tight >> 6 & 1 for tight in v.incidence)
 
 
 # --- scaling guard: elimination calls do not grow with the row count --------

@@ -1,5 +1,7 @@
 from collections import Counter
 from fractions import Fraction as QQ
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -29,7 +31,7 @@ from projpoly.construction import (
 )
 from projpoly.lattice import mask_of
 from projpoly.pipeline import construct_system, verify_system
-from projpoly.polytope import HPolytope, h_to_v, product_labeling
+from projpoly.polytope import HPolytope, _bits, h_to_v, product_labeling
 from projpoly.projection import ProjectionChecker, product_faces, project
 
 
@@ -314,11 +316,8 @@ def test_stability_certificates_on_perturbed_normals(grid_case):
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
     a = case.system.h.A
     for face in product_faces(labeling, 2)[:16]:
-        common = None
-        for i in face.vertices:
-            inc = v.incidence[i]
-            common = inc if common is None else common & inc
-        truncated = [tuple(a.row(j)[:2]) for j in sorted(common)]
+        common = reduce(and_, (v.incidence[i] for i in face.vertices))
+        truncated = [tuple(a.row(j)[:2]) for j in _bits(common)]
         assert positively_spans(truncated, 2).kind == "spanning"
 
 
@@ -336,9 +335,9 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
     distinct = set()
     for dim, face in faces:
-        common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
+        common = reduce(and_, (system.vertices.incidence[i] for i in face.vertices))
         vectors = [
-            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in sorted(common)
+            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in _bits(common)
         ]
         distinct.add(frozenset(vectors))
         direct = linalg.positively_spans(vectors, len(checker.drop_coords)).kind == "spanning"
@@ -354,9 +353,9 @@ def _distinct_certificate_inputs(system):
     faces = [face for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
     inputs = {}
     for face in faces:
-        common = frozenset.intersection(*(system.vertices.incidence[i] for i in face.vertices))
+        common = reduce(and_, (system.vertices.incidence[i] for i in face.vertices))
         vectors = [
-            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in sorted(common)
+            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in _bits(common)
         ]
         inputs.setdefault(frozenset(vectors), vectors)
     return list(inputs.values())
