@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .linalg import QMatrix
-from .polytope import HPolytope, VPolytope, h_to_v, product_labeling
+from .polytope import HPolytope, ProductIndex, VPolytope, h_to_v, product_labeling
 from .projection import ProjectionChecker
 from .rational import format_rational, parse_rational
 
@@ -77,8 +77,8 @@ class SystemFile:
         return h_to_v(self.h)
 
     @cached_property
-    def labeling(self) -> list[tuple[int, ...]] | None:
-        """Vertex -> product tuple map; None when the vertices are not a
+    def labeling(self) -> ProductIndex | None:
+        """The vertices by their product code; None when they are not a
         product of r n-gons."""
         n, r = self.require_nr()
         return product_labeling(self.vertices, self.h.labels, n, r)
@@ -142,9 +142,12 @@ def system_from_dict(data: dict) -> SystemFile:
         rhs = tuple(parse_rational(x) for x in data["rhs"])
         labels = None
         if "labels" in data:
-            labels = tuple((k, i) for k, i in data["labels"])
-            if any(type(x) is not int for label in labels for x in label):
+            labels = data["labels"]
+            if type(labels) is not list or not all(
+                type(label) is list and [type(x) for x in label] == [int, int] for label in labels
+            ):
                 raise ValueError("row labels must be pairs of ints")
+            labels = tuple(map(tuple, labels))
         h = HPolytope(QMatrix(rows), rhs, labels)
         if h.dim != _required(data, "dim", int):
             raise ValueError("declared dimension does not match the rows")

@@ -52,7 +52,7 @@ called.
 
 Everything runs on ``convex_hull``'s integer grid, so the rows returned
 are the ones the double description method returns.  Vertices are
-addressed by their mixed-radix code (``polytope.product_index``), a 2-face
+addressed by their mixed-radix code (``polytope.ProductIndex``), a 2-face
 by an integer key, and the neighbours of a vertex by stride arithmetic, so
 no candidate builds a set.
 """
@@ -67,32 +67,27 @@ from typing import Sequence
 
 from .lattice import FaceLattice
 from .linalg import QMatrix
-from .polytope import HPolytope, HullResult, Point, VPolytope, _facet_row, _grid, product_index
+from .polytope import HPolytope, HullResult, Point, ProductIndex, VPolytope, _facet_row, _grid
 
 
 class UncertifiedHull(Exception):
     """A clause of the local certificate failed; the message names it."""
 
 
-def local_hull(
-    points: Sequence[Point], labeling: Sequence[tuple[int, ...]] | None
-) -> tuple[HullResult, FaceLattice]:
+def local_hull(points: Sequence[Point], product: ProductIndex) -> tuple[HullResult, FaceLattice]:
     """The hull of the images of a product of r polygons and its face
     lattice, read from the product's 3-faces and certified without a global
     hull computation.
 
-    ``points[i]`` is the image in R^4 of the product vertex ``labeling[i]``.
-    Returns what ``convex_hull(points)`` returns, up to the order of the
-    facets, with what ``face_lattice`` returns for its vertices, up to the
-    order of each face's facets; or raises ``UncertifiedHull`` naming the
-    clause that failed.
+    ``points[product.vertex[c]]`` is the image in R^4 of the product vertex
+    with code c, and ``product.vertex`` must be a bijection onto
+    ``range(len(points))``, as ``product_labeling`` returns it; the proof
+    of the certificate rests on it.  Returns what ``convex_hull(points)``
+    returns, up to the order of the facets, with what ``face_lattice``
+    returns for its vertices, up to the order of each face's facets; or
+    raises ``UncertifiedHull`` naming the clause that failed.
     """
-    try:
-        n, r, vid = product_index(labeling)
-    except ValueError as exc:
-        raise UncertifiedHull(str(exc)) from None
-    if r < 2 or n < 3 or len(points) != len(vid) or len(points[0]) != 4:
-        raise UncertifiedHull("the labeling is not a product of r >= 2 polygons in R^4")
+    n, r, vid = product
     ups = _steps(n, r, 1)
     hull, ridges = _certified_hull(points, n, vid, ups)
     # The certificate's scratch went with its frame; the lattice is read

@@ -36,7 +36,7 @@ from .metrics import (
     predicted_flag,
     predicted_flag_paper_literal,
 )
-from .polytope import PolytopeError, VPolytope
+from .polytope import PolytopeError, ProductIndex, VPolytope
 from .polytope import h_to_v  # noqa: F401  (kept as pipeline.h_to_v, which perfbench wraps)
 from .projection import PreservationReport, ProjectionChecker, product_faces
 from .rational import format_rational, rational_to_decimal
@@ -103,7 +103,7 @@ class VerifyResult:
 
 def _geometry(
     system: SystemFile, failures: list[str]
-) -> tuple[VPolytope | None, list[tuple[int, ...]] | None, ProjectionChecker | None]:
+) -> tuple[VPolytope | None, ProductIndex | None, ProjectionChecker | None]:
     """The system's vertices, product labeling and projection checker, as
     far as they exist; the first step that fails appends its reason to
     ``failures`` and leaves itself and the later steps None."""
@@ -166,7 +166,7 @@ def verify_system(system: SystemFile) -> VerifyResult:
         faces = product_faces(labeling, dim)
         preserved = 0
         for face in faces:
-            rep = checker.check_face(face.vertices, dim, face_id=face.face_id, factor=face.factor)
+            rep = checker.check_face(face, dim)
             preserved += rep.direct_ok
             if rep.certificate_ok and not rep.direct_ok:
                 result.implication_ok = False

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import (
     QMatrix,
@@ -469,15 +469,24 @@ def v_to_h(points: Sequence[Sequence[Fraction]]) -> HPolytope:
 # --- canonical product structure --------------------------------------------
 
 
+class ProductIndex(NamedTuple):
+    """The vertices of a product of r n-gons by their mixed-radix code:
+    ``vertex[c]`` is the vertex whose tuple t has c = sum(t_k * n^(k-1))."""
+
+    n: int
+    r: int
+    vertex: list[int]
+
+
 def product_labeling(
     v: VPolytope, labels: Sequence[tuple[int, int]] | None, n: int, r: int
-) -> list[tuple[int, ...]] | None:
-    """Vertex -> (t_1..t_r) tuple map of the canonical polygon-product model.
+) -> ProductIndex | None:
+    """The vertices of the canonical polygon-product model by their code.
 
-    In the canonical model the facet (k, i) contains vertex t iff
-    t_k is i or i+1 (mod n); a simple vertex is tight on exactly two
-    cyclically adjacent rows per block and nothing else.  Returns None when
-    the incidence structure is not that of a product of r n-gons.
+    In the canonical model the facet (k, i) contains vertex t iff t_k is i
+    or i+1 (mod n); a simple vertex is tight on exactly two cyclically
+    adjacent rows per block and nothing else.  Returns None unless the
+    incidences are a product of r n-gons, so ``vertex`` is a bijection.
     """
     if labels is None:
         raise ValueError("row labels (block, index) are required")
@@ -485,43 +494,21 @@ def product_labeling(
         return None
 
     # A product vertex's tight labels, sorted, are two rows of each block
-    # in turn: (k, a) and (k, b) with a < b.
+    # in turn: (k, a) and (k, b) with a < b.  Block k adds t_k at stride
+    # n^(k-1) to the vertex's code.
     blocks = [k for k in range(1, r + 1) for _ in (0, 1)]
-    tuples: list[tuple[int, ...]] = []
-    for tight in v.incidence:
+    strides = [n**k for k in range(r)]
+    vertex = [-1] * n**r
+    for i, tight in enumerate(v.incidence):
         pairs = sorted(labels[row] for row in _bits(tight))
         if [k for k, _ in pairs] != blocks:
             return None
-        t = []
-        for (_, a), (_, b) in zip(pairs[::2], pairs[1::2]):
+        code = 0
+        for (_, a), (_, b), stride in zip(pairs[::2], pairs[1::2], strides):
             if b == a + 1:
-                t.append(b)
-            elif a == 0 and b == n - 1:
-                t.append(0)
-            else:
+                code += b * stride
+            elif a != 0 or b != n - 1:
                 return None
-        tuples.append(tuple(t))
-    if len(set(tuples)) != n**r:
-        return None
-    return tuples
-
-
-def product_index(labeling: Sequence[tuple[int, ...]]) -> tuple[int, int, list[int]]:
-    """(n, r, vertex) of a product labeling: ``vertex[c]`` is the index i
-    whose tuple ``labeling[i]`` has the mixed-radix code c = sum(t_k * n^k).
-
-    Raises ``ValueError`` unless the labeling is a bijection onto
-    {0..n-1}^r, with n one more than its largest entry.
-    """
-    r = len(labeling[0]) if labeling else 0
-    n = 1 + max(map(max, labeling)) if r else 0
-    if not r or len(labeling) != n**r:
-        raise ValueError("labeling is not a bijection onto the product tuples")
-    strides = [n**k for k in range(r)]
-    vertex = [-1] * len(labeling)
-    for i, t in enumerate(labeling):
-        code = sum(map(mul, t, strides))
-        if len(t) != r or min(t) < 0 or vertex[code] >= 0:
-            raise ValueError("labeling is not a bijection onto the product tuples")
         vertex[code] = i
-    return n, r, vertex
+    # n^r vertices fill the n^r codes only if no two share a code.
+    return None if -1 in vertex else ProductIndex(n, r, vertex)

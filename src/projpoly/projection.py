@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iter_product
 from operator import and_, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .lattice import FaceLattice, face_lattice, mask_of
 from .linalg import positively_spans
 from .localhull import UncertifiedHull, local_hull
-from .polytope import HPolytope, HullResult, Point, VPolytope, _bits, convex_hull, product_index
+from .polytope import HPolytope, HullResult, Point, ProductIndex, VPolytope, _bits, convex_hull
 
 
 def project(v: VPolytope) -> list[Point]:
@@ -52,6 +52,20 @@ def _intern(values: Sequence[Point]) -> list[int]:
     return [ids.setdefault(value, len(ids)) for value in values]
 
 
+def _projected_hull(
+    images: list[Point], product: ProductIndex | None
+) -> tuple[HullResult, FaceLattice]:
+    """Q and its face lattice: from ``local_hull`` when ``product`` is given
+    and certified, else from ``convex_hull`` and ``face_lattice``."""
+    if product is not None:
+        try:
+            return local_hull(images, product)
+        except UncertifiedHull:
+            pass
+    hull = convex_hull(images)
+    return hull, face_lattice(hull.v)
+
+
 def _common_rows(incidence: Sequence[int], vertices: Sequence[int]) -> int:
     """The rows tight at every listed vertex, as a bitmask; 0 for none."""
     return reduce(and_, map(incidence.__getitem__, vertices)) if vertices else 0
@@ -62,9 +76,9 @@ class ProjectionChecker:
 
     Computes the projected hull, which also reports the vertex
     correspondence and which projected vertices lie on each of its facets,
-    and the hull's face lattice.  With the source's product ``labeling``
-    both come from ``local_hull``, which reads the lattice from the facets
-    it certified; without one, or when its certificate fails, the hull
+    and the hull's face lattice.  With the source's ``product`` index both
+    come from ``local_hull``, which reads the lattice from the facets it
+    certified; without one, or when its certificate fails, the hull
     comes from ``convex_hull`` and the lattice from ``face_lattice``'s scan
     of the hull's incidences.  No rank is computed per face: the caller
     knows the face's dimension from its kind, and once the image is a face
@@ -73,19 +87,11 @@ class ProjectionChecker:
     once per distinct input and kept for the checker's lifetime.
     """
 
-    def __init__(
-        self, ph: HPolytope, pv: VPolytope, labeling: Sequence[tuple[int, ...]] | None = None
-    ):
+    def __init__(self, ph: HPolytope, pv: VPolytope, product: ProductIndex | None = None):
         self.pv = pv
         self.images: list[Point] = project(pv)
         self.drop_coords = range(pv.dim - 4)
-        self.hull: HullResult
-        self.q_lattice: FaceLattice
-        try:
-            self.hull, self.q_lattice = local_hull(self.images, labeling)
-        except UncertifiedHull:
-            self.hull = convex_hull(self.images)
-            self.q_lattice = face_lattice(self.hull.v)
+        self.hull, self.q_lattice = _projected_hull(self.images, product)
         self.qv: VPolytope = self.hull.v
         # P-vertex index -> Q-vertex index (None when the image is not
         # a vertex of Q).
@@ -109,19 +115,13 @@ class ProjectionChecker:
         are vertices, Q has one vertex per distinct image."""
         return None not in self.vertex_map and self.qv.nvertices == self.pv.nvertices
 
-    def check_face(
-        self,
-        face_vertices: Iterable[int],
-        dim: int,
-        face_id: str | None = "face",
-        factor: int | None = None,
-    ) -> PreservationReport:
+    def check_face(self, face: ProductFace, dim: int) -> PreservationReport:
         """Check one face of the source polytope, of dimension ``dim``."""
-        face = sorted(set(face_vertices))
-        face_mask = mask_of(face)
+        vertices = sorted(set(face.vertices))
+        face_mask = mask_of(vertices)
 
         # (i) the image is a face of Q.
-        qbits = [self.vertex_map[i] for i in face]
+        qbits = [self.vertex_map[i] for i in vertices]
         missing = None in qbits
         qmask = 0 if missing else mask_of(qbits)
         is_face = not missing and qmask in self.q_lattice
@@ -130,7 +130,7 @@ class ProjectionChecker:
         # dimension.  When (i) holds the images are the vertices of the
         # face qmask, so its grade is their affine dimension.
         problems: list[str] = []
-        injective = len({self._image_ids[i] for i in face}) == len(face)
+        injective = len({self._image_ids[i] for i in vertices}) == len(vertices)
         if not injective:
             problems.append("(ii) projection is not injective on the face's vertices")
         elif is_face and self.q_lattice.dim_of(qmask) != dim:
@@ -161,7 +161,7 @@ class ProjectionChecker:
 
         # Sufficient certificate: deleted coordinates of the normals of all
         # facets containing the face must positively span.
-        rows = _common_rows(self.pv.incidence, face)
+        rows = _common_rows(self.pv.incidence, vertices)
         # Positive spanning depends only on the set of vectors, so each
         # distinct set runs one LP per checker.
         key = 0
@@ -175,7 +175,9 @@ class ProjectionChecker:
         if not certificate_ok:
             problems.append("certificate: deleted normal coordinates do not positively span")
 
-        return PreservationReport(face_id, factor, direct_ok, certificate_ok, "; ".join(problems))
+        return PreservationReport(
+            face.face_id, face.factor, direct_ok, certificate_ok, "; ".join(problems)
+        )
 
 
 # --- combinatorial faces of a certified product ------------------------------
@@ -188,19 +190,18 @@ class ProductFace:
     vertices: tuple[int, ...]
 
 
-def product_faces(labeling: Sequence[tuple[int, ...]], dim: int) -> list[ProductFace]:
+def product_faces(product: ProductIndex, dim: int) -> list[ProductFace]:
     """The product's faces of dimension ``dim``: 0, 1 or 2.
 
     Each is one face of one polygon factor k, taken with one vertex of
     every other factor: a vertex is one tuple, an edge joins a tuple to its
     +1 neighbor in factor k, and a polygon runs through all n values of
     coordinate k.  Only polygons get a ``face_id``, since only their
-    reports reach an output.  Raises ``ValueError`` as ``product_index``
-    does.
+    reports reach an output.
     """
-    n, r, vertex = product_index(labeling)
+    n, r, vertex = product
     if dim == 0:
-        return [ProductFace(None, None, (i,)) for i in range(len(labeling))]
+        return [ProductFace(None, None, (i,)) for i in range(len(vertex))]
     strides = [n**k for k in range(r)]
     faces: list[ProductFace] = []
     for k in range(r):

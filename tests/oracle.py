@@ -14,7 +14,9 @@ enumerator per kind of product face (edges from each vertex's +1 neighbors)
 instead of ``projection.product_faces``.
 
 It also holds the small builders several tests share: ``qmatrix``, the
-block-diagonal ``build_plain_product`` and Euler's relation on a lattice.
+block-diagonal ``build_plain_product``, Euler's relation on a lattice and
+``product_tuples``, which turns a product index back into the tuple
+labeling the per-kind enumerators take.
 """
 
 from __future__ import annotations
@@ -510,6 +512,16 @@ def counting_identities_oracle(face_dims, n, r, polygon_masks):
         ),
     }
     return CountingReport(prisms, cubes, identities)
+
+
+def product_tuples(index):
+    """The tuple of each vertex of a ``ProductIndex``: the codes in order
+    are the tuples of {0..n-1}^r in colexicographic order."""
+    n, r, vertex = index
+    tuples = [None] * len(vertex)
+    for i, t in zip(vertex, iter_product(range(n), repeat=r)):
+        tuples[i] = t[::-1]
+    return tuples
 
 
 def enumerate_polygon_faces_oracle(labeling, n, r):

@@ -7,7 +7,9 @@ inline.
 
 import json
 from fractions import Fraction as QQ
+from hashlib import sha256
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from conftest import GRID, run_case
 from oracle import euler_ok, is_irredundant, span_oracle_cases
@@ -29,6 +31,8 @@ from projpoly.metrics import (
     predicted_flag,
     predicted_flag_paper_literal,
 )
+from projpoly.io import dumps_json, system_to_dict
+from projpoly.pipeline import analyze_system, construct_system, verify_system
 from projpoly.polytope import convex_hull, h_to_v, v_to_h
 
 EXPECTED_VERTICES = {(4, 2): 16, (6, 2): 36, (8, 2): 64, (4, 3): 64, (6, 3): 216, (4, 4): 256}
@@ -187,3 +191,94 @@ def test_criterion_8_property_suites(tmp_path, capsys):
     assert pairs[0] == pairs[1]
     print("ACCEPTANCE 8 PASS: span oracle agreement (200 cases), round-trip "
           "consistency, Euler on all lattices, byte-identical CLI outputs")
+
+
+# The outputs of each pinned system, in the order of its digests below.
+PINNED_OUTPUTS = ("system", "verify", "analyze", "analyze --paper-literal")
+# Systems pinned beyond the grid: the DD fallback, a system whose
+# construction passes the gates but fails verify, and a forced odd n.
+PINNED_SYSTEMS = {
+    "6x3-1/16-2^16": dict(n=6, r=3, eps=QQ(1, 16), big_m=QQ(2**16)),
+    "4x3-1/16-2^32": dict(n=4, r=3, eps=QQ(1, 16), big_m=QQ(2**32)),
+    "5x3-1/40-2^20-forced": dict(n=5, r=3, eps=QQ(1, 40), big_m=QQ(2**20), force=True),
+}
+# SHA-256 of each output's JSON text.  A change that alters an output
+# updates its pin and says why.
+PINS = {
+    "4x2": (
+        "2d2192a6f88c1a3cb17af60367f4e0ec565e5bca446eba6586ce02125fbc1a85",
+        "5fe7d0d3bf3169ce24a9f7067e7ccfd1878f770372e9a3b00dd4031963b5e69a",
+        "9b1312c1851b2e21b02d26b9732524a2ce6c6efb2b33585285de9afc5c8cab5d",
+        "c927a7eec8ee73d22e6f0e614b720f6e8dee11a7c798f9c3da160618a045b4b8",
+    ),
+    "6x2": (
+        "f0c6d05835c17dadb4193375a302df3b87368c9efc8f5e2eb439c868f371135c",
+        "2e0b35f181e29fc8972cb8d29a376394e6fbe552a14b811fbffc3cab41dcd7df",
+        "80d49f1b7de93b5b24e7a230b30dae7424822b1eefeee36e5feb3bce2200c009",
+        "7f2ad3ba4a2f1ad8ffe1b97513022e75eeae9f2fe5c6460302f20e015d5a40bc",
+    ),
+    "8x2": (
+        "989d0f9e0e0b0b306e54c5e8fd2b3dd031996f178f8ae84df373018842bccd7f",
+        "01e0ecf93a58e92933e044e476738fcd9aa044619ae8cabf13924ff4a1ad8c7b",
+        "80cb32e4a30cde33c2e01b4a50463ca45534935bafdd5dae89a7c7921ef8f4b8",
+        "676ab52a8586a5a669b9476e7d7889445a46dab4376cc264e3fca60dbb1b2522",
+    ),
+    "4x3": (
+        "2b37a111c73d8fb87d30ec2a09484fce64c213664f07042c576da607e1d5fab5",
+        "8bcc7d442f59076093e390298d72bc8474d67f192ee3237166dbc3adbf669c19",
+        "08b49e51acc7cf75ea0f066199172b3853b7ad9892e64d06ef636101eb4d121c",
+        "6a13813fc680cfc2ef322eb8c54de55de6218799853449a0751e498c1df8d431",
+    ),
+    "6x3": (
+        "af037a3363c5ea0fea7e70135ca3b858dcc7d623abb5d1a840ad5ae3bba6b5cf",
+        "c725f31e0ea87694e3a93a6ed4f5af6190309513b22697e33282cc4a0a837e1c",
+        "349160f2d1e1900b2ccde1e9bf25365590eb14c256919dcf25711a22533280c7",
+        "24ba019f9979627696541526323fc9b7df7f54cd11d5d1de5b39af87dffd0b47",
+    ),
+    "4x4": (
+        "e5d078e2086af96678950f91c7999193b325de76f3d1e5b73b61e561a047ad57",
+        "311981ba6204d2f0c90f0321b3246819ab8bd3e1ae4308bff8dbf416bb7c03bd",
+        "92f70a1a8718bfed76ccfdc56ed2f3413527204452d43b65853cdb910399c621",
+        "6df51e9479ee3ea34e60a3273cfe354c69f2b08853600f1ffeb543ddacc02181",
+    ),
+    "6x3-1/16-2^16": (
+        "25a83ad61c237fc931a9d4180a8271f2754038f938f6a3a33149d0ccedcdaa98",
+        "4c70b3db17d99b1009ce8cf433a05cee729588d8f633cfbabb1db12e1d697e57",
+        "ff10ca3b5ba4fbba65edd328d135703957f0a0a195f04a420fcda3a362635eef",
+        "e48b302d3b55efb7b221d923e5432c812a2e34c5df6dee8c475cf822bdf7a4f2",
+    ),
+    "4x3-1/16-2^32": (
+        "51a602b9ce2bbf1f445bf3969b3ab7fb8be1cd6ea9071fb035fbb69c64458075",
+        "94281e1516e1f492b68d707bc2a1817db42db739d521d79e17ce9af9fbb8916a",
+        "f2943ff5c5e2eb6eae4dec1d987b0e058e8030ddc76777e12aa32927acf18a44",
+        "a526310cbc7063b54ca484fe1bb41f89af39999b53dca31050ee2313849b2e6f",
+    ),
+    "5x3-1/40-2^20-forced": (
+        "a17b85a15d800ab58e9d5c0c018eeef069fd1d5c9a5d125c0376069f1eb834b7",
+        "fc4e4afd33fd2125d94f49c90f81d83954bd3f2bf0dc2f2b79d840f88ff56059",
+        "377491eedfe329402d76ea1dabed7e579be1c3c514893d0c613b43cca3c76770",
+        "377491eedfe329402d76ea1dabed7e579be1c3c514893d0c613b43cca3c76770",
+    ),
+}
+
+
+def test_outputs_match_their_pins():
+    cases = {f"{n}x{r}": run_case(n, r) for n, r in GRID}
+    for name, kwargs in PINNED_SYSTEMS.items():
+        system = construct_system(**kwargs)
+        cases[name] = SimpleNamespace(
+            system=system, verify=verify_system(system), analyze=analyze_system(system)
+        )
+    assert cases.keys() == PINS.keys()
+    for name, case in cases.items():
+        outputs = (
+            system_to_dict(case.system),
+            case.verify.as_dict(),
+            case.analyze.as_dict(),
+            analyze_system(case.system, paper_literal=True).as_dict(),
+        )
+        for output, data, pin in zip(PINNED_OUTPUTS, outputs, PINS[name], strict=True):
+            digest = sha256(dumps_json(data).encode()).hexdigest()
+            assert digest == pin, f"{name}: the {output} JSON no longer matches its pin"
+    print(f"ACCEPTANCE PINS PASS: {len(PINNED_OUTPUTS)} outputs of {len(cases)} systems "
+          "byte-identical to their pinned digests")

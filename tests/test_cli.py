@@ -323,6 +323,11 @@ MALFORMED = [
     ("n_contradicts_labels", lambda d: {**d, "n": 6}, "contradicts the row labels"),
     ("empty_system", lambda d: {**d, "rows": [], "rhs": [], "labels": [], "dim": 0},
      "system has no row labels"),
+    ("labels_too_short", lambda d: {**d, "labels": [[1]] * 8}, "row labels must be pairs of ints"),
+    ("labels_a_string", lambda d: {**d, "labels": "abc"}, "row labels must be pairs of ints"),
+    ("labels_an_object", lambda d: {**d, "labels": {"a": 1}}, "row labels must be pairs of ints"),
+    ("labels_too_long", lambda d: {**d, "labels": [[1, 0, 0]] * 8},
+     "row labels must be pairs of ints"),
 ]
 
 

@@ -19,7 +19,7 @@ from projpoly import lattice, localhull, polytope, projection
 from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system
-from projpoly.polytope import HPolytope, VPolytope, _bits, convex_hull
+from projpoly.polytope import HPolytope, ProductIndex, VPolytope, _bits, convex_hull
 from projpoly.localhull import UncertifiedHull, local_hull
 from projpoly.projection import ProjectionChecker, project
 
@@ -113,6 +113,20 @@ def test_the_certified_lattice_equals_the_scanned_lattice(name):
     assert_same_lattice(got, face_lattice(_dd_hull(name).v))
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_the_product_index_is_the_canonical_model(name):
+    # in the canonical model vertex t is tight on exactly the rows
+    # (k, t_k - 1 mod n) and (k, t_k) of each block k
+    system = _system(name)
+    n, r, vertex = system.labeling
+    labels, incidence = system.h.labels, system.vertices.incidence
+    assert sorted(vertex) == list(range(n**r))
+    for code, i in enumerate(vertex):
+        t = [code // n**k % n for k in range(r)]
+        want = sorted((k + 1, (t[k] + step) % n) for k in range(r) for step in (-1, 0))
+        assert sorted(labels[j] for j in _bits(incidence[i])) == want
+
+
 # --- one mutated input per clause -----------------------------------------
 
 # Integer polygons in convex position, counterclockwise about the origin.
@@ -121,12 +135,21 @@ KITE = [(4, 1), (-1, 3), (-3, -1), (1, -4)]
 PENTAGON = [(5, 0), (1, 5), (-4, 3), (-4, -3), (1, -5)]
 
 
+def _index(labeling):
+    """The ``ProductIndex`` of a tuple labeling of {0..n-1}^r."""
+    n, r = 1 + max(map(max, labeling)), len(labeling[0])
+    vertex = [0] * n**r
+    for i, t in enumerate(labeling):
+        vertex[sum(x * n**k for k, x in enumerate(t))] = i
+    return ProductIndex(n, r, vertex)
+
+
 def _product(*polygons):
-    """Images and labeling of the product of two polygons with equal
+    """Images and product index of the product of two polygons with equal
     vertex counts, in R^4."""
     a, b = polygons
     labeling = [(i, j) for i in range(len(a)) for j in range(len(b))]
-    return [tuple(map(QQ, a[i] + b[j])) for i, j in labeling], labeling
+    return [tuple(map(QQ, a[i] + b[j])) for i, j in labeling], _index(labeling)
 
 
 def _duplicate_image():
@@ -154,7 +177,7 @@ def _one_level_is_the_hull():
     labeling = [(i, j, k) for k in range(4) for j in range(4) for i in range(4)]
     shrink = (1, 2, 4, 3)
     points = [tuple(QQ(x, shrink[k]) for x in SQUARE[i] + KITE[j]) for i, j, k in labeling]
-    return points, labeling
+    return points, _index(labeling)
 
 
 MUTATED = {
@@ -210,13 +233,9 @@ def test_a_ray_through_a_ridge_or_vertex_refuses(monkeypatch, target):
     assert calls == FALLBACK
 
 
-@pytest.mark.parametrize("labeling", [
-    None,
-    [(0, 0)] * 16,
-    [(i, j, 0) for i in range(4) for j in range(4)],
-], ids=["none", "not-a-bijection", "not-a-product-count"])
-def test_without_a_product_labeling_the_checker_uses_the_dd(monkeypatch, labeling):
+@pytest.mark.parametrize("product", [None], ids=["none"])
+def test_without_a_product_labeling_the_checker_uses_the_dd(monkeypatch, product):
     points, _ = _product(SQUARE, KITE)
     calls = _count_dd_calls(monkeypatch)
-    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert_same_hull(_checker(points, product).hull, convex_hull(points))
     assert calls == FALLBACK

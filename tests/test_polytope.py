@@ -15,6 +15,7 @@ from oracle import (
     dd_rank_oracle,
     is_irredundant,
     polar_rows_oracle,
+    product_tuples,
     qmatrix,
 )
 from projpoly import linalg, polytope
@@ -30,6 +31,7 @@ from projpoly.polytope import (
     EmptyPolytopeError,
     HPolytope,
     UnboundedPolytopeError,
+    VPolytope,
     _bits,
     _cone_rows,
     _dd_extreme_rays,
@@ -255,11 +257,22 @@ def test_hull_vertices_have_full_rank_incidence(grid_case):
 def test_product_isomorphic_plain_product():
     system = build_plain_product(4, 2, SQUARE_POLYGON, ONES4)
     v = h_to_v(system)
-    labeling = product_labeling(v, system.labels, 4, 2)
-    assert labeling is not None
-    assert sorted(labeling) == sorted(
+    index = product_labeling(v, system.labels, 4, 2)
+    assert index is not None
+    assert sorted(product_tuples(index)) == sorted(
         (a, b) for a in range(4) for b in range(4)
     )
+
+
+def test_product_labeling_rejects_two_vertices_with_one_code(grid_case):
+    # vertex 1 copies vertex 0's tight rows, so both read as one tuple and
+    # the 16 vertices cover only 15 codes
+    system = grid_case(4, 2).system
+    v = system.vertices
+    assert product_labeling(v, system.h.labels, 4, 2) is not None
+    incidence = (v.incidence[0],) * 2 + v.incidence[2:]
+    twin = VPolytope(v.vertices, incidence, v.dim)
+    assert product_labeling(twin, system.h.labels, 4, 2) is None
 
 
 def test_product_isomorphic_requires_labels():

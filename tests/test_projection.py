@@ -11,6 +11,7 @@ from oracle import (
     enumerate_edges_oracle,
     enumerate_polygon_faces_oracle,
     nonneg_solution_oracle,
+    product_tuples,
     qmatrix,
     vertex_faces_oracle,
 )
@@ -32,7 +33,7 @@ from projpoly.construction import (
 from projpoly.lattice import mask_of
 from projpoly.pipeline import construct_system, verify_system
 from projpoly.polytope import HPolytope, _bits, h_to_v, product_labeling
-from projpoly.projection import ProjectionChecker, product_faces, project
+from projpoly.projection import ProductFace, ProjectionChecker, product_faces, project
 
 
 def test_alpha_beta_values():
@@ -183,7 +184,7 @@ def test_projection_to_one_coordinate_fails_condition_iii():
     # the x0-edge at the origin collapses onto the image of the origin, so
     # the preimage of that image is bigger than the vertex
     checker, idx = _cube5_setup()
-    rep = checker.check_face([idx()], 0, face_id="w")
+    rep = checker.check_face(ProductFace(None, None, (idx(),)), 0)
     assert not rep.direct_ok
     assert "(iii) preimage of the image contains 1 extra vertices" in rep.details
     assert "(ii)" not in rep.details
@@ -194,7 +195,7 @@ def test_projection_to_one_coordinate_fails_condition_ii():
     # the x0-edge at the origin maps onto a single point, so the map is not
     # a bijection
     checker, idx = _cube5_setup()
-    rep = checker.check_face([idx(), idx(0)], 1, face_id="e")
+    rep = checker.check_face(ProductFace(None, None, (idx(), idx(0))), 1)
     assert not rep.direct_ok
     assert "(ii) projection is not injective" in rep.details
 
@@ -203,7 +204,7 @@ def test_projection_checker_rejects_non_face():
     # a diagonal of a square 2-face maps onto a diagonal of a square of the
     # 4-cube, which is no face of it
     checker, idx = _cube5_setup()
-    rep = checker.check_face([idx(), idx(1, 2)], 1, face_id="d")
+    rep = checker.check_face(ProductFace(None, None, (idx(), idx(1, 2))), 1)
     assert not rep.direct_ok
     assert "(i) image vertex set is not a face of the projection" in rep.details
 
@@ -212,8 +213,8 @@ def test_projection_checker_compares_the_image_dimension():
     # an x1-edge survives the projection as an edge, so claiming it is a
     # polygon fails condition (ii) on the image's dimension
     checker, idx = _cube5_setup()
-    assert "(ii)" not in checker.check_face([idx(), idx(1)], 1).details
-    rep = checker.check_face([idx(), idx(1)], 2, face_id="e")
+    assert "(ii)" not in checker.check_face(ProductFace(None, None, (idx(), idx(1))), 1).details
+    rep = checker.check_face(ProductFace(None, None, (idx(), idx(1))), 2)
     assert not rep.direct_ok
     assert "(ii) image has lower affine dimension than the face" in rep.details
 
@@ -238,7 +239,7 @@ def test_all_polygon_faces_strictly_preserved(grid_case):
     labeling = product_labeling(v, case.system.h.labels, 4, 3)
     checker = ProjectionChecker(case.system.h, v)
     for face in product_faces(labeling, 2):
-        rep = checker.check_face(face.vertices, 2, face_id=face.face_id, factor=face.factor)
+        rep = checker.check_face(face, 2)
         assert rep.direct_ok, rep.details
         assert rep.certificate_ok, rep.details
 
@@ -283,27 +284,21 @@ def test_enumerate_edges_counts(grid_case):
 @pytest.mark.parametrize("n,r", GRID + [(8, 3)])
 def test_product_faces_equal_the_per_kind_oracles(n, r, grid_case):
     system = grid_case(n, r).system if (n, r) in GRID else construct_system(n, r)
-    labeling = system.labeling
-    vertices = product_faces(labeling, 0)
+    index = system.labeling
+    labeling = product_tuples(index)
+    vertices = product_faces(index, 0)
     assert [f.vertices for f in vertices] == [f.vertices for f in vertex_faces_oracle(labeling)]
-    edges = product_faces(labeling, 1)
+    edges = product_faces(index, 1)
     expected = enumerate_edges_oracle(labeling, n, r)
     assert sorted((f.vertices, f.factor) for f in edges) == sorted(
         (f.vertices, f.factor) for f in expected
     )
     assert len({f.vertices for f in edges}) == len(edges) == r * n**r
     assert {f.face_id for f in vertices + edges} == {None}
-    polygons = product_faces(labeling, 2)
+    polygons = product_faces(index, 2)
     assert [(f.face_id, f.factor, f.vertices) for f in polygons] == [
         (f.face_id, f.factor, f.vertices) for f in enumerate_polygon_faces_oracle(labeling, n, r)
     ]
-
-
-@pytest.mark.parametrize("dim", [0, 1, 2])
-def test_product_faces_reject_a_labeling_that_is_not_a_bijection(dim, grid_case):
-    labeling = grid_case(4, 2).system.labeling
-    with pytest.raises(ValueError, match="not a bijection"):
-        product_faces(labeling[:-1] + labeling[:1], dim)
 
 
 def test_stability_certificates_on_perturbed_normals(grid_case):
@@ -341,7 +336,7 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
         ]
         distinct.add(frozenset(vectors))
         direct = linalg.positively_spans(vectors, len(checker.drop_coords)).kind == "spanning"
-        assert checker.check_face(face.vertices, dim, face_id=face.face_id).certificate_ok == direct
+        assert checker.check_face(face, dim).certificate_ok == direct
     assert len(distinct) < len(faces)
     assert Counter(inputs) == Counter(distinct)
 
@@ -376,7 +371,7 @@ def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     system = grid_case(4, 3).system
     checker, labeling = system.checker, system.labeling
     faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
-    expected = [checker.check_face(face.vertices, dim) for dim, face in faces]
+    expected = [checker.check_face(face, dim) for dim, face in faces]
     hashes = []
     original = QQ.__hash__
 
@@ -385,5 +380,5 @@ def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(QQ, "__hash__", counting)
-    assert [checker.check_face(face.vertices, dim) for dim, face in faces] == expected
+    assert [checker.check_face(face, dim) for dim, face in faces] == expected
     assert hashes == []
