@@ -105,7 +105,7 @@ def _printable(values: Iterable[Fraction]) -> bool:
 
 def _parse_range(text: str) -> list[int]:
     """Accept '4,6,8' lists and '4:8:2' (inclusive, stepped) ranges of at
-    most ``MAX_AXIS_VALUES`` values in all."""
+    least one and at most ``MAX_AXIS_VALUES`` values in all."""
     values: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -129,6 +129,8 @@ def _parse_range(text: str) -> list[int]:
         if len(values) + count > MAX_AXIS_VALUES:
             raise ValueError(f"more than {MAX_AXIS_VALUES} values in one range argument")
         values.extend(chunk_values)
+    if not values:
+        raise ValueError(f"no values in range {text!r}")
     return values
 
 

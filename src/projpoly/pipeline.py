@@ -161,8 +161,10 @@ def verify_system(system: SystemFile) -> VerifyResult:
     # One dimension's faces are enumerated at a time, so one list of faces
     # is alive at a time.  The labeling has proved P's incidences to be the
     # product's, so each face has exactly the dimension it is listed under.
+    # Polygons go first, so that their edges and vertices inherit a
+    # spanning certificate instead of running an LP.
     counts: dict[int, tuple[int, int]] = {}
-    for dim in (0, 1, 2):
+    for dim in (2, 1, 0):
         faces = product_faces(labeling, dim)
         preserved = 0
         for face in faces:

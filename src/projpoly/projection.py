@@ -8,7 +8,11 @@ computed: the face's dimension comes from its kind in the product
 labeling, and the image's dimension from the projection's face lattice.
 Independently, the sufficient linear-algebra certificate is evaluated: the
 coordinates that the projection deletes, taken from the normals of all
-facets containing the face, must positively span.
+facets containing the face, must positively span.  A face inside a face
+whose certificate spans inherits that verdict with no LP: fewer vertices
+lie on more facets, and a superset of a positively spanning set spans
+(Davis 1954).  Checking polygons first lets their edges and vertices
+inherit.
 
 The projected polytope Q comes from ``localhull.local_hull``, whose module
 docstring gives the method and its proof, or else from ``convex_hull``.
@@ -83,8 +87,11 @@ class ProjectionChecker:
     of the hull's incidences.  No rank is computed per face: the caller
     knows the face's dimension from its kind, and once the image is a face
     of the projection its dimension is read from that lattice.  The face
-    checks are set arithmetic plus one positive-span certificate, computed
-    once per distinct input and kept for the checker's lifetime.
+    checks are set arithmetic plus one positive-span certificate.  A face
+    whose vertex set lies inside an already checked face with a spanning
+    certificate inherits "spanning" and runs no LP, whatever the order of
+    the calls; every other face runs one LP per distinct input, kept for
+    the checker's lifetime.  A "none" verdict passes nothing down.
     """
 
     def __init__(self, ph: HPolytope, pv: VPolytope, product: ProductIndex | None = None):
@@ -108,6 +115,9 @@ class ProjectionChecker:
         # Certificate verdict per distinct set of deleted normal coordinates,
         # keyed by the bitmask of their ids.
         self._spans: dict[int, bool] = {}
+        # P-vertex index -> vertex masks of the checked faces through it
+        # whose certificate spanned.
+        self._spanning: list[list[int]] = [[] for _ in range(pv.nvertices)]
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
@@ -160,18 +170,26 @@ class ProjectionChecker:
         direct_ok = injective and is_face and preimage_ok
 
         # Sufficient certificate: deleted coordinates of the normals of all
-        # facets containing the face must positively span.
-        rows = _common_rows(self.pv.incidence, vertices)
-        # Positive spanning depends only on the set of vectors, so each
-        # distinct set runs one LP per checker.
-        key = 0
-        for j in _bits(rows):
-            key |= self._drop_bits[j]
-        certificate_ok = self._spans.get(key)
-        if certificate_ok is None:
-            vectors = [self._drop_vectors[j] for j in _bits(rows)]
-            cert = positively_spans(vectors, len(self.drop_coords))
-            certificate_ok = self._spans[key] = cert.kind == "spanning"
+        # facets containing the face must positively span.  A subset of a
+        # spanning face's vertices is tight on a superset of its rows, so
+        # it spans too; such a face runs no LP.
+        if vertices and any(face_mask & m == face_mask for m in self._spanning[vertices[0]]):
+            certificate_ok = True
+        else:
+            rows = _common_rows(self.pv.incidence, vertices)
+            # Positive spanning depends only on the set of vectors, so each
+            # distinct set runs one LP per checker.
+            key = 0
+            for j in _bits(rows):
+                key |= self._drop_bits[j]
+            certificate_ok = self._spans.get(key)
+            if certificate_ok is None:
+                vectors = [self._drop_vectors[j] for j in _bits(rows)]
+                cert = positively_spans(vectors, len(self.drop_coords))
+                certificate_ok = self._spans[key] = cert.kind == "spanning"
+            if certificate_ok:
+                for i in vertices:
+                    self._spanning[i].append(face_mask)
         if not certificate_ok:
             problems.append("certificate: deleted normal coordinates do not positively span")
 

@@ -9,9 +9,10 @@ description method, a ``Fraction`` tableau instead of the integer
 simplex, a ``Fraction`` polar instead of the integer grid of the
 convex hull, a face lattice whose top level compares every facet with every
 other instead of the closure test, counting identities that scan every
-2-face for every facet instead of reading the lattice's covers, and one
+2-face for every facet instead of reading the lattice's covers, one
 enumerator per kind of product face (edges from each vertex's +1 neighbors)
-instead of ``projection.product_faces``.
+instead of ``projection.product_faces``, and one certificate LP per face
+instead of the checker's memo and the verdicts its faces inherit.
 
 It also holds the small builders several tests share: ``qmatrix``, the
 block-diagonal ``build_plain_product``, Euler's relation on a lattice and
@@ -22,14 +23,23 @@ labeling the per-kind enumerators take.
 from __future__ import annotations
 
 from fractions import Fraction as QQ
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from itertools import product as iter_product
+from operator import and_
 from random import Random
 
 from projpoly.construction import ZERO2, ConstructionError, require_r, validate_polygon
 from projpoly.lattice import LatticeError
-from projpoly.linalg import QMatrix, clear_denominators, independent_rows, null_vector, primitive, rank_int_rows
+from projpoly.linalg import (
+    QMatrix,
+    clear_denominators,
+    independent_rows,
+    null_vector,
+    positively_spans,
+    primitive,
+    rank_int_rows,
+)
 from projpoly.metrics import CountingError, CountingReport
 from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
 from projpoly.projection import ProductFace
@@ -562,3 +572,19 @@ def vertex_faces_oracle(labeling):
         ProductFace("vertex t=" + ".".join(str(c) for c in t), None, (i,))
         for i, t in enumerate(labeling)
     ]
+
+
+def certificate_input(system, face):
+    """The coordinates the projection deletes (all but the last four) of
+    the normal of every facet row tight at all of the face's vertices, in
+    row order."""
+    common = reduce(and_, (system.vertices.incidence[i] for i in face.vertices))
+    a = system.h.A
+    return [tuple(a.row(j)[: a.cols - 4]) for j in _bits(common)]
+
+
+def certificate_oracle(system, face):
+    """The Projection Lemma's certificate for one face by its own LP: one
+    ``positively_spans`` on the face's input, with no memo and no verdict
+    taken from a face that contains it."""
+    return positively_spans(certificate_input(system, face), system.h.A.cols - 4).kind == "spanning"

@@ -209,10 +209,13 @@ def test_sweep_is_deterministic_and_jobs_safe(tmp_path, capsys):
 
 
 def test_sweep_empty_range(capsys):
-    code, stdout, _ = run(capsys, "sweep", "--n", "", "--r", "2")
-    assert code == 0
-    assert stdout.splitlines()[0].startswith("n,r,")
-    assert len(stdout.splitlines()) == 1
+    for n, r, text in [("", "2", "''"), (",", "2", "','"), ("4:2", "2", "'4:2'"),
+                       ("4", "3:2", "'3:2'")]:
+        for fmt in ("csv", "json"):
+            code, stdout, stderr = run(capsys, "sweep", "--n", n, "--r", r, "--format", fmt)
+            assert code == 2
+            assert stdout == ""
+            assert stderr == f"error: no values in range {text}\n"
 
 
 def test_sweep_json_format(tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_parse_range(text):
         return
     assert isinstance(values, list)
     assert all(type(v) is int for v in values)
-    assert len(values) <= MAX_AXIS_VALUES
+    assert 1 <= len(values) <= MAX_AXIS_VALUES
 
 
 # The (4,2) system's .ine text with up to three lines replaced; an empty

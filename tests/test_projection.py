@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction as QQ
-from functools import reduce
+from functools import cache, reduce
 from operator import and_
 
 import pytest
@@ -8,6 +8,8 @@ import pytest
 from conftest import GRID
 from oracle import (
     affine_rank_oracle,
+    certificate_input,
+    certificate_oracle,
     enumerate_edges_oracle,
     enumerate_polygon_faces_oracle,
     nonneg_solution_oracle,
@@ -316,7 +318,8 @@ def test_stability_certificates_on_perturbed_normals(grid_case):
         assert positively_spans(truncated, 2).kind == "spanning"
 
 
-def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
+def _counting_lps(monkeypatch):
+    """Record the input of every LP the projection module runs."""
     inputs = []
 
     def counting(vectors, dim):
@@ -324,35 +327,37 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
         return linalg.positively_spans(vectors, dim)
 
     monkeypatch.setattr(projection, "positively_spans", counting)
+    return inputs
+
+
+def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     system = construct_system(4, 3)
+    inputs = _counting_lps(monkeypatch)
     assert verify_system(system).ok
-    checker, labeling = system.checker, system.labeling
-    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
-    distinct = set()
-    for dim, face in faces:
-        common = reduce(and_, (system.vertices.incidence[i] for i in face.vertices))
-        vectors = [
-            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in _bits(common)
-        ]
-        distinct.add(frozenset(vectors))
-        direct = linalg.positively_spans(vectors, len(checker.drop_coords)).kind == "spanning"
-        assert checker.check_face(face, dim).certificate_ok == direct
-    assert len(distinct) < len(faces)
+    # Every polygon spans here, so its edges and vertices run no LP.
+    polygons = product_faces(system.labeling, 2)
+    distinct = {frozenset(certificate_input(system, face)) for face in polygons}
+    assert len(distinct) < len(polygons)
     assert Counter(inputs) == Counter(distinct)
 
 
-def _distinct_certificate_inputs(system):
-    """Every distinct certificate input of the system's checker, as the
-    vectors in the facet-row order that ``check_face`` passes."""
-    checker, labeling = system.checker, system.labeling
-    faces = [face for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
+@pytest.mark.parametrize("n,r,lps", [(4, 4, 40), (6, 3, 13), (4, 5, 176)])
+def test_verify_runs_one_lp_per_distinct_polygon_input(monkeypatch, n, r, lps):
+    system = construct_system(n, r)
+    inputs = _counting_lps(monkeypatch)
+    assert verify_system(system).ok
+    assert len(inputs) == lps
+
+
+def _distinct_certificate_inputs(system, dims=(0, 1, 2)):
+    """Every distinct certificate input among the system's faces of the
+    given dimensions, as the vectors in the facet-row order that
+    ``check_face`` passes."""
     inputs = {}
-    for face in faces:
-        common = reduce(and_, (system.vertices.incidence[i] for i in face.vertices))
-        vectors = [
-            tuple(system.h.A.row(j)[c] for c in checker.drop_coords) for j in _bits(common)
-        ]
-        inputs.setdefault(frozenset(vectors), vectors)
+    for dim in dims:
+        for face in product_faces(system.labeling, dim):
+            vectors = certificate_input(system, face)
+            inputs.setdefault(frozenset(vectors), vectors)
     return list(inputs.values())
 
 
@@ -360,18 +365,109 @@ def _distinct_certificate_inputs(system):
 def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
     system = grid_case(n, r).system
     dim = len(system.checker.drop_coords)
-    inputs = _distinct_certificate_inputs(system)
-    assert len(inputs) == len(system.checker._spans)
-    for vectors in inputs:
+    # verify ran one LP per distinct polygon input; every edge and vertex
+    # inherited its polygon's spanning verdict.
+    assert len(_distinct_certificate_inputs(system, (2,))) == len(system.checker._spans)
+    for vectors in _distinct_certificate_inputs(system):
         target = [-sum(v[i] for v in vectors) for i in range(dim)]
         assert linalg.nonneg_solution(vectors, target) == nonneg_solution_oracle(vectors, target)
+
+
+# Every GRID case, (8,3), and a system the gates accept whose four
+# non-spanning polygons fail verify.
+CERTIFICATE_CASES = [(n, r, None, None) for n, r in GRID + [(8, 3)]] + [(4, 3, QQ(1, 16), QQ(2**32))]
+CERTIFICATE_IDS = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + ["4x3-1/16-2^32"]
+
+
+@cache
+def _certificate_case(case):
+    """The system of one case and the oracle's verdict for each of its faces."""
+    n, r, eps, big_m = case
+    system = construct_system(n, r, eps=eps, big_m=big_m)
+    verdicts = {
+        face.vertices: certificate_oracle(system, face)
+        for dim in (0, 1, 2)
+        for face in product_faces(system.labeling, dim)
+    }
+    return system, verdicts
+
+
+def _certificate_mismatches(case, order, spanning=None):
+    """The faces, checked in ``order`` of dimension by a fresh checker,
+    whose ``certificate_ok`` differs from the per-face LP oracle.
+    ``spanning`` replaces the checker's per-vertex lists of spanning faces."""
+    system, verdicts = _certificate_case(case)
+    checker = ProjectionChecker(system.h, system.vertices, system.labeling)
+    if spanning is not None:
+        checker._spanning = [spanning() for _ in checker._spanning]
+    return [
+        face
+        for dim in order
+        for face in product_faces(system.labeling, dim)
+        if checker.check_face(face, dim).certificate_ok != verdicts[face.vertices]
+    ]
+
+
+@pytest.mark.parametrize("order", [(2, 1, 0), (0, 1, 2)], ids=["polygons_first", "vertices_first"])
+@pytest.mark.parametrize("case", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_certificate_equals_the_per_face_lp_oracle(case, order):
+    assert _certificate_mismatches(case, order) == []
+
+
+class _FirstVertexOnly(list):
+    """A mutant list of spanning faces that forgets each face's vertices:
+    the subset test then passes for every face through the vertex."""
+
+    def append(self, mask):
+        super().append(-1)
+
+
+def test_the_oracle_catches_inheritance_by_first_vertex_only():
+    case = CERTIFICATE_CASES[-1]
+    system, verdicts = _certificate_case(case)
+    assert sum(not verdicts[face.vertices] for face in product_faces(system.labeling, 2)) == 4
+    assert _certificate_mismatches(case, (2, 1, 0), _FirstVertexOnly) != []
+
+
+def test_a_none_polygon_passes_nothing_down(monkeypatch, grid_case):
+    # The LP of one polygon is forced to "none".  Its vertices and then its
+    # edges, none of which lies in another checked face, must each reach
+    # the LP and keep their true verdict.
+    system = grid_case(4, 3).system
+    polygon = product_faces(system.labeling, 2)[0]
+    forced = frozenset(certificate_input(system, polygon))
+    inputs = []
+
+    def forcing(vectors, dim):
+        inputs.append(frozenset(vectors))
+        if inputs[-1] == forced:
+            return linalg.PositiveCertificate("none")
+        return linalg.positively_spans(vectors, dim)
+
+    monkeypatch.setattr(projection, "positively_spans", forcing)
+    checker = ProjectionChecker(system.h, system.vertices, system.labeling)
+    assert not checker.check_face(polygon, 2).certificate_ok
+    inside = [(0, ProductFace(None, None, (i,))) for i in polygon.vertices] + [
+        (1, edge)
+        for edge in product_faces(system.labeling, 1)
+        if set(edge.vertices) <= set(polygon.vertices)
+    ]
+    assert len(inside) == 8
+    for dim, face in inside:
+        assert checker.check_face(face, dim).certificate_ok == certificate_oracle(system, face)
+        assert frozenset(certificate_input(system, face)) in inputs
 
 
 def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     system = grid_case(4, 3).system
     checker, labeling = system.checker, system.labeling
-    faces = [(dim, face) for dim in (0, 1, 2) for face in product_faces(labeling, dim)]
+    faces = [(dim, face) for dim in (2, 1, 0) for face in product_faces(labeling, dim)]
     expected = [checker.check_face(face, dim) for dim, face in faces]
+    # A fresh checker that holds every verdict verify computed but no
+    # spanning face: each polygon hits the memo, and its edges and
+    # vertices inherit.
+    fresh = ProjectionChecker(system.h, system.vertices, labeling)
+    fresh._spans = dict(checker._spans)
     hashes = []
     original = QQ.__hash__
 
@@ -380,5 +476,5 @@ def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(QQ, "__hash__", counting)
-    assert [checker.check_face(face, dim) for dim, face in faces] == expected
+    assert [fresh.check_face(face, dim) for dim, face in faces] == expected
     assert hashes == []
