@@ -68,11 +68,10 @@ def _check_writable(n: int, r: int, eps: Fraction | None, big_m: Fraction | None
     Its right-hand sides are largest in block r, M^(r-1) and M^(r-1) eps:
     M > 1 makes both parts of M^k grow with k, and the numerator of M^(r-1)
     at least as long as its denominator, so powers far past the limit are
-    decided from that numerator's bit length.  Its other large numbers are
-    the polygon block's entries, which carry eps^2; when a bit-length bound
-    on them stays within the limit the block is not built.  Later rounds of
-    the search are not bounded.  Values outside the domain are left to the
-    domain check.
+    decided from that numerator's bit length.  Its other large numbers,
+    the polygon block's entries, are bounded by ``_check_block_writable``.
+    Later rounds of the search are not bounded.  Values outside the domain
+    are left to the domain check.
     """
     if n < 3 or r < 2 or (eps is not None and eps <= 0) or (big_m is not None and big_m <= 1):
         return
@@ -86,6 +85,21 @@ def _check_writable(n: int, r: int, eps: Fraction | None, big_m: Fraction | None
             f"r={r}: a right-hand side M^{r - 1} or M^{r - 1}*eps would have more than "
             f"{MAX_PRINTED_DIGITS} digits"
         )
+
+
+def _check_block_writable(n: int, r: int, eps: Fraction | None, big_m: Fraction | None) -> None:
+    """Raise ``ValueError`` when the polygon block of the first system
+    ``construct`` builds would hold a number with more than
+    ``MAX_PRINTED_DIGITS`` digits.
+
+    Its entries carry eps^2; when a bit-length bound on them stays within
+    the limit the block is not built.  The block has n rows, so this runs
+    after the geometric budget has bounded n.  Values outside the domain
+    are left to the domain check.
+    """
+    if n < 3 or r < 2 or (eps is not None and eps <= 0) or (big_m is not None and big_m <= 1):
+        return
+    eps = start_parameters(n)[0] if eps is None else eps
     # Every entry's numerator and denominator, unreduced, is below
     # 2^(2b) (1 + (n-2)^2), with b the longer bit length of eps's; and
     # 2^(3k) < 10^k.
@@ -96,6 +110,22 @@ def _check_writable(n: int, r: int, eps: Fraction | None, big_m: Fraction | None
         raise ValueError(
             f"n={n}: a polygon block entry such as eps^2*s would have more than "
             f"{MAX_PRINTED_DIGITS} digits"
+        )
+
+
+def _check_budget(n: int, r: int, budget: int) -> None:
+    """Raise ``ValueError`` when n^r is over the geometric budget.
+
+    A power far over it is decided from n^r >= 2^(r(b-1)), with b the bit
+    length of n, without computing n^r.  Pairs with n below 3 or r below 2
+    are left to the domain check.
+    """
+    if n < 3 or r < 2:
+        return
+    if r * (n.bit_length() - 1) > budget.bit_length() or n**r > budget:
+        raise ValueError(
+            f"n={n}, r={r}: n^r is over the geometric budget {budget}; "
+            "raise --geometric-budget to construct it"
         )
 
 
@@ -171,6 +201,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         eps = _parse_auto_rational(args.eps)
         big_m = _parse_auto_rational(args.big_m)
         _check_writable(args.n, args.r, eps, big_m)
+        _check_budget(args.n, args.r, args.geometric_budget)
+        _check_block_writable(args.n, args.r, eps, big_m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -389,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ine", help="also write an H-representation text file")
     p.add_argument("--force", action="store_true",
                    help="allow odd n >= 3 when --eps and --big-m are both given")
+    _add_budget(p, "construct")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify product structure, certificates, preservation")

@@ -11,7 +11,9 @@ than assumed.
 
 The scalar parameters are adapted, not solved for: eps halves and M squares
 until the polygon description is valid and the product structure is
-certified on the computed vertices.
+certified.  The gates solve the product's vertices from the
+block-triangular system (``polytope.product_vertices``) and run no vertex
+enumeration.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .io import AdaptationAttempt, SystemFile
 from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
-from .polytope import HPolytope, PolytopeError
+from .polytope import HPolytope
 from .rational import QQ
 
 # Generator vectors of the coupling blocks.  Up to the choice of basis
@@ -166,19 +168,19 @@ def choose_parameters(
     search starts at eps = 1/(4(n-2)^2 + 4) and M = n^2; each failed round
     halves eps and squares M, and a given value stays pinned.  The first
     system that passes is returned with ``validated=True``, the rejected
-    rounds as its adaptation log, and the vertices and labeling the gates
-    computed.  ``MAX_ROUNDS`` failures raise ``ConstructionError``.
+    rounds as its adaptation log, and the certified vertices and labeling
+    the gates computed.  No round runs the double description method.
+    ``MAX_ROUNDS`` failures raise ``ConstructionError``.
 
     When both eps and M are given, one round runs, and a rejected system is
-    returned with ``validated=False``, that round logged, and whatever of
-    its vertices and labeling the gates computed.  Only then does
-    ``force`` apply: it relaxes the even-n domain check to n >= 3.  The
-    domain of n, r, eps and M is checked here only, before any system is
-    built.
+    returned with ``validated=False``, that round logged, and the product
+    gate's verdict when the gates reached it.  Only then does ``force``
+    apply: it relaxes the even-n domain check to n >= 3.  The domain of n,
+    r, eps and M is checked here only, before any system is built.
 
     ``validated=True`` means only that the gates passed: the polygon
-    description is valid, vertex enumeration succeeds and the incidences
-    are those of a product.  It does not mean that the projection
+    description is valid and the n^r vertices of the product are
+    certified.  It does not mean that the projection
     preserves faces, which only ``pipeline.verify_system`` checks: (4,3)
     with eps = 1/16 and M = 2^32 passes the gates and fails verification.
     """
@@ -216,9 +218,9 @@ def choose_parameters(
         log.append(AdaptationAttempt(round_eps, round_m, reason))
     if explicit:
         rejected = dataclasses.replace(system, validated=False, adaptation=tuple(log))
-        # Keep the vertices and labeling the gates got as far as computing.
-        computed = {key: vars(system)[key] for key in ("vertices", "labeling") if key in vars(system)}
-        vars(rejected).update(computed)
+        # Keep the product gate's verdict, when the gates got that far.
+        if "certified" in vars(system):
+            vars(rejected)["certified"] = system.certified
         return rejected
     raise ConstructionError(
         f"no parameters found for n={n}, r={r} after {len(log)} rounds; "
@@ -230,21 +232,28 @@ def check_parameters(system: SystemFile) -> str | None:
     """Run the acceptance gates on a deformed product; None on success,
     else the failure reason.
 
-    The gates ask that the polygon the system holds (its first block: rows
-    0..n-1, columns 0-1 and their right-hand sides) is valid, that vertex
-    enumeration succeeds, and that the vertex-facet incidences are those of
-    a product.  The vertices and labeling stay on the system.
+    The system is one ``build_deformed_product`` returned.  The gates ask
+    that the polygon it holds (its first block: rows 0..n-1, columns 0-1
+    and their right-hand sides) is valid, and that ``system.certified``
+    holds: the n^r product vertices, solved from the block-triangular
+    system, are simple with exactly their canonical tight rows.  The
+    certified vertices and labeling stay on the system, and no vertex
+    enumeration runs.
     """
     n, _ = system.require_nr()
     h = system.h
     polygon = QMatrix(tuple(row[:2] for row in h.A.entries[:n]))
     if not validate_polygon(polygon, h.b[:n]):
         return "polygon description invalid"
-    try:
-        system.vertices
-    except PolytopeError as exc:
-        return f"vertex enumeration failed: {exc}"
-    if system.labeling is None:
+    # Vertex enumeration cannot fail here.  Every block's polygon rows are
+    # the valid first block's and every right-hand side is positive (eps >
+    # 0, M > 1), so 0 is strictly feasible; and the recession cone is {0},
+    # since V x_1 <= 0 forces x_1 = 0 (V's rows positively span the plane),
+    # then V x_2 <= 0 forces x_2 = 0, and so on down the block-triangular
+    # rows.  So, by the converse in ``product_vertices``, a failed
+    # certificate means exactly that the DD's incidences are not the
+    # product's.
+    if system.certified is None:
         return "vertex-facet incidences do not match the product"
     return None
 

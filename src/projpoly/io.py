@@ -15,7 +15,14 @@ from functools import cached_property
 from pathlib import Path
 
 from .linalg import QMatrix
-from .polytope import HPolytope, ProductIndex, VPolytope, h_to_v, product_labeling
+from .polytope import (
+    HPolytope,
+    ProductIndex,
+    VPolytope,
+    h_to_v,
+    product_labeling,
+    product_vertices,
+)
 from .projection import ProjectionChecker
 from .rational import format_rational, parse_rational
 
@@ -36,10 +43,12 @@ class SystemFile:
     """An inequality system plus the construction metadata that produced it.
 
     Its geometry is computed once, on first use, and kept on the instance:
-    ``vertices``, then ``labeling``, then ``checker``.  A step that raises
-    is not kept, so asking again raises again.  The construction gates run
-    on the system they return, so a system that passed them already holds
-    its ``vertices`` and ``labeling``.
+    ``certified``, ``vertices``, ``labeling``, then ``checker``.  A step
+    that raises is not kept, so asking again raises again.  The vertices
+    and labeling are read from ``certified`` when it holds, and come from
+    the double description method and ``product_labeling`` otherwise.  The
+    construction gates run on the system they return, so a system that
+    passed them already holds its certified vertices and labeling.
     """
 
     h: HPolytope
@@ -72,14 +81,28 @@ class SystemFile:
         return n, r
 
     @cached_property
+    def certified(self) -> tuple[VPolytope, ProductIndex] | None:
+        """The vertices in code order and their product index, solved from
+        the block-triangular system by ``product_vertices``; None when its
+        certificate fails, or the labels describe no polygon product."""
+        try:
+            n, r = self.require_nr()
+        except ValueError:
+            return None
+        return product_vertices(self.h, n, r)
+
+    @cached_property
     def vertices(self) -> VPolytope:
-        """Vertex enumeration of the system (raises ``PolytopeError``)."""
-        return h_to_v(self.h)
+        """The certified vertices, else vertex enumeration of the system
+        (raises ``PolytopeError``)."""
+        return self.certified[0] if self.certified else h_to_v(self.h)
 
     @cached_property
     def labeling(self) -> ProductIndex | None:
         """The vertices by their product code; None when they are not a
         product of r n-gons."""
+        if self.certified:
+            return self.certified[1]
         n, r = self.require_nr()
         return product_labeling(self.vertices, self.h.labels, n, r)
 

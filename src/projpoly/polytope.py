@@ -512,3 +512,90 @@ def product_labeling(
         vertex[code] = i
     # n^r vertices fill the n^r codes only if no two share a code.
     return None if -1 in vertex else ProductIndex(n, r, vertex)
+
+
+def product_vertices(h: HPolytope, n: int, r: int) -> tuple[VPolytope, ProductIndex] | None:
+    """The vertices of a block-triangular polygon-product system in code
+    order, with their product index, solved block by block and certified
+    without a global computation; None when a clause fails.
+
+    It runs only when the labels are exactly (k, i) for k = 1..r and i < n,
+    and a row of block k is zero in the columns of every block after k.
+    Vertex t is tight on rows (k, t_k - 1) and (k, t_k) of each block, and
+    those rows fix its block x_k by one 2x2 solve given x_1 .. x_{k-1}.
+    The code prefixes are walked depth by depth on integer homogeneous
+    coordinates, n + n^2 + ... + n^r Cramer solves in all.  The certificate
+    asks that every 2x2 determinant is nonzero and that every candidate is
+    strictly inside every other row of its block.  A row of block k reads
+    only x_1 .. x_k, so what depth k decides holds for every descendant.
+
+    Why the candidates S are exactly P's vertices.  Each is a simple vertex
+    tight on exactly its 2r rows.  Dropping row (k, t_k) leaves the line to
+    the neighbour with t_k - 1, and dropping (k, t_k - 1) the line to t_k +
+    1; each neighbour is in S and tight on the other 2r - 1 rows, so every
+    edge at a vertex of S is bounded and ends in S.  An unbounded P would
+    show an unbounded edge to the simplex method started in S, and the
+    graph of a polytope is connected (Balinski 1961), so P is bounded and
+    S is all of its vertices: local enumeration over the graph, as in
+    reverse search (Avis and Fukuda 1992).  Conversely, when
+    ``product_labeling(h_to_v(h), ...)`` is not None, every vertex is the
+    solution of its 2r rows, whose block-triangular determinant is the
+    product of the 2x2 ones, so the certificate holds.
+    """
+    if n < 3 or h.dim != 2 * r or sorted(h.labels or ()) != [
+        (k, i) for k in range(1, r + 1) for i in range(n)
+    ]:
+        return None
+    row_of = {label: j for j, label in enumerate(h.labels)}
+    # Per block, per row i: (the row's nonzero entries before the block,
+    # its two entries in the block, its right-hand side), all integers.
+    blocks = []
+    for k in range(r):
+        block = []
+        for i in range(n):
+            j = row_of[(k + 1, i)]
+            *a, b = clear_denominators(h.A.row(j) + (h.b[j],))
+            if any(a[2 * k + 2 :]):
+                return None
+            block.append(([(c, x) for c, x in enumerate(a[: 2 * k]) if x], a[2 * k], a[2 * k + 1], b))
+        blocks.append(block)
+
+    # A candidate is (X, T, tight): its point X / T on the blocks fixed so
+    # far and the bitmask of its tight rows.  Children go t-major, so each
+    # level stays in code order.
+    level: list[tuple[tuple[int, ...], int, int]] = [((), 1, 0)]
+    levels = []
+    for k, block in enumerate(blocks):
+        # Each row's slack at each prefix, times its T, with x_k = 0.
+        slack = [[b * T - sum(x * X[c] for c, x in prior) for prior, _, _, b in block]
+                 for X, T, _ in level]
+        children = []
+        for t in range(n):
+            p, q = (t - 1) % n, t
+            _, p0, p1, _ = block[p]
+            _, q0, q1, _ = block[q]
+            det = p0 * q1 - p1 * q0
+            if not det:
+                return None
+            d, sign = abs(det), 1 if det > 0 else -1
+            others = [block[j][1:3] + (j,) for j in range(n) if j not in (p, q)]
+            tight = 1 << row_of[(k + 1, p)] | 1 << row_of[(k + 1, q)]
+            for (X, T, mask), s in zip(level, slack):
+                # Cramer's rule over the common denominator T * d: rows p
+                # and q are tight by construction.
+                y0 = sign * (s[p] * q1 - s[q] * p1)
+                y1 = sign * (p0 * s[q] - q0 * s[p])
+                if any(s[j] * d <= v0 * y0 + v1 * y1 for v0, v1, j in others):
+                    return None
+                children.append((tuple(x * d for x in X) + (y0, y1), T * d, mask | tight))
+        level = children
+        levels.append(level)
+    # Block k of a vertex is fixed by its depth-k prefix, so each block's
+    # fractions are built once per prefix; child i has prefix i mod the
+    # prefix count.
+    points: list[Point] = [()]
+    for depth in levels:
+        pairs = [(QQ(X[-2], T), QQ(X[-1], T)) for X, T, _ in depth]
+        points = [points[i % len(points)] + pair for i, pair in enumerate(pairs)]
+    incidence = tuple(mask for _, _, mask in level)
+    return VPolytope(tuple(points), incidence, 2 * r), ProductIndex(n, r, list(range(n**r)))

@@ -11,8 +11,10 @@ convex hull, a face lattice whose top level compares every facet with every
 other instead of the closure test, counting identities that scan every
 2-face for every facet instead of reading the lattice's covers, one
 enumerator per kind of product face (edges from each vertex's +1 neighbors)
-instead of ``projection.product_faces``, and one certificate LP per face
-instead of the checker's memo and the verdicts its faces inherit.
+instead of ``projection.product_faces``, one certificate LP per face
+instead of the checker's memo and the verdicts its faces inherit, and the
+product's vertices from the double description method and their
+incidences instead of block-by-block solves.
 
 It also holds the small builders several tests share: ``qmatrix``, the
 block-diagonal ``build_plain_product``, Euler's relation on a lattice and
@@ -41,7 +43,15 @@ from projpoly.linalg import (
     rank_int_rows,
 )
 from projpoly.metrics import CountingError, CountingReport
-from projpoly.polytope import HPolytope, HullResult, VPolytope, h_to_v
+from projpoly.polytope import (
+    HPolytope,
+    HullResult,
+    PolytopeError,
+    ProductIndex,
+    VPolytope,
+    h_to_v,
+    product_labeling,
+)
 from projpoly.projection import ProductFace
 
 
@@ -588,3 +598,19 @@ def certificate_oracle(system, face):
     ``positively_spans`` on the face's input, with no memo and no verdict
     taken from a face that contains it."""
     return positively_spans(certificate_input(system, face), system.h.A.cols - 4).kind == "spanning"
+
+
+def product_vertices_oracle(h, n, r):
+    """What ``polytope.product_vertices`` returns, from the double
+    description method and ``product_labeling``, with the vertices put in
+    code order; None when either refuses."""
+    try:
+        v = h_to_v(h)
+    except PolytopeError:
+        return None
+    index = product_labeling(v, h.labels, n, r)
+    if index is None:
+        return None
+    vertices = tuple(v.vertices[i] for i in index.vertex)
+    incidence = tuple(v.incidence[i] for i in index.vertex)
+    return VPolytope(vertices, incidence, v.dim), ProductIndex(n, r, list(range(n**r)))

@@ -70,6 +70,33 @@ def test_construct_checks_the_domain_before_any_geometry(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,budget", [
+    (["--n", "4", "--r", "10"], 5000),
+    (["--n", "4", "--r", "3", "--geometric-budget", "63"], 63),
+    # n^r = 2^200000 is over the budget by its bit length alone
+    (["--n", str(2**40), "--r", "5000", "--big-m", "3/2", "--eps", "1"], 5000),
+    # refused before the digit bound on the polygon block builds its n rows
+    (["--n", str(2**2152), "--r", "2"], 5000),
+], ids=["default", "given", "far", "huge-n"])
+def test_construct_over_the_geometric_budget_exits_before_any_gate(
+    tmp_path, capsys, monkeypatch, argv, budget
+):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("a gate ran for a system over the budget")
+
+    monkeypatch.setattr(construction, "build_deformed_product", no_geometry)
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(capsys, "construct", *argv, "-o", str(out))
+    n, r = argv[1], argv[3]
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        f"error: n={n}, r={r}: n^r is over the geometric budget {budget}; "
+        "raise --geometric-budget to construct it\n"
+    )
+    assert not out.exists()
+
+
 def test_construct_writes_a_large_m_up_to_the_digit_limit(tmp_path, capsys):
     big_m = 10**1500
     out = tmp_path / "x.json"
@@ -136,6 +163,46 @@ def test_verify_corrupted_rhs_fails(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 1
     assert "VERIFY FAILED: product_isomorphic" in stdout
+
+
+def _zero_row(data):
+    data["rows"][5] = ["0"] * 4
+
+
+def _negative_rhs(data):
+    data["rhs"][0] = "-100"
+
+
+def _block_two_unbounded(data):
+    # block 2's rows keep only their coupling to block 1, so x_2 is free
+    for row in data["rows"][4:]:
+        row[2:] = ["0", "0"]
+
+
+def _duplicate_label(data):
+    data["labels"][7] = [2, 2]
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("mutate,failure", [
+    (_zero_row, "product_isomorphic"),
+    (_negative_rhs, "vertex_enumeration: empty"),
+    (_block_two_unbounded, "vertex_enumeration: unbounded"),
+    (_duplicate_label, "product_isomorphic"),
+], ids=["zero-row", "negative-rhs", "block-2-unbounded", "duplicate-label"])
+def test_a_malformed_labeled_file_keeps_its_verdict(tmp_path, capsys, command, mutate, failure):
+    # The product certificate refuses each of these, and the double
+    # description fallback decides them as before.
+    out = tmp_path / "p42.json"
+    report = tmp_path / "report.json"
+    run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out))
+    data = json.loads(out.read_text())
+    mutate(data)
+    out.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, command, str(out), "--report", str(report))
+    assert code == 1 and stderr == ""
+    assert stdout.endswith(f"{command.upper()} FAILED: {failure}\n")
+    assert json.loads(report.read_text())["failures"][0] == failure
 
 
 def test_verify_counts_polygons(tmp_path, capsys):

@@ -63,45 +63,61 @@ def test_geometry_context_leaves_equality_and_hash_alone():
 
 @pytest.mark.parametrize("params", [{}, {"eps": Fraction(1, 160), "big_m": Fraction(2**32)}])
 def test_construct_hands_the_gates_vertices_to_the_system(monkeypatch, params):
-    enumerated, labelings = [], []
-    h_to_v, product_labeling = polytope.h_to_v, polytope.product_labeling
+    certified, calls = [], {"h_to_v": 0, "product_labeling": 0}
+    product_vertices = polytope.product_vertices
 
-    def recording(h):
-        enumerated.append(h_to_v(h))
-        return enumerated[-1]
+    def recording(*args):
+        certified.append(product_vertices(*args))
+        return certified[-1]
 
-    def recording_labeling(*args):
-        labelings.append(product_labeling(*args))
-        return labelings[-1]
+    def counting(name, func):
+        def counted(*args):
+            calls[name] += 1
+            return func(*args)
+        return counted
 
-    monkeypatch.setattr(polytope, "h_to_v", recording)
-    monkeypatch.setattr(io, "h_to_v", recording)
-    monkeypatch.setattr(polytope, "product_labeling", recording_labeling)
-    monkeypatch.setattr(io, "product_labeling", recording_labeling)
+    for name in calls:
+        counted = counting(name, getattr(polytope, name))
+        monkeypatch.setattr(polytope, name, counted)
+        monkeypatch.setattr(io, name, counted)
+    monkeypatch.setattr(io, "product_vertices", recording)
     system = construct_system(4, 3, **params)
     assert system.validated
-    assert "vertices" in vars(system) and "labeling" in vars(system)
+    assert "certified" in vars(system)
     assert verify_system(system).ok
     assert analyze_system(system).ok
-    # one enumeration and one labeling per gate round, none after
-    rounds = len(system.adaptation) + 1
-    assert len(enumerated) == rounds and len(labelings) == rounds
-    assert system.vertices is enumerated[-1]
-    assert system.labeling is labelings[-1]
+    # one certificate per gate round, none after, and no vertex
+    # enumeration or labeling from incidences anywhere
+    assert len(certified) == len(system.adaptation) + 1
+    assert certified[:-1] == [None] * len(system.adaptation)
+    assert system.vertices is certified[-1][0]
+    assert system.labeling is certified[-1][1]
+    assert calls == {"h_to_v": 0, "product_labeling": 0}
 
 
-
-def test_a_rejected_explicit_system_keeps_the_gates_vertices(monkeypatch):
-    # eps = 1/16, M = 256 fails the product gate after vertex enumeration
+def test_a_rejected_explicit_system_keeps_the_gates_verdict(monkeypatch):
+    # eps = 1/16, M = 256 fails the product gate, which enumerates no vertices
     system = construct_system(4, 2, Fraction(1, 16), Fraction(256))
     assert not system.validated
-    assert "vertices" in vars(system) and "labeling" in vars(system)
+    assert "certified" in vars(system) and system.certified is None
+    assert "vertices" not in vars(system) and "labeling" not in vars(system)
+    enumerated = []
+    h_to_v = polytope.h_to_v
 
-    def forbidden(h):
-        raise AssertionError("the rejected system's vertices were enumerated again")
+    def recording(h):
+        enumerated.append(h)
+        return h_to_v(h)
 
-    monkeypatch.setattr(io, "h_to_v", forbidden)
-    assert not verify_system(system).ok
+    def forbidden(*args):
+        raise AssertionError("the rejected system's certificate was decided again")
+
+    monkeypatch.setattr(io, "h_to_v", recording)
+    monkeypatch.setattr(io, "product_vertices", forbidden)
+    assert verify_system(system).failures == [
+        "not_validated: the construction gates rejected this system",
+        "product_isomorphic",
+    ]
+    assert enumerated == [system.h]
 
 NOT_A_FACE = (
     "(i) image vertex set is not a face of the projection; "

@@ -16,6 +16,7 @@ from oracle import (
     is_irredundant,
     polar_rows_oracle,
     product_tuples,
+    product_vertices_oracle,
     qmatrix,
 )
 from projpoly import linalg, polytope
@@ -25,6 +26,7 @@ from projpoly.construction import (
     rhs_block,
     v_eps_block,
 )
+from projpoly.io import SystemFile
 from projpoly.linalg import QMatrix, clear_denominators, primitive
 from projpoly.polytope import (
     DegeneratePolytopeError,
@@ -38,6 +40,7 @@ from projpoly.polytope import (
     convex_hull,
     h_to_v,
     product_labeling,
+    product_vertices,
     v_to_h,
 )
 from projpoly.pipeline import construct_system
@@ -312,6 +315,94 @@ def test_non_simple_polytope_is_not_a_product():
     )
     v = h_to_v(h)
     assert product_labeling(v, h.labels, 4, 2) is None
+
+
+@pytest.mark.parametrize("n,r", GRID + [(8, 3), (4, 5), (6, 4)])
+def test_product_vertices_equal_the_dd_on_every_adaptation_round(n, r):
+    system = construct_system(n, r)
+    rounds = [(a.eps, a.big_m) for a in system.adaptation] + [(system.eps, system.big_m)]
+    verdicts = []
+    for eps, big_m in rounds:
+        h = build_deformed_product(n, r, eps, big_m)
+        got = product_vertices(h, n, r)
+        assert got == product_vertices_oracle(h, n, r)
+        verdicts.append(got is not None)
+    assert verdicts == [False] * len(system.adaptation) + [True]
+
+
+@pytest.mark.parametrize("n,r,eps,big_m,accepted", [
+    (4, 3, QQ(1, 16), QQ(2**32), True),
+    (4, 2, QQ(1, 16), QQ(256), False),
+    (4, 3, QQ(1, 8), QQ(256), True),
+    (6, 3, QQ(1, 16), QQ(2**16), True),
+    (5, 3, QQ(1, 40), QQ(2**20), True),
+])
+def test_product_vertices_equal_the_dd_on_explicit_parameters(n, r, eps, big_m, accepted):
+    h = build_deformed_product(n, r, eps, big_m)
+    got = product_vertices(h, n, r)
+    assert got == product_vertices_oracle(h, n, r)
+    assert (got is not None) == accepted
+
+
+def _mutant(h, label, row=None, rhs=None, new_label=None):
+    """``h`` with the row, right-hand side or label of row ``label`` replaced."""
+    j = h.labels.index(label)
+    rows, b, labels = list(h.A.entries), list(h.b), list(h.labels)
+    rows[j] = rows[j] if row is None else tuple(QQ(x) for x in row)
+    b[j] = b[j] if rhs is None else rhs
+    labels[j] = labels[j] if new_label is None else new_label
+    return HPolytope(QMatrix(tuple(rows)), tuple(b), tuple(labels))
+
+
+def _product_mutants():
+    """One input per clause of ``product_vertices`` on the (4,3) system."""
+    h = construct_system(4, 3).h
+    row = h.A.row
+    # Vertex 1 has t = (1, 0, 0), so x_1 is the first polygon's corner on
+    # rows (1, 0) and (1, 1).  Row (1, 2) moved to that corner, or past
+    # it, leaves a triangle.
+    corner = product_vertices(h, 4, 3)[0].vertices[1]
+    at_corner = sum(a * x for a, x in zip(row(2), corner))
+    # Row (3, 1) with twice row (3, 0)'s block-3 entries, and row (1, 0)
+    # reading x_2.
+    doubled = row(8)[:4] + tuple(2 * x for x in row(8)[4:])
+    return {
+        "singular-block": _mutant(h, (3, 1), row=doubled),
+        "extra-tight-row": _mutant(h, (1, 2), rhs=at_corner),
+        "violated-row": _mutant(h, (1, 2), rhs=at_corner - QQ(1, 1000)),
+        "zero-pattern": _mutant(h, (1, 0), row=row(0)[:2] + (QQ(1, 10**30),) + row(0)[3:]),
+        "duplicate-label": _mutant(h, (2, 1), new_label=(2, 2)),
+    }
+
+
+@pytest.mark.parametrize("clause", [
+    "singular-block", "extra-tight-row", "violated-row", "zero-pattern", "duplicate-label",
+])
+def test_each_clause_refuses_its_mutant(clause):
+    h = _product_mutants()[clause]
+    assert product_vertices(h, 4, 3) is None
+    system = SystemFile(h)
+    assert system.certified is None
+    if clause == "zero-pattern":
+        # a product still, which the double description fallback finds
+        assert product_vertices_oracle(h, 4, 3) is not None
+        assert system.labeling is not None and system.vertices.nvertices == 64
+    else:
+        assert product_vertices_oracle(h, 4, 3) is None
+        assert system.labeling is None
+
+
+def test_a_singular_pair_is_refused_where_every_candidate_is_strict():
+    # Rows (1, 3) and (1, 0) are parallel, and each candidate, the one they
+    # give included, is strictly inside its other rows: only the
+    # determinant test refuses this strip, which is unbounded.
+    h = HPolytope(
+        qmatrix([[-2, 2], [0, 2], [2, 2], [2, -2]]),
+        tuple(QQ(x) for x in (3, 2, 2, 3)),
+        tuple((1, i) for i in range(4)),
+    )
+    assert product_vertices(h, 4, 1) is None
+    assert product_vertices_oracle(h, 4, 1) is None
 
 
 def test_h_to_v_segment():
