@@ -20,6 +20,11 @@ programs or verification of geometric structures", 1999):
 (e) the ray from the barycenter through the centroid of one kept facet
     crosses exactly one kept facet, and meets no 2-face.
 
+The vertices of a 2-face F are vertices of both facets through it, and
+every vertex of a kept candidate lies exactly on its plane.  So both
+planes hold F, and (c) evaluates only the vertices off F, at the positions
+a fixed table per kind of candidate, prism or cube, gives.
+
 Why this proves that K is the set of Q's facets.  By (c), the plane across
 each 2-face F of a kept G meets conv(G) exactly in conv(F); so each image
 of F spans a face of conv(G), each vertex of G (the one vertex common to
@@ -155,13 +160,13 @@ def _certified_hull(
             a0, a1, a2, a3, b = -a0, -a1, -a2, -a3, -b
         elif not b:
             return
-        for c in verts[4:]:
-            y0, y1, y2, y3 = coords[c]
-            if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 != b:
-                return
         for c in probes:
             y0, y1, y2, y3 = coords[c]
             if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 >= b:
+                return
+        for c in verts[4:]:
+            y0, y1, y2, y3 = coords[c]
+            if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 != b:
                 return
         g = math.gcd(a0, a1, a2, a3)
         planes.append((a0 // g, a1 // g, a2 // g, a3 // g))
@@ -233,23 +238,24 @@ def _certified_hull(
             if seen[key] != 2:
                 raise UncertifiedHull("(b) a 2-face lies in only one kept facet")
 
-    # (c) Two-sided local convexity: every vertex of a kept facet is on or
-    # strictly inside the plane across each of its 2-faces, and on it
-    # exactly when it is a vertex of that 2-face.
+    # (c) Two-sided local convexity: every vertex of a kept facet off each
+    # of its 2-faces lies strictly inside the plane across it; ``keep``
+    # put the vertices on the 2-face exactly on that plane.
+    off_prism, off_cube = _off_ridge(n)
     for j, keys in enumerate(ridges):
         verts = members[j]
-        for key in keys:
+        for key, off in zip(keys, off_prism if keys[0] % slots < r else off_cube):
             other = across[key] - j
             a0, a1, a2, a3 = planes[other]
             b = offsets[other]
-            on = 0
-            for c in verts:
-                y0, y1, y2, y3 = coords[c]
+            on = False
+            for p in off:
+                y0, y1, y2, y3 = coords[verts[p]]
                 value = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3
                 if value > b:
                     raise UncertifiedHull("(c) a kept facet crosses the plane of a neighbour")
-                on += value == b
-            if on != (n if key % slots < r else 4):
+                on |= value == b
+            if on:
                 raise UncertifiedHull("(c) a vertex off a 2-face lies on the plane across it")
 
     # (d) Coverage and connectivity.
@@ -313,6 +319,22 @@ def _certified_hull(
     hull_v = VPolytope(tuple(points), tuple(incidence), 4)
     hull_h = HPolytope(QMatrix(normals), rhs)
     return HullResult(hull_h, hull_v, tuple(range(count)), tuple(facet_points)), ridges
+
+
+def _off_ridge(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """For a prism of n-gons and for a cube, in the order of the
+    candidate's 2-face keys, the positions in its vertex list of its
+    vertices off that 2-face.  The lists are laid out as
+    ``_certified_hull`` lays them out."""
+    ring0, ring1 = list(range(n)), list(range(n, 2 * n))
+    prism = [ring0[0], ring0[1], ring0[-1], ring1[0]] + ring0[2:-1] + ring1[1:]
+    prism_sides = [ring0, ring1] + [[t, (t + 1) % n, n + t, n + (t + 1) % n] for t in ring0]
+    # The cube's vertices c, c1, c2, c3, c12, c13, c23, c123 are 0..7.
+    cube_sides = [(0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6), (3, 5, 6, 7), (2, 4, 6, 7), (1, 4, 5, 7)]
+    return (
+        [[p for p, v in enumerate(prism) if v not in side] for side in prism_sides],
+        [[p for p in range(8) if p not in side] for side in cube_sides],
+    )
 
 
 def _lattice(

@@ -8,11 +8,21 @@ computed: the face's dimension comes from its kind in the product
 labeling, and the image's dimension from the projection's face lattice.
 Independently, the sufficient linear-algebra certificate is evaluated: the
 coordinates that the projection deletes, taken from the normals of all
-facets containing the face, must positively span.  A face inside a face
-whose certificate spans inherits that verdict with no LP: fewer vertices
-lie on more facets, and a superset of a positively spanning set spans
-(Davis 1954).  Checking polygons first lets their edges and vertices
-inherit.
+facets containing the face, must positively span.
+
+A face E inside a face F that passed all three checks, and whose
+certificate spans, is strictly preserved with F, so it inherits both
+verdicts and runs no check.  As the image of F keeps F's dimension, the
+projection maps aff F isomorphically onto the image's affine hull.  So
+(i) the image of E is a face of the image of F, hence of the projection;
+(ii) the map keeps E's vertices apart and E's dimension; (iii) a vertex
+of P whose image lies in the image of E is, by (iii) for F, a vertex of
+F, and so, the map being injective on F, a vertex of E.  E lies on every
+facet through F, and a superset of a positively spanning set spans
+(Davis 1954).  Faces of a strictly preserved face are strictly preserved
+(Amenta-Ziegler, "Deformed products and maximal shadows of polytopes",
+1998; Ziegler, "Projected products of polygons", 2004); checking polygons
+first lets their edges and vertices inherit.
 
 The projected polytope Q comes from ``localhull.local_hull``, whose module
 docstring gives the method and its proof, or else from ``convex_hull``.
@@ -87,11 +97,13 @@ class ProjectionChecker:
     of the hull's incidences.  No rank is computed per face: the caller
     knows the face's dimension from its kind, and once the image is a face
     of the projection its dimension is read from that lattice.  The face
-    checks are set arithmetic plus one positive-span certificate.  A face
-    whose vertex set lies inside an already checked face with a spanning
-    certificate inherits "spanning" and runs no LP, whatever the order of
-    the calls; every other face runs one LP per distinct input, kept for
-    the checker's lifetime.  A "none" verdict passes nothing down.
+    checks are set arithmetic plus one positive-span certificate, one LP
+    per distinct input, kept for the checker's lifetime.  A face whose
+    vertex set lies inside an already checked face that passed the direct
+    checks and whose certificate spans is strictly preserved with it (the
+    module docstring says why): it gets both verdicts with empty details
+    and runs no check, whatever the order of the calls.  A face that
+    failed either half passes nothing down.
     """
 
     def __init__(self, ph: HPolytope, pv: VPolytope, product: ProductIndex | None = None):
@@ -116,8 +128,8 @@ class ProjectionChecker:
         # keyed by the bitmask of their ids.
         self._spans: dict[int, bool] = {}
         # P-vertex index -> vertex masks of the checked faces through it
-        # whose certificate spanned.
-        self._spanning: list[list[int]] = [[] for _ in range(pv.nvertices)]
+        # that passed the direct checks and whose certificate spanned.
+        self._passed: list[list[int]] = [[] for _ in range(pv.nvertices)]
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
@@ -129,6 +141,8 @@ class ProjectionChecker:
         """Check one face of the source polytope, of dimension ``dim``."""
         vertices = sorted(set(face.vertices))
         face_mask = mask_of(vertices)
+        if vertices and any(face_mask & m == face_mask for m in self._passed[vertices[0]]):
+            return PreservationReport(face.face_id, face.factor, True, True, "")
 
         # (i) the image is a face of Q.
         qbits = [self.vertex_map[i] for i in vertices]
@@ -170,28 +184,23 @@ class ProjectionChecker:
         direct_ok = injective and is_face and preimage_ok
 
         # Sufficient certificate: deleted coordinates of the normals of all
-        # facets containing the face must positively span.  A subset of a
-        # spanning face's vertices is tight on a superset of its rows, so
-        # it spans too; such a face runs no LP.
-        if vertices and any(face_mask & m == face_mask for m in self._spanning[vertices[0]]):
-            certificate_ok = True
-        else:
-            rows = _common_rows(self.pv.incidence, vertices)
-            # Positive spanning depends only on the set of vectors, so each
-            # distinct set runs one LP per checker.
-            key = 0
-            for j in _bits(rows):
-                key |= self._drop_bits[j]
-            certificate_ok = self._spans.get(key)
-            if certificate_ok is None:
-                vectors = [self._drop_vectors[j] for j in _bits(rows)]
-                cert = positively_spans(vectors, len(self.drop_coords))
-                certificate_ok = self._spans[key] = cert.kind == "spanning"
-            if certificate_ok:
-                for i in vertices:
-                    self._spanning[i].append(face_mask)
+        # facets containing the face must positively span.  Positive
+        # spanning depends only on the set of vectors, so each distinct set
+        # runs one LP per checker.
+        rows = _common_rows(self.pv.incidence, vertices)
+        key = 0
+        for j in _bits(rows):
+            key |= self._drop_bits[j]
+        certificate_ok = self._spans.get(key)
+        if certificate_ok is None:
+            vectors = [self._drop_vectors[j] for j in _bits(rows)]
+            cert = positively_spans(vectors, len(self.drop_coords))
+            certificate_ok = self._spans[key] = cert.kind == "spanning"
         if not certificate_ok:
             problems.append("certificate: deleted normal coordinates do not positively span")
+        elif direct_ok:
+            for i in vertices:
+                self._passed[i].append(face_mask)
 
         return PreservationReport(
             face.face_id, face.factor, direct_ok, certificate_ok, "; ".join(problems)

@@ -1,5 +1,6 @@
 import sys
 import time
+from fractions import Fraction as QQ
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,16 @@ from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 # The desk-scale grid every geometric claim is exercised on.
 GRID = [(4, 2), (6, 2), (8, 2), (4, 3), (6, 3), (4, 4)]
+
+# Systems constructed with explicit (eps, M) that pass the construction
+# gates but fail verify: (4,3) and (4,4) lose edges, and at (6,3) the
+# 3-faces kept are not closed, so the local certificate refuses.
+ITEM2 = {
+    "4x3-1/16-2^32": (4, 3, QQ(1, 16), QQ(2**32)),
+    "4x3-1/8-256": (4, 3, QQ(1, 8), QQ(256)),
+    "4x4-1/16-2^32": (4, 4, QQ(1, 16), QQ(2**32)),
+    "6x3-1/16-2^16": (6, 3, QQ(1, 16), QQ(2**16)),
+}
 
 _cache: dict[tuple[int, int], SimpleNamespace] = {}
 

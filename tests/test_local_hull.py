@@ -11,10 +11,11 @@ back to the DD, returns its hull and scans its lattice.
 import re
 from fractions import Fraction as QQ
 from functools import cache
+from itertools import combinations
 
 import pytest
 
-from conftest import GRID, run_case
+from conftest import GRID, ITEM2, run_case
 from projpoly import lattice, localhull, polytope, projection
 from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
@@ -23,15 +24,6 @@ from projpoly.polytope import HPolytope, ProductIndex, VPolytope, _bits, convex_
 from projpoly.localhull import UncertifiedHull, local_hull
 from projpoly.projection import ProjectionChecker, project
 
-# Systems constructed with explicit (eps, M) that pass the construction
-# gates but fail verify: (4,3) and (4,4) lose edges, and at (6,3) the
-# 3-faces kept are not closed, so the certificate refuses.
-ITEM2 = {
-    "4x3-1/16-2^32": (4, 3, QQ(1, 16), QQ(2**32)),
-    "4x3-1/8-256": (4, 3, QQ(1, 8), QQ(256)),
-    "4x4-1/16-2^32": (4, 4, QQ(1, 16), QQ(2**32)),
-    "6x3-1/16-2^16": (6, 3, QQ(1, 16), QQ(2**16)),
-}
 REFUSED = {"6x3-1/16-2^16": "(b)"}
 NAMES = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2)
 # What the checker runs when the certificate refuses.
@@ -211,6 +203,63 @@ def test_each_clause_refuses_its_mutated_input(monkeypatch, clause):
     calls = _count_dd_calls(monkeypatch)
     assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
     assert calls == FALLBACK
+
+
+def _off_ridge_mismatches(monkeypatch, points, labeling, tables):
+    """The (facet, 2-face key) pairs of the kept candidates whose entry in
+    ``tables``, laid out as ``localhull._off_ridge`` lays them, is not
+    exactly the positions in the facet's vertex list off that 2-face."""
+    n, r, vid = labeling
+    held = []
+    target = localhull._ray_target
+
+    def holding(coords, members):
+        held.append(members)
+        return target(coords, members)
+
+    monkeypatch.setattr(localhull, "_ray_target", holding)
+    ups = localhull._steps(n, r, 1)
+    _, ridges = localhull._certified_hull(points, n, vid, ups)
+    slots = r + r * (r - 1) // 2
+    pairs = list(combinations(range(r), 2))
+
+    def two_face(key):
+        c, slot = divmod(key, slots)
+        if slot < r:
+            return {c + t * n**slot for t in range(n)}
+        k, k2 = pairs[slot - r]
+        return {c, ups[k][c], ups[k2][c], ups[k2][ups[k][c]]}
+
+    mismatches = []
+    for j, (verts, keys) in enumerate(zip(held[0], ridges, strict=True)):
+        table = tables[0] if keys[0] % slots < r else tables[1]
+        for key, off in zip(keys, table, strict=True):
+            if sorted(off) != [p for p, c in enumerate(verts) if c not in two_face(key)]:
+                mismatches.append((j, key))
+    return mismatches
+
+
+OFF_RIDGE = ["4x4", "6x3", "8x3", "pentagon-pentagon"]
+
+
+def _off_ridge_input(name):
+    if name == "pentagon-pentagon":
+        return _product(PENTAGON, PENTAGON)
+    return project(_system(name).vertices), _system(name).labeling
+
+
+@pytest.mark.parametrize("name", OFF_RIDGE)
+def test_the_off_ridge_tables_are_each_ridges_complement(monkeypatch, name):
+    points, labeling = _off_ridge_input(name)
+    assert _off_ridge_mismatches(monkeypatch, points, labeling, localhull._off_ridge(labeling.n)) == []
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["prism", "cube"])
+def test_a_table_missing_one_off_position_is_caught(monkeypatch, kind):
+    points, labeling = _off_ridge_input("4x4")
+    tables = localhull._off_ridge(labeling.n)
+    tables[kind][-1] = tables[kind][-1][1:]
+    assert _off_ridge_mismatches(monkeypatch, points, labeling, tables) != []
 
 
 @pytest.mark.parametrize("target", ["ridge", "edge", "vertex"])

@@ -5,7 +5,7 @@ from operator import and_
 
 import pytest
 
-from conftest import GRID
+from conftest import GRID, ITEM2
 from oracle import (
     affine_rank_oracle,
     certificate_input,
@@ -32,7 +32,7 @@ from projpoly.construction import (
     reduced_matrix,
     zero_sum_check,
 )
-from projpoly.lattice import mask_of
+from projpoly.lattice import FaceLattice, mask_of
 from projpoly.pipeline import construct_system, verify_system
 from projpoly.polytope import HPolytope, _bits, h_to_v, product_labeling
 from projpoly.projection import ProductFace, ProjectionChecker, product_faces, project
@@ -373,60 +373,179 @@ def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
         assert linalg.nonneg_solution(vectors, target) == nonneg_solution_oracle(vectors, target)
 
 
-# Every GRID case, (8,3), and a system the gates accept whose four
-# non-spanning polygons fail verify.
-CERTIFICATE_CASES = [(n, r, None, None) for n, r in GRID + [(8, 3)]] + [(4, 3, QQ(1, 16), QQ(2**32))]
-CERTIFICATE_IDS = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + ["4x3-1/16-2^32"]
+# Every GRID case, (8,3), and the four systems the gates accept that fail
+# verify.  The first of those loses 8 edges, all in its 4 failing polygons.
+CERTIFICATE_CASES = [(n, r, None, None) for n, r in GRID + [(8, 3)]] + list(ITEM2.values())
+CERTIFICATE_IDS = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2)
+FAILING_EDGES = ITEM2["4x3-1/16-2^32"]
+
+
+class _Forgetful(list):
+    """A list of passed faces that records none, so that its checker
+    checks every face alone."""
+
+    def append(self, mask):
+        pass
 
 
 @cache
 def _certificate_case(case):
-    """The system of one case and the oracle's verdict for each of its faces."""
+    """The system of one case, the oracle's certificate verdict for each of
+    its faces, and each face's report checked alone, by a checker that
+    inherits nothing."""
     n, r, eps, big_m = case
     system = construct_system(n, r, eps=eps, big_m=big_m)
-    verdicts = {
-        face.vertices: certificate_oracle(system, face)
-        for dim in (0, 1, 2)
-        for face in product_faces(system.labeling, dim)
-    }
-    return system, verdicts
+    alone = ProjectionChecker(system.h, system.vertices, system.labeling)
+    alone._passed = [_Forgetful() for _ in alone._passed]
+    verdicts, reports = {}, {}
+    for dim in (0, 1, 2):
+        for face in product_faces(system.labeling, dim):
+            verdicts[face.vertices] = certificate_oracle(system, face)
+            reports[face.vertices] = alone.check_face(face, dim)
+    return system, verdicts, reports
 
 
-def _certificate_mismatches(case, order, spanning=None):
-    """The faces, checked in ``order`` of dimension by a fresh checker,
-    whose ``certificate_ok`` differs from the per-face LP oracle.
-    ``spanning`` replaces the checker's per-vertex lists of spanning faces."""
-    system, verdicts = _certificate_case(case)
-    checker = ProjectionChecker(system.h, system.vertices, system.labeling)
-    if spanning is not None:
-        checker._spanning = [spanning() for _ in checker._spanning]
+@cache
+def _checked(case, order, passed=None, checker=ProjectionChecker):
+    """Each face with its report, checked in ``order`` of dimension by a
+    fresh ``checker``.  ``passed`` replaces the checker's per-vertex lists
+    of passed faces."""
+    system = _certificate_case(case)[0]
+    checking = checker(system.h, system.vertices, system.labeling)
+    if passed is not None:
+        checking._passed = [passed() for _ in checking._passed]
     return [
-        face
+        (face, checking.check_face(face, dim))
         for dim in order
         for face in product_faces(system.labeling, dim)
-        if checker.check_face(face, dim).certificate_ok != verdicts[face.vertices]
     ]
 
 
-@pytest.mark.parametrize("order", [(2, 1, 0), (0, 1, 2)], ids=["polygons_first", "vertices_first"])
+def _certificate_mismatches(case, order, passed=None, checker=ProjectionChecker):
+    """The faces whose ``certificate_ok`` differs from the per-face LP
+    oracle, checked as ``_checked`` checks them."""
+    verdicts = _certificate_case(case)[1]
+    return [
+        face
+        for face, rep in _checked(case, order, passed, checker)
+        if rep.certificate_ok != verdicts[face.vertices]
+    ]
+
+
+def _report_mismatches(case, order, passed=None, checker=ProjectionChecker):
+    """The faces whose report differs from the face's own, checked alone,
+    when checked as ``_checked`` checks them."""
+    reports = _certificate_case(case)[2]
+    return [face for face, rep in _checked(case, order, passed, checker) if rep != reports[face.vertices]]
+
+
+ORDERS = pytest.mark.parametrize(
+    "order", [(2, 1, 0), (0, 1, 2)], ids=["polygons_first", "vertices_first"]
+)
+
+
+@ORDERS
 @pytest.mark.parametrize("case", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_certificate_equals_the_per_face_lp_oracle(case, order):
     assert _certificate_mismatches(case, order) == []
 
 
+@ORDERS
+@pytest.mark.parametrize("case", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_each_report_equals_the_face_checked_alone(case, order):
+    assert _report_mismatches(case, order) == []
+
+
 class _FirstVertexOnly(list):
-    """A mutant list of spanning faces that forgets each face's vertices:
+    """A mutant list of passed faces that forgets each face's vertices:
     the subset test then passes for every face through the vertex."""
 
     def append(self, mask):
         super().append(-1)
 
 
+class _RecordsDirectFailures(ProjectionChecker):
+    """A mutant checker that also passes down the faces that failed a
+    direct check."""
+
+    def check_face(self, face, dim):
+        rep = super().check_face(face, dim)
+        if not rep.direct_ok:
+            for i in face.vertices:
+                self._passed[i].append(mask_of(face.vertices))
+        return rep
+
+
+def test_the_failing_edges_lie_in_the_failing_polygons():
+    system, verdicts, reports = _certificate_case(FAILING_EDGES)
+    failing = [face for face in product_faces(system.labeling, 2) if not reports[face.vertices].direct_ok]
+    assert len(failing) == 4 and all(not verdicts[face.vertices] for face in failing)
+    edges = [edge for edge in product_faces(system.labeling, 1) if not reports[edge.vertices].direct_ok]
+    assert len(edges) == 8
+    assert all(any(set(e.vertices) <= set(f.vertices) for f in failing) for e in edges)
+
+
 def test_the_oracle_catches_inheritance_by_first_vertex_only():
-    case = CERTIFICATE_CASES[-1]
-    system, verdicts = _certificate_case(case)
+    system, verdicts, _ = _certificate_case(FAILING_EDGES)
     assert sum(not verdicts[face.vertices] for face in product_faces(system.labeling, 2)) == 4
-    assert _certificate_mismatches(case, (2, 1, 0), _FirstVertexOnly) != []
+    assert _certificate_mismatches(FAILING_EDGES, (2, 1, 0), _FirstVertexOnly) != []
+    assert _report_mismatches(FAILING_EDGES, (2, 1, 0), _FirstVertexOnly) != []
+
+
+def test_the_oracle_catches_inheritance_from_a_direct_failure():
+    mismatches = _report_mismatches(FAILING_EDGES, (2, 1, 0), checker=_RecordsDirectFailures)
+    assert len(mismatches) == 8
+    assert _certificate_mismatches(FAILING_EDGES, (2, 1, 0), checker=_RecordsDirectFailures) != []
+
+
+def _full_checks(monkeypatch):
+    """Record the image mask of every face that runs the direct checks
+    (i)-(iii): each asks whether its image is a face of Q."""
+    masks = []
+    contains = FaceLattice.__contains__
+
+    def counting(lattice, mask):
+        masks.append(mask)
+        return contains(lattice, mask)
+
+    monkeypatch.setattr(FaceLattice, "__contains__", counting)
+    return masks
+
+
+def _image_masks(system, faces):
+    return Counter(mask_of(system.checker.vertex_map[i] for i in face.vertices) for face in faces)
+
+
+@pytest.mark.parametrize("n,r,polygons", [(4, 4, 256), (6, 3, 108), (4, 5, 1280)])
+def test_verify_runs_the_direct_checks_on_the_polygons_alone(monkeypatch, n, r, polygons):
+    system = construct_system(n, r)
+    masks = _full_checks(monkeypatch)
+    assert verify_system(system).ok
+    assert len(masks) == polygons
+    assert Counter(masks) == _image_masks(system, product_faces(system.labeling, 2))
+
+
+def test_verify_runs_the_direct_checks_inside_each_failing_polygon(monkeypatch):
+    n, r, eps, big_m = FAILING_EDGES
+    system = construct_system(n, r, eps=eps, big_m=big_m)
+    masks = _full_checks(monkeypatch)
+    result = verify_system(system)
+    assert (result.polygons_direct, result.edges_preserved) == (44, 184)
+    polygons = product_faces(system.labeling, 2)
+    # Every edge and vertex inside no passing polygon runs the checks; each
+    # edge of a failing polygon lies in no other polygon, and each vertex
+    # lies in a passing one.
+    passed = {rep.face_id for rep in result.polygon_reports if rep.direct_ok}
+    failing = [face for face in polygons if face.face_id not in passed]
+    inside = [
+        face
+        for dim in (1, 0)
+        for face in product_faces(system.labeling, dim)
+        if not any(set(face.vertices) <= set(p.vertices) for p in polygons if p.face_id in passed)
+    ]
+    assert len(failing) == 4 and len(inside) == 16
+    assert all(any(set(face.vertices) <= set(p.vertices) for p in failing) for face in inside)
+    assert Counter(masks) == _image_masks(system, polygons + inside)
 
 
 def test_a_none_polygon_passes_nothing_down(monkeypatch, grid_case):
@@ -456,6 +575,26 @@ def test_a_none_polygon_passes_nothing_down(monkeypatch, grid_case):
     for dim, face in inside:
         assert checker.check_face(face, dim).certificate_ok == certificate_oracle(system, face)
         assert frozenset(certificate_input(system, face)) in inputs
+
+
+def test_a_direct_failure_passes_nothing_down(grid_case):
+    # Vertex 0's image is taken out of Q's vertex map, so every polygon
+    # through it fails (i) while its certificate still spans.  The edges
+    # through it, and it, checked after the polygons, must fail (i) too.
+    system = grid_case(4, 3).system
+    checker = ProjectionChecker(system.h, system.vertices, system.labeling)
+    checker.vertex_map = list(checker.vertex_map)
+    checker.vertex_map[0] = None
+    for polygon in product_faces(system.labeling, 2):
+        checker.check_face(polygon, 2)
+    through = [
+        (dim, face) for dim in (1, 0) for face in product_faces(system.labeling, dim) if 0 in face.vertices
+    ]
+    assert len(through) == 7
+    for dim, face in through:
+        rep = checker.check_face(face, dim)
+        assert rep.certificate_ok and not rep.direct_ok
+        assert "(i) some vertex image is not a vertex of the projection" in rep.details
 
 
 def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
