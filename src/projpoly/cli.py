@@ -399,9 +399,18 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Budget(argparse.Action):
+    """Stores ``--geometric-budget``; a negative one exits as invalid input."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.exit(EXIT_INVALID, f"error: {option_string} must be at least 0, got {value}\n")
+        setattr(namespace, self.dest, value)
+
+
 def _add_budget(p: argparse.ArgumentParser, verb: str) -> None:
     budget = pipeline.GEOMETRIC_BUDGET
-    p.add_argument("--geometric-budget", type=int, default=budget,
+    p.add_argument("--geometric-budget", type=int, default=budget, action=_Budget,
                    help=f"{verb} geometrically when n^r is at most this (default {budget})")
 
 

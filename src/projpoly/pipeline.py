@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .polytope import PolytopeError, ProductIndex, VPolytope
 from .polytope import h_to_v  # noqa: F401  (kept as pipeline.h_to_v, which perfbench wraps)
-from .projection import PreservationReport, ProjectionChecker, product_faces
+from .projection import PreservationReport, ProductFace, ProjectionChecker, product_polygons
 from .rational import format_rational, rational_to_decimal
 
 ZERO_SUM_RANGE = range(-20, 21)
@@ -124,7 +124,21 @@ def _geometry(
 
 
 def verify_system(system: SystemFile) -> VerifyResult:
-    """Run the full verification suite over one inequality system."""
+    """Run the full verification suite over one inequality system.
+
+    Every polygon 2-face of the product is checked, and then only the edges
+    of the failing polygons and, once each, the vertices in no passing
+    polygon.  This is exact: every edge lies in exactly one polygon and
+    every vertex in r of them, and a face E of a polygon F that passed both
+    halves passes both (Amenta-Ziegler 1998; Ziegler, "Projected products
+    of polygons", 2004).  The image of F keeps F's dimension, so the
+    projection maps aff F isomorphically onto the image's affine hull: (i)
+    the image of E is a face of the image of F, hence of the projection;
+    (ii) the map keeps E's vertices apart and E's dimension; (iii) a vertex
+    of P whose image lies in the image of E is, by (iii) for F, a vertex of
+    F, hence of E.  E lies on every facet through F, and a superset of a
+    positively spanning set spans (Davis 1954).
+    """
     n, r = system.require_nr()
     result = VerifyResult(n=n, r=r)
     if system.validated is False:
@@ -158,27 +172,35 @@ def verify_system(system: SystemFile) -> VerifyResult:
         result.notes.append("projection is identity; preservation vacuous")
     if checker is None:
         return result
-    # One dimension's faces are enumerated at a time, so one list of faces
-    # is alive at a time.  The labeling has proved P's incidences to be the
-    # product's, so each face has exactly the dimension it is listed under.
-    # Polygons go first, so that their edges and vertices inherit a
-    # spanning certificate instead of running an LP.
-    counts: dict[int, tuple[int, int]] = {}
-    for dim in (2, 1, 0):
-        faces = product_faces(labeling, dim)
-        preserved = 0
-        for face in faces:
-            rep = checker.check_face(face, dim)
-            preserved += rep.direct_ok
-            if rep.certificate_ok and not rep.direct_ok:
-                result.implication_ok = False
-            if dim == 2:
-                result.polygon_reports.append(rep)
-                result.polygons_certified += rep.certificate_ok
-        counts[dim] = (len(faces), preserved)
-    result.vertices_total, result.vertices_preserved = counts[0]
-    result.edges_total, result.edges_preserved = counts[1]
-    result.polygons_total, result.polygons_direct = counts[2]
+    # The labeling has proved P's incidences to be the product's, so each
+    # face has exactly the dimension it is checked under.
+    polygons = product_polygons(labeling)
+    reports = result.polygon_reports = [checker.check_face(polygon, 2) for polygon in polygons]
+    covered = 0  # P-vertices in a passing polygon or already checked
+    failing = []
+    for polygon, rep in zip(polygons, reports):
+        if rep.direct_ok and rep.certificate_ok:
+            covered |= mask_of(polygon.vertices)
+        else:
+            failing.append(polygon)
+    edges: list[PreservationReport] = []
+    vertices: list[PreservationReport] = []
+    for polygon in failing:
+        cycle = polygon.vertices
+        for pair in zip(cycle, cycle[1:] + cycle[:1]):
+            edges.append(checker.check_face(ProductFace(None, polygon.factor, pair), 1))
+        for i in cycle:
+            if not covered >> i & 1:
+                covered |= 1 << i
+                vertices.append(checker.check_face(ProductFace(None, None, (i,)), 0))
+    result.polygons_total = len(polygons)
+    result.polygons_direct = sum(rep.direct_ok for rep in reports)
+    result.polygons_certified = sum(rep.certificate_ok for rep in reports)
+    result.vertices_total = len(labeling.vertex)
+    result.vertices_preserved = result.vertices_total - sum(not rep.direct_ok for rep in vertices)
+    result.edges_total = labeling.r * result.vertices_total
+    result.edges_preserved = result.edges_total - sum(not rep.direct_ok for rep in edges)
+    result.implication_ok = all(rep.direct_ok or not rep.certificate_ok for rep in reports + edges + vertices)
 
     if result.vertices_preserved != result.vertices_total:
         result.failures.append("vertex_preservation")
@@ -256,7 +278,7 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
 
     polygon_masks = [
         mask_of(checker.vertex_map[i] for i in face.vertices)
-        for face in product_faces(labeling, 2)
+        for face in product_polygons(labeling)
     ]
     try:
         result.counting = counting_identities(checker.q_lattice, flag, n, r, polygon_masks)

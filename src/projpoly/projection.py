@@ -8,21 +8,8 @@ computed: the face's dimension comes from its kind in the product
 labeling, and the image's dimension from the projection's face lattice.
 Independently, the sufficient linear-algebra certificate is evaluated: the
 coordinates that the projection deletes, taken from the normals of all
-facets containing the face, must positively span.
-
-A face E inside a face F that passed all three checks, and whose
-certificate spans, is strictly preserved with F, so it inherits both
-verdicts and runs no check.  As the image of F keeps F's dimension, the
-projection maps aff F isomorphically onto the image's affine hull.  So
-(i) the image of E is a face of the image of F, hence of the projection;
-(ii) the map keeps E's vertices apart and E's dimension; (iii) a vertex
-of P whose image lies in the image of E is, by (iii) for F, a vertex of
-F, and so, the map being injective on F, a vertex of E.  E lies on every
-facet through F, and a superset of a positively spanning set spans
-(Davis 1954).  Faces of a strictly preserved face are strictly preserved
-(Amenta-Ziegler, "Deformed products and maximal shadows of polytopes",
-1998; Ziegler, "Projected products of polygons", 2004); checking polygons
-first lets their edges and vertices inherit.
+facets containing the face, must positively span.  Which faces need a
+check at all is decided by ``pipeline.verify_system``.
 
 The projected polytope Q comes from ``localhull.local_hull``, whose module
 docstring gives the method and its proof, or else from ``convex_hull``.
@@ -98,12 +85,8 @@ class ProjectionChecker:
     knows the face's dimension from its kind, and once the image is a face
     of the projection its dimension is read from that lattice.  The face
     checks are set arithmetic plus one positive-span certificate, one LP
-    per distinct input, kept for the checker's lifetime.  A face whose
-    vertex set lies inside an already checked face that passed the direct
-    checks and whose certificate spans is strictly preserved with it (the
-    module docstring says why): it gets both verdicts with empty details
-    and runs no check, whatever the order of the calls.  A face that
-    failed either half passes nothing down.
+    per distinct input, kept for the checker's lifetime.  A face's report
+    depends on the face alone, whatever the order of the calls.
     """
 
     def __init__(self, ph: HPolytope, pv: VPolytope, product: ProductIndex | None = None):
@@ -127,9 +110,6 @@ class ProjectionChecker:
         # Certificate verdict per distinct set of deleted normal coordinates,
         # keyed by the bitmask of their ids.
         self._spans: dict[int, bool] = {}
-        # P-vertex index -> vertex masks of the checked faces through it
-        # that passed the direct checks and whose certificate spanned.
-        self._passed: list[list[int]] = [[] for _ in range(pv.nvertices)]
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
@@ -141,8 +121,6 @@ class ProjectionChecker:
         """Check one face of the source polytope, of dimension ``dim``."""
         vertices = sorted(set(face.vertices))
         face_mask = mask_of(vertices)
-        if vertices and any(face_mask & m == face_mask for m in self._passed[vertices[0]]):
-            return PreservationReport(face.face_id, face.factor, True, True, "")
 
         # (i) the image is a face of Q.
         qbits = [self.vertex_map[i] for i in vertices]
@@ -198,9 +176,6 @@ class ProjectionChecker:
             certificate_ok = self._spans[key] = cert.kind == "spanning"
         if not certificate_ok:
             problems.append("certificate: deleted normal coordinates do not positively span")
-        elif direct_ok:
-            for i in vertices:
-                self._passed[i].append(face_mask)
 
         return PreservationReport(
             face.face_id, face.factor, direct_ok, certificate_ok, "; ".join(problems)
@@ -217,31 +192,21 @@ class ProductFace:
     vertices: tuple[int, ...]
 
 
-def product_faces(product: ProductIndex, dim: int) -> list[ProductFace]:
-    """The product's faces of dimension ``dim``: 0, 1 or 2.
+def product_polygons(product: ProductIndex) -> list[ProductFace]:
+    """The product's polygon 2-faces, each with its vertices in cycle order.
 
-    Each is one face of one polygon factor k, taken with one vertex of
-    every other factor: a vertex is one tuple, an edge joins a tuple to its
-    +1 neighbor in factor k, and a polygon runs through all n values of
-    coordinate k.  Only polygons get a ``face_id``, since only their
-    reports reach an output.
+    A polygon is one polygon factor k taken with one vertex of every other
+    factor: it runs through all n values of coordinate k, so each
+    consecutive pair of its vertices, the last with the first, is an edge.
     """
     n, r, vertex = product
-    if dim == 0:
-        return [ProductFace(None, None, (i,)) for i in range(len(vertex))]
     strides = [n**k for k in range(r)]
     faces: list[ProductFace] = []
     for k in range(r):
         for fixed in iter_product(range(n), repeat=r - 1):
             head, tail = fixed[:k], fixed[k:]
             base = sum(map(mul, head + (0,) + tail, strides))
-            cycle = vertex[base : base + n * strides[k] : strides[k]]
-            if dim == 1:
-                faces += [
-                    ProductFace(None, k + 1, tuple(sorted((i, cycle[(v + 1) % n]))))
-                    for v, i in enumerate(cycle)
-                ]
-            else:
-                coords = ".".join(map(str, head + ("*",) + tail))
-                faces.append(ProductFace(f"polygon[k={k + 1}]t={coords}", k + 1, tuple(sorted(cycle))))
+            cycle = tuple(vertex[base : base + n * strides[k] : strides[k]])
+            coords = ".".join(map(str, head + ("*",) + tail))
+            faces.append(ProductFace(f"polygon[k={k + 1}]t={coords}", k + 1, cycle))
     return faces

@@ -11,10 +11,10 @@ convex hull, a face lattice whose top level compares every facet with every
 other instead of the closure test, counting identities that scan every
 2-face for every facet instead of reading the lattice's covers, one
 enumerator per kind of product face (edges from each vertex's +1 neighbors)
-instead of ``projection.product_faces``, one certificate LP per face
-instead of the checker's memo and the verdicts its faces inherit, and the
-product's vertices from the double description method and their
-incidences instead of block-by-block solves.
+instead of ``projection.product_polygons`` and the polygon cycles verify
+reads edges from, one certificate LP per face instead of the checker's
+memo, and the product's vertices from the double description method and
+their incidences instead of block-by-block solves.
 
 It also holds the small builders several tests share: ``qmatrix``, the
 block-diagonal ``build_plain_product``, Euler's relation on a lattice and

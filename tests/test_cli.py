@@ -551,6 +551,22 @@ def test_sweep_rejects_jobs_below_one(capsys, jobs):
     assert stderr.startswith("error: ") and "--jobs" in stderr
 
 
+@pytest.mark.parametrize("command", ["construct", "verify", "analyze", "sweep"])
+def test_a_negative_geometric_budget_is_refused(tmp_path, capsys, command):
+    system = _ungated_system(tmp_path, 4, 2)
+    argv = {
+        "construct": ["--n", "4", "--r", "2", "-o", str(tmp_path / "out.json")],
+        "verify": [str(system)],
+        "analyze": [str(system)],
+        "sweep": ["--n", "4", "--r", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *argv, "--geometric-budget", "-1"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", "error: --geometric-budget must be at least 0, got -1\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 class _GeometryReached(Exception):
     pass
 

@@ -23,7 +23,7 @@ from projpoly.metrics import (
     predicted_flag_paper_literal,
 )
 from projpoly.polytope import convex_hull
-from projpoly.projection import product_faces
+from projpoly.projection import product_polygons
 
 CUBE4 = FlagVector4(16, 32, 24, 8, 64)
 SIMPLEX4 = FlagVector4(5, 10, 10, 5, 20)
@@ -200,7 +200,7 @@ def _polygon_masks(system):
     """The polygon images as Q-vertex masks, as ``analyze_system`` builds them."""
     vertex_map = system.checker.vertex_map
     return [sum(1 << vertex_map[i] for i in face.vertices)
-            for face in product_faces(system.labeling, 2)]
+            for face in product_polygons(system.labeling)]
 
 
 @pytest.mark.parametrize("n,r", GRID)
