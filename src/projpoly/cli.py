@@ -414,8 +414,15 @@ def _add_budget(p: argparse.ArgumentParser, verb: str) -> None:
                    help=f"{verb} geometrically when n^r is at most this (default {budget})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argparse's own rejections as one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projpoly",
         description="Exact construction, verification, and analysis of projected polygon products.",
     )

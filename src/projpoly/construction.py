@@ -10,10 +10,10 @@ posteriori by the certificate checks (``deletion_certificates``) rather
 than assumed.
 
 The scalar parameters are adapted, not solved for: eps halves and M squares
-until the polygon description is valid and the product structure is
-certified.  The gates solve the product's vertices from the
-block-triangular system (``polytope.product_vertices``) and run no vertex
-enumeration.
+until the gates pass.  The gates are one certificate: the product's
+vertices solved from the block-triangular system
+(``polytope.product_vertices``), whose first block alone decides whether
+the polygon description is valid.  They run no vertex enumeration.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 
 from .io import AdaptationAttempt, SystemFile
-from .linalg import PositiveCertificate, QMatrix, positively_spans, rank_rows
-from .polytope import HPolytope
+from .linalg import PositiveCertificate, QMatrix, rank_rows
+from .polytope import HPolytope, product_vertices
 from .rational import QQ
 
 # Generator vectors of the coupling blocks.  Up to the choice of basis
@@ -113,47 +113,6 @@ def build_deformed_product(n: int, r: int, eps: Fraction, big_m: Fraction) -> HP
     return HPolytope(QMatrix(tuple(rows)), tuple(rhs), tuple(labels))
 
 
-def validate_polygon(V: QMatrix, b: tuple[Fraction, ...] | list[Fraction]) -> bool:
-    """Is {x : Vx <= b} a correct description of an n-gon?
-
-    Requires nonzero, pairwise distinct rows that positively span the
-    plane, strictly positive right-hand sides, and the rescaled rows
-    (1/b_i) v_i in strict convex position (all cyclically consecutive
-    orientation determinants nonzero and of one sign), so the polygon has
-    exactly n vertices and no redundant rows.
-    """
-    if V.cols != 2:
-        raise ValueError(f"polygon block must have 2 columns, got {V.cols}")
-    n = V.rows
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match row count")
-    if n < 3:
-        return False
-    rows = [tuple(row) for row in V.entries]
-    if any(row == (0, 0) for row in rows):
-        return False
-    if len(set(rows)) != n:
-        return False
-    b = [QQ(x) for x in b]
-    if any(x <= 0 for x in b):
-        return False
-    if positively_spans(rows, 2).kind != "spanning":
-        return False
-    scaled = [(row[0] / bi, row[1] / bi) for row, bi in zip(rows, b)]
-    orientation = 0
-    for i in range(n):
-        p, q, s = scaled[i], scaled[(i + 1) % n], scaled[(i + 2) % n]
-        det = (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
-        if det == 0:
-            return False
-        side = 1 if det > 0 else -1
-        if orientation == 0:
-            orientation = side
-        elif side != orientation:
-            return False
-    return True
-
-
 def choose_parameters(
     n: int,
     r: int,
@@ -173,16 +132,16 @@ def choose_parameters(
     ``MAX_ROUNDS`` failures raise ``ConstructionError``.
 
     When both eps and M are given, one round runs, and a rejected system is
-    returned with ``validated=False``, that round logged, and the product
-    gate's verdict when the gates reached it.  Only then does ``force``
+    returned with ``validated=False``, that round logged, and the gates'
+    verdict, a failed product certificate.  Only then does ``force``
     apply: it relaxes the even-n domain check to n >= 3.  The domain of n,
     r, eps and M is checked here only, before any system is built.
 
-    ``validated=True`` means only that the gates passed: the polygon
-    description is valid and the n^r vertices of the product are
-    certified.  It does not mean that the projection
-    preserves faces, which only ``pipeline.verify_system`` checks: (4,3)
-    with eps = 1/16 and M = 2^32 passes the gates and fails verification.
+    ``validated=True`` means only that the gates passed: the n^r vertices
+    of the product are certified, so the polygon description is valid.  It
+    does not mean that the projection preserves faces, which only
+    ``pipeline.verify_system`` checks: (4,3) with eps = 1/16 and M = 2^32
+    passes the gates and fails verification.
     """
     explicit = eps is not None and big_m is not None
     if not (force and explicit):
@@ -218,9 +177,8 @@ def choose_parameters(
         log.append(AdaptationAttempt(round_eps, round_m, reason))
     if explicit:
         rejected = dataclasses.replace(system, validated=False, adaptation=tuple(log))
-        # Keep the product gate's verdict, when the gates got that far.
-        if "certified" in vars(system):
-            vars(rejected)["certified"] = system.certified
+        # Keep the gates' verdict: the product certificate is always computed.
+        vars(rejected)["certified"] = system.certified
         return rejected
     raise ConstructionError(
         f"no parameters found for n={n}, r={r} after {len(log)} rounds; "
@@ -232,18 +190,37 @@ def check_parameters(system: SystemFile) -> str | None:
     """Run the acceptance gates on a deformed product; None on success,
     else the failure reason.
 
-    The system is one ``build_deformed_product`` returned.  The gates ask
-    that the polygon it holds (its first block: rows 0..n-1, columns 0-1
-    and their right-hand sides) is valid, and that ``system.certified``
-    holds: the n^r product vertices, solved from the block-triangular
-    system, are simple with exactly their canonical tight rows.  The
-    certified vertices and labeling stay on the system, and no vertex
-    enumeration runs.
+    The system is one ``build_deformed_product`` returned, and the gates
+    are one certificate, ``system.certified``: the n^r product vertices,
+    solved from the block-triangular system, are simple with exactly their
+    canonical tight rows.  A certified system passes and keeps its vertices
+    and labeling; no vertex enumeration runs.  A refused one is refused for
+    its polygon when its first block (rows 0..n-1, columns 0-1, labels
+    (1, i)) fails the same certificate alone, else for the product.
+
+    That is the polygon gate.  Block 1's rows are zero past its columns, so
+    depth 0 of the product certificate is block 1's own, and for the blocks
+    built here it holds iff the block describes an n-gon with n irredundant
+    rows (the reference check in the tests).  Its right-hand sides are 1
+    and eps > 0, so 0 is inside, and its rescaled rows (1/b_i) v_i are a
+    chain monotone in y on the parabola x = 1 - y^2/eps, closed by (-1, 0).
+    So when the reference holds, consecutive orientations of one sign put
+    them in convex position: the rows in order are the edges, consecutive
+    rows meet at the vertices and each vertex is strictly inside the other
+    rows, the certificate.  Conversely, by the closure argument in
+    ``product_vertices``, a certified block is a bounded polygon whose n
+    vertices are tight on exactly their two consecutive rows, and its
+    polar, the hull of the rescaled rows, has them as vertices in that
+    cyclic order, which is the reference.
     """
+    if system.certified is not None:
+        return None
     n, _ = system.require_nr()
     h = system.h
-    polygon = QMatrix(tuple(row[:2] for row in h.A.entries[:n]))
-    if not validate_polygon(polygon, h.b[:n]):
+    polygon = HPolytope(
+        QMatrix(tuple(row[:2] for row in h.A.entries[:n])), h.b[:n], tuple((1, i) for i in range(n))
+    )
+    if product_vertices(polygon, n, 1) is None:
         return "polygon description invalid"
     # Vertex enumeration cannot fail here.  Every block's polygon rows are
     # the valid first block's and every right-hand side is positive (eps >
@@ -253,9 +230,7 @@ def check_parameters(system: SystemFile) -> str | None:
     # rows.  So, by the converse in ``product_vertices``, a failed
     # certificate means exactly that the DD's incidences are not the
     # product's.
-    if system.certified is None:
-        return "vertex-facet incidences do not match the product"
-    return None
+    return "vertex-facet incidences do not match the product"
 
 
 # --- generator identities and deletion certificates -------------------------

@@ -19,7 +19,7 @@ never used for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection
 
@@ -142,16 +142,9 @@ def predicted_flag_paper_literal(n: int, r: int) -> FlagVector4:
     Violates Euler's relation and overcounts the identity-projection case;
     kept for diagnostics.
     """
-    require_even_ngon(n)
-    require_r(r)
-    nr = n**r
-    return FlagVector4(
-        nr,
-        r * nr,
-        5 * r * nr // 4 - 3 * nr // 4 + r * nr // n,
-        r * nr // 4 - nr // 2 + r * nr // n,
-        4 * r * nr - 4 * nr,
-    )
+    flag = predicted_flag(n, r)
+    # n^r is divisible by 4: n is even and r >= 2.
+    return replace(flag, f2=flag.f2 + 3 * flag.f0 // 4)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ GRID = [(4, 2), (6, 2), (8, 2), (4, 3), (6, 3), (4, 4)]
 # Systems constructed with explicit (eps, M) that pass the construction
 # gates but fail verify: (4,3) and (4,4) lose edges, and at (6,3) the
 # 3-faces kept are not closed, so the local certificate refuses.
-ITEM2 = {
+PASS_GATES_FAIL_VERIFY = {
     "4x3-1/16-2^32": (4, 3, QQ(1, 16), QQ(2**32)),
     "4x3-1/8-256": (4, 3, QQ(1, 8), QQ(256)),
     "4x4-1/16-2^32": (4, 4, QQ(1, 16), QQ(2**32)),

@@ -17,7 +17,9 @@ memo, and the product's vertices from the double description method and
 their incidences instead of block-by-block solves.
 
 It also holds the small builders several tests share: ``qmatrix``, the
-block-diagonal ``build_plain_product``, Euler's relation on a lattice and
+block-diagonal ``build_plain_product`` with its polygon check
+``validate_polygon`` (an orientation scan instead of the construction
+gates' product certificate), Euler's relation on a lattice and
 ``product_tuples``, which turns a product index back into the tuple
 labeling the per-kind enumerators take.
 """
@@ -31,7 +33,7 @@ from itertools import product as iter_product
 from operator import and_
 from random import Random
 
-from projpoly.construction import ZERO2, ConstructionError, require_r, validate_polygon
+from projpoly.construction import ZERO2, ConstructionError, require_r
 from projpoly.lattice import LatticeError
 from projpoly.linalg import (
     QMatrix,
@@ -58,6 +60,48 @@ from projpoly.projection import ProductFace
 def qmatrix(rows):
     """A ``QMatrix`` of ``Fraction(x)`` for each entry x of each row."""
     return QMatrix(tuple(tuple(QQ(x) for x in row) for row in rows))
+
+
+def validate_polygon(V, b):
+    """Is {x : Vx <= b} a correct description of an n-gon?
+
+    Requires nonzero, pairwise distinct rows that positively span the
+    plane, strictly positive right-hand sides, and the rescaled rows
+    (1/b_i) v_i in strict convex position (all cyclically consecutive
+    orientation determinants nonzero and of one sign), so the polygon has
+    exactly n vertices and no redundant rows.  The construction gates
+    decide this with the first block's product certificate instead.
+    """
+    if V.cols != 2:
+        raise ValueError(f"polygon block must have 2 columns, got {V.cols}")
+    n = V.rows
+    if len(b) != n:
+        raise ValueError("right-hand side length does not match row count")
+    if n < 3:
+        return False
+    rows = [tuple(row) for row in V.entries]
+    if any(row == (0, 0) for row in rows):
+        return False
+    if len(set(rows)) != n:
+        return False
+    b = [QQ(x) for x in b]
+    if any(x <= 0 for x in b):
+        return False
+    if not positively_spans_oracle(rows, 2):
+        return False
+    scaled = [(row[0] / bi, row[1] / bi) for row, bi in zip(rows, b)]
+    orientation = 0
+    for i in range(n):
+        p, q, s = scaled[i], scaled[(i + 1) % n], scaled[(i + 2) % n]
+        det = (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
+        if det == 0:
+            return False
+        side = 1 if det > 0 else -1
+        if orientation == 0:
+            orientation = side
+        elif side != orientation:
+            return False
+    return True
 
 
 def build_plain_product(n, r, polygon, rhs):

@@ -616,3 +616,59 @@ def test_a_system_within_the_geometric_budget_reaches_the_geometry(
     extra = ["--geometric-budget", budget] if budget else []
     with pytest.raises(_GeometryReached):
         main([command, str(path), *extra])
+
+
+def test_construct_exits_1_when_no_round_passes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(construction, "check_parameters", lambda system: "refused")
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run(capsys, "construct", "--n", "4", "--r", "2", "-o", str(out),
+                               "--ine", str(tmp_path / "out.ine"))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("construction failed: no parameters found for n=4, r=2 after 12 rounds")
+    assert stderr.count("\n") == 1 and stderr.count(": refused") == 12
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["construct", "--n", "4", "--r", "2", "-o", "out.json", "--bogus"],
+    ["construct", "--n", "4", "-o", "out.json"],
+    ["construct", "--n", "four", "--r", "2", "-o", "out.json"],
+    ["construct", "--n", "4", "--r", "2", "-o", "out.json", "--geometric-budget", "1e3"],
+    ["verify", "system.json", "--bogus"],
+    ["verify", "--report", "out.json"],
+    ["verify", "system.json", "--report", "out.json", "--geometric-budget", "abc"],
+    ["analyze", "system.json", "--report", "out.json", "--bogus"],
+    ["analyze", "--paper-literal", "--report", "out.json"],
+    ["analyze", "system.json", "--report", "out.json", "--geometric-budget", ""],
+    ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--bogus"],
+    ["sweep", "--n", "4", "-o", "out.csv"],
+    ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--format", "xml"],
+    ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--geometric-budget", "abc"],
+    ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--jobs", "two"],
+    ["export", "system.json", "-o", "out.ine", "--format", "ine", "--bogus"],
+    ["export", "system.json", "-o", "out.ine"],
+    ["export", "-o", "out.ine", "--format", "ine"],
+    ["export", "system.json", "-o", "out.ine", "--format", "xml"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_argparse_rejections_print_one_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_text("{}")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+
+
+def test_help_keeps_its_usage_text(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: projpoly sweep [-h] --n N --r R") and err == ""

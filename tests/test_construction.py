@@ -2,8 +2,10 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from oracle import build_plain_product, qmatrix
+from oracle import build_plain_product, qmatrix, validate_polygon
+from projpoly import construction
 from projpoly.construction import (
+    MAX_ROUNDS,
     U0,
     U1,
     V0,
@@ -15,14 +17,16 @@ from projpoly.construction import (
     check_parameters,
     choose_parameters,
     rhs_block,
+    start_parameters,
     v_eps_block,
-    validate_polygon,
 )
 from projpoly.io import SystemFile, system_to_dict, dumps_json
 from projpoly.polytope import h_to_v, product_labeling
 
 SQUARE_POLYGON = qmatrix([[1, 0], [0, 1], [-1, 0], [0, -1]])
 HEXAGON_POLYGON = qmatrix([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])
+POLYGON_REASON = "polygon description invalid"
+PRODUCT_REASON = "vertex-facet incidences do not match the product"
 
 
 def test_v_eps_block_n4():
@@ -198,10 +202,44 @@ def test_choose_parameters_logs_attempts():
 
 
 def test_check_parameters_reports_reason():
+    reason = check_parameters(SystemFile(build_deformed_product(4, 2, QQ(1), QQ(16))))
+    assert reason == POLYGON_REASON
     reason = check_parameters(SystemFile(build_deformed_product(4, 2, QQ(1, 16), QQ(256))))
-    assert reason is not None and "product" in reason
+    assert reason == PRODUCT_REASON
     good = choose_parameters(4, 2)
     assert check_parameters(SystemFile(build_deformed_product(4, 2, good.eps, good.big_m))) is None
+
+
+GATE_EPS = [QQ(x) for x in (
+    "1", "2", "5", "7/3", "3/4", "1/2", "1/3", "1/4", "1/8",
+    "1/16", "1/20", "1/40", "1/64", "1/100", "1/160", "1/256", "1/544", "1/1024",
+)]
+
+
+def test_the_polygon_gate_equals_the_reference_polygon_check():
+    # The gates refuse a polygon by the first block's own product
+    # certificate; on every block the construction builds, that verdict is
+    # the orientation-scan reference's.
+    verdicts = set()
+    for n in range(3, 17):
+        for eps in GATE_EPS:
+            valid = validate_polygon(v_eps_block(n, eps), rhs_block(n, eps))
+            reason = check_parameters(SystemFile(build_deformed_product(n, 2, eps, QQ(2**16))))
+            assert (reason != POLYGON_REASON) == valid, (n, eps)
+            verdicts.add(reason)
+    assert verdicts == {POLYGON_REASON, PRODUCT_REASON, None}
+
+
+def test_choose_parameters_gives_up_after_max_rounds(monkeypatch):
+    monkeypatch.setattr(construction, "check_parameters", lambda system: "refused")
+    with pytest.raises(ConstructionError) as error:
+        choose_parameters(4, 2)
+    eps0, m0 = start_parameters(4)
+    attempts = "; ".join(
+        f"eps={eps0 / 2**i}, M={m0 ** 2**i}: refused" for i in range(MAX_ROUNDS)
+    )
+    assert MAX_ROUNDS == 12
+    assert str(error.value) == f"no parameters found for n=4, r=2 after 12 rounds; attempts: {attempts}"
 
 
 def test_construction_is_deterministic():

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GRID, ITEM2, run_case
+from conftest import GRID, PASS_GATES_FAIL_VERIFY, run_case
 from projpoly import lattice, localhull, polytope, projection
 from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
@@ -25,15 +25,15 @@ from projpoly.localhull import UncertifiedHull, local_hull
 from projpoly.projection import ProjectionChecker, project
 
 REFUSED = {"6x3-1/16-2^16": "(b)"}
-NAMES = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2)
+NAMES = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(PASS_GATES_FAIL_VERIFY)
 # What the checker runs when the certificate refuses.
 FALLBACK = ["convex_hull", "face_lattice"]
 
 
 @cache
 def _system(name):
-    if name in ITEM2:
-        n, r, eps, big_m = ITEM2[name]
+    if name in PASS_GATES_FAIL_VERIFY:
+        n, r, eps, big_m = PASS_GATES_FAIL_VERIFY[name]
         return construct_system(n, r, eps=eps, big_m=big_m)
     n, r = map(int, name.split("x"))
     return run_case(n, r).system if (n, r) in GRID else construct_system(n, r)

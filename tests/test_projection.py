@@ -5,7 +5,7 @@ from operator import and_, attrgetter
 
 import pytest
 
-from conftest import GRID, ITEM2
+from conftest import GRID, PASS_GATES_FAIL_VERIFY
 from oracle import (
     affine_rank_oracle,
     certificate_input,
@@ -389,9 +389,11 @@ def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
 
 # Every GRID case, (8,3), and the four systems the gates accept that fail
 # verify.  The first of those loses 8 edges, all in its 4 failing polygons.
-CERTIFICATE_CASES = [(n, r, None, None) for n, r in GRID + [(8, 3)]] + list(ITEM2.values())
-CERTIFICATE_IDS = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(ITEM2)
-FAILING_EDGES = ITEM2["4x3-1/16-2^32"]
+CERTIFICATE_CASES = [(n, r, None, None) for n, r in GRID + [(8, 3)]] + list(
+    PASS_GATES_FAIL_VERIFY.values()
+)
+CERTIFICATE_IDS = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(PASS_GATES_FAIL_VERIFY)
+FAILING_EDGES = PASS_GATES_FAIL_VERIFY["4x3-1/16-2^32"]
 # Odd-n systems built with --force that fail verify at vertices, some of
 # which lie in several failing polygons.
 FORCED = {
