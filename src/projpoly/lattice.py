@@ -46,9 +46,6 @@ class FaceLattice:
         self._dims = dims
         self._cover_ids = cover_ids
         self._cover_bounds = cover_bounds
-        self.faces: tuple[tuple[int, int], ...] = tuple(
-            sorted(zip(self._masks, dims), key=lambda item: (item[1], item[0]))
-        )
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._ids
@@ -66,14 +63,11 @@ class FaceLattice:
         return [masks[j] for j in self._cover_ids[self._cover_bounds[i]:self._cover_bounds[i + 1]]]
 
     def faces_of_dim(self, k: int) -> list[int]:
-        return [mask for mask, d in self.faces if d == k]
+        """The faces of dimension k, in increasing mask order."""
+        return sorted(mask for mask, d in zip(self._masks, self._dims) if d == k)
 
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * self.dim
-        for _, d in self.faces:
-            if 0 <= d < self.dim:
-                counts[d] += 1
-        return tuple(counts)
+        return tuple(map(self._dims.count, range(self.dim)))
 
 
 def _facets_of_polytope(v: VPolytope) -> list[tuple[int, list[int]]]:

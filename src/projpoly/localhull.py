@@ -8,9 +8,13 @@ Its plane is the integer cofactor normal of three edge vectors at one
 vertex; every vertex of G must lie on it and the barycenter of the images
 strictly inside it.  For each 2-face F of G and each other 3-face through
 F, one vertex of that 3-face off F must also lie strictly inside.
-Candidates that pass are kept.  The selection is only a heuristic, and the
-kept set K is then certified (Mehlhorn et al., "Checking geometric
-programs or verification of geometric structures", 1999):
+Candidates that pass are kept; one with a 2-face already in two kept
+facets is skipped before its plane is computed, since (b) refuses a third
+facet there, so an input that certifies keeps the same facets (at (4,4),
+734 of 1,792 candidates reach the plane).  The selection is only a
+heuristic, and the kept set K is then certified (Mehlhorn et al.,
+"Checking geometric programs or verification of geometric structures",
+1999):
 
 (a) the images are pairwise distinct;
 (b) every 2-face of a kept facet lies in exactly two kept facets;
@@ -71,8 +75,7 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import FaceLattice
-from .linalg import QMatrix
-from .polytope import HPolytope, HullResult, Point, ProductIndex, VPolytope, _facet_row, _grid
+from .polytope import HullResult, Point, ProductIndex, VPolytope, _grid
 
 
 class UncertifiedHull(Exception):
@@ -137,25 +140,16 @@ def _certified_hull(
     offsets: list[int] = []
     members: list[list[int]] = []
     ridges: list[list[int]] = []
+    # seen[key] counts the kept facets through 2-face ``key``, across[key]
+    # sums their indices; a candidate with a key seen twice is skipped.
+    seen = bytearray(count * slots)
+    across = [0] * (count * slots)
 
     def keep(verts: list[int], probes: list[int], keys: list[int]) -> None:
         """Keep the candidate with vertices ``verts``, the first four
         affinely spanning its plane, when all of them lie on that plane,
         the origin lies strictly inside it and so does every probe."""
-        x0, x1, x2, x3 = coords[verts[0]]
-        y0, y1, y2, y3 = coords[verts[1]]
-        u0, u1, u2, u3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
-        y0, y1, y2, y3 = coords[verts[2]]
-        v0, v1, v2, v3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
-        y0, y1, y2, y3 = coords[verts[3]]
-        w0, w1, w2, w3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
-        m01, m02, m03 = v0 * w1 - v1 * w0, v0 * w2 - v2 * w0, v0 * w3 - v3 * w0
-        m12, m13, m23 = v1 * w2 - v2 * w1, v1 * w3 - v3 * w1, v2 * w3 - v3 * w2
-        a0 = u1 * m23 - u2 * m13 + u3 * m12
-        a1 = u2 * m03 - u0 * m23 - u3 * m02
-        a2 = u0 * m13 - u1 * m03 + u3 * m01
-        a3 = u1 * m02 - u0 * m12 - u2 * m01
-        b = a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+        a0, a1, a2, a3, b = _plane(coords, verts)
         if b < 0:
             a0, a1, a2, a3, b = -a0, -a1, -a2, -a3, -b
         elif not b:
@@ -168,6 +162,9 @@ def _certified_hull(
             y0, y1, y2, y3 = coords[c]
             if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 != b:
                 return
+        for key in keys:
+            seen[key] += 1
+            across[key] += len(planes)
         g = math.gcd(a0, a1, a2, a3)
         planes.append((a0 // g, a1 // g, a2 // g, a3 // g))
         offsets.append(b // g)
@@ -189,6 +186,10 @@ def _certified_hull(
                 if c // sk % n:
                     continue
                 ring0 = list(range(c, c + span, sk))
+                keys = [c * slots + k, up2[c] * slots + k]
+                keys += [x * slots + square for x in ring0]
+                if 2 in map(seen.__getitem__, keys):
+                    continue
                 ring1 = [up2[x] for x in ring0]
                 probes = [down2[x] for x in ring0]
                 probes.append(up2[ring1[0]])
@@ -196,8 +197,6 @@ def _certified_hull(
                     probes += [up[x] for x in ring0]
                     probes += [down[x] for x in ring0]
                     probes += (up[ring1[0]], down[ring1[0]])
-                keys = [c * slots + k, ring1[0] * slots + k]
-                keys += [x * slots + square for x in ring0]
                 verts = [ring0[0], ring0[1], ring0[-1], ring1[0]] + ring0[2:-1] + ring1[1:]
                 keep(verts, probes, keys)
 
@@ -211,32 +210,25 @@ def _certified_hull(
                 s12, s13, s23 = (pair_slot[k1, k2], pair_slot[k1, k3], pair_slot[k2, k3])
                 for c in range(count):
                     c1, c2, c3 = up1[c], up2[c], up3[c]
+                    keys = [c * slots + s12, c * slots + s13, c * slots + s23,
+                            c3 * slots + s12, c2 * slots + s13, c1 * slots + s23]
+                    if 2 in map(seen.__getitem__, keys):
+                        continue
                     c12, c13, c23 = up2[c1], up3[c1], up3[c2]
                     probes = [down1[c], down2[c], down3[c], down1[c3], down2[c3], up3[c3],
                               down1[c2], down3[c2], up2[c2], down2[c1], down3[c1], up1[c1]]
                     for up, down in rest:
                         probes += (up[c], down[c], up[c1], down[c1],
                                    up[c2], down[c2], up[c3], down[c3])
-                    keys = [c * slots + s12, c * slots + s13, c * slots + s23,
-                            c3 * slots + s12, c2 * slots + s13, c1 * slots + s23]
                     keep([c, c1, c2, c3, c12, c13, c23, up3[c12]], probes, keys)
 
     if not planes:
         raise UncertifiedHull("(d) no 3-face was kept")
     # (b) Closure: every 2-face of a kept facet lies in exactly two kept
-    # facets; ``across`` holds the sum of their indices.
-    seen = bytearray(count * slots)
-    across = [0] * (count * slots)
-    for j, keys in enumerate(ridges):
-        for key in keys:
-            seen[key] += 1
-            across[key] += j
-            if seen[key] > 2:
-                raise UncertifiedHull("(b) a 2-face lies in more than two kept facets")
+    # facets; the selection kept no third.
     for keys in ridges:
-        for key in keys:
-            if seen[key] != 2:
-                raise UncertifiedHull("(b) a 2-face lies in only one kept facet")
+        if 1 in map(seen.__getitem__, keys):
+            raise UncertifiedHull("(b) a 2-face lies in only one kept facet")
 
     # (c) Two-sided local convexity: every vertex of a kept facet off each
     # of its 2-faces lies strictly inside the plane across it; ``keep``
@@ -305,8 +297,6 @@ def _certified_hull(
 
     # Certified: Q's facets are the kept ones, each with exactly its
     # candidate's vertices, and every image is a vertex of Q.
-    denom = count * scale
-    normals, rhs = zip(*(_facet_row(a, b, denom, total) for a, b in zip(planes, offsets)))
     incidence = [0] * count
     facet_points: list[int] = []
     for j, verts in enumerate(members):
@@ -317,8 +307,27 @@ def _certified_hull(
             mask |= 1 << i
         facet_points.append(mask)
     hull_v = VPolytope(tuple(points), tuple(incidence), 4)
-    hull_h = HPolytope(QMatrix(normals), rhs)
-    return HullResult(hull_h, hull_v, tuple(range(count)), tuple(facet_points)), ridges
+    return HullResult(tuple(planes), tuple(offsets), count * scale, tuple(total), hull_v,
+                      tuple(range(count)), tuple(facet_points)), ridges
+
+
+def _plane(coords: list[tuple[int, ...]], verts: list[int]) -> tuple[int, int, int, int, int]:
+    """The cofactor normal a of the hyperplane through ``coords[c]`` for the
+    first four codes c in ``verts``, and a . x at the first of them."""
+    x0, x1, x2, x3 = coords[verts[0]]
+    y0, y1, y2, y3 = coords[verts[1]]
+    u0, u1, u2, u3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
+    y0, y1, y2, y3 = coords[verts[2]]
+    v0, v1, v2, v3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
+    y0, y1, y2, y3 = coords[verts[3]]
+    w0, w1, w2, w3 = y0 - x0, y1 - x1, y2 - x2, y3 - x3
+    m01, m02, m03 = v0 * w1 - v1 * w0, v0 * w2 - v2 * w0, v0 * w3 - v3 * w0
+    m12, m13, m23 = v1 * w2 - v2 * w1, v1 * w3 - v3 * w1, v2 * w3 - v3 * w2
+    a0 = u1 * m23 - u2 * m13 + u3 * m12
+    a1 = u2 * m03 - u0 * m23 - u3 * m02
+    a2 = u0 * m13 - u1 * m03 + u3 * m01
+    a3 = u1 * m02 - u0 * m12 - u2 * m01
+    return a0, a1, a2, a3, a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
 
 
 def _off_ridge(n: int) -> tuple[list[list[int]], list[list[int]]]:

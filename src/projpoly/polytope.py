@@ -6,8 +6,8 @@ integer rays.  ``convex_hull`` (and ``v_to_h``) enumerates the same way
 the polar about the barycenter of the points, which are put on one
 integer grid first: every point times the lcm of all denominators.
 Distinct points, the barycenter and the polar's cone rows are all
-integers, and a ``Fraction`` is built only for the facet coefficients
-returned.  Both directions are exact.
+integers, and a ``Fraction`` is built only when the facets are read as
+rational rows (``HullResult.h``).  Both directions are exact.
 
 Neither direction runs an extra rank computation around the DD.  Its
 greedy initial basis decides whether the cone is pointed (for ``h_to_v``,
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -344,31 +345,36 @@ def h_to_v(p: HPolytope) -> VPolytope:
 class HullResult:
     """Convex hull of a point set: irredundant facets plus extreme points.
 
-    Both maps are indexed by original input point, so equal points share
-    their entries: ``point_vertex[i]`` is the vertex index of point i in
-    ``v`` (None for non-extreme points), and bit i of ``facet_points[j]``
-    is set when point i lies on facet j.
+    Facet j is ``planes[j]`` . h <= ``offsets[j]`` over the N distinct
+    grid points g (``convex_hull``), centred as h = N * g - S with S =
+    ``total``; ``denom`` is N * L.  Both maps are indexed by original
+    input point, so equal points share their entries: ``point_vertex[i]``
+    is the vertex index of point i in ``v`` (None for non-extreme points),
+    and bit i of ``facet_points[j]`` is set when point i lies on facet j.
     """
 
-    h: HPolytope
+    planes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+    denom: int
+    total: tuple[int, ...]
     v: VPolytope
     point_vertex: tuple[int | None, ...]
     facet_points: tuple[int, ...]
+
+    @cached_property
+    def h(self) -> HPolytope:
+        """The facets as rows over the input points x = g / L, built when
+        first read: with D = ``denom``, a . h <= b is (D a / b) . x <= (b + a . S) / b."""
+        facets = list(zip(self.planes, self.offsets))
+        normals = tuple(tuple(QQ(self.denom * x, b) for x in a) for a, b in facets)
+        rhs = tuple(QQ(b + sum(map(mul, a, self.total)), b) for a, b in facets)
+        return HPolytope(QMatrix(normals), rhs)
 
 
 def _grid(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
     """The lcm L of the points' denominators, and each point times L."""
     scale = math.lcm(*(x.denominator for p in points for x in p))
     return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
-
-
-def _facet_row(
-    a: Sequence[int], b: int, denom: int, total: Sequence[int]
-) -> tuple[Point, Fraction]:
-    """The row ``convex_hull`` writes for the facet a . h <= b (b > 0) of
-    the grid points centred as h = N * g - S: with D = N * L, it is
-    (D a / b) . x <= (b + a . S) / b over the input points x = g / L."""
-    return tuple(QQ(denom * x, b) for x in a), QQ(b + sum(map(mul, a, total)), b)
 
 
 def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
@@ -424,8 +430,8 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
     rays, tights = dd
 
     # Ray (y, t) is the facet y . h <= t * D over the centred grid points.
-    normals, rhs = zip(*(_facet_row(ray[:d], ray[d] * denom, denom, total) for ray in rays))
-    hull_h = HPolytope(QMatrix(normals), rhs)
+    planes = tuple(tuple(ray[:d]) for ray in rays)
+    offsets = tuple(ray[d] * denom for ray in rays)
 
     every_point = (1 << count) - 1
     point_tight = [0] * count
@@ -458,7 +464,7 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
             unique_vertex.append(None)
     hull_v = VPolytope(tuple(vertices), tuple(incidence), d)
     point_vertex = tuple(unique_vertex[u] for u in point_unique)
-    return HullResult(hull_h, hull_v, point_vertex, tuple(facet_points))
+    return HullResult(planes, offsets, denom, tuple(total), hull_v, point_vertex, tuple(facet_points))
 
 
 def v_to_h(points: Sequence[Sequence[Fraction]]) -> HPolytope:

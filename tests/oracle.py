@@ -30,6 +30,7 @@ from fractions import Fraction as QQ
 from functools import cache, reduce
 from itertools import combinations
 from itertools import product as iter_product
+from math import lcm
 from operator import and_
 from random import Random
 
@@ -385,7 +386,9 @@ def polar_rows_oracle(points):
 def convex_hull_oracle(points):
     """``polytope.convex_hull`` as it was before its integer grid: the
     ``Fraction`` polar through ``h_to_v``, facet right-hand sides
-    1 + a . c, and the point maps from the polar's incidences."""
+    1 + a . c, and the point maps from the polar's incidences.  Returns
+    the ``HullResult``, its facets put in integer form, and those facets
+    as the ``Fraction`` rows a . x <= 1 + a . c."""
     pts = [tuple(QQ(x) for x in p) for p in points]
     unique, center, shifted = _fraction_polar(pts)
     d = len(center)
@@ -409,12 +412,22 @@ def convex_hull_oracle(points):
             incidence.append(sum(1 << j for j in point_facets[i]))
         else:
             unique_vertex.append(None)
-    return HullResult(
-        HPolytope(QMatrix(polar.vertices), rhs),
+    # With L the lcm of the denominators, N distinct points and S the sum
+    # of the points times L, a . x <= 1 + a . c is y . (N L x - S) <= t N L
+    # for (y, t) the primitive integer direction of (a, 1).
+    scale = lcm(*(x.denominator for p in unique for x in p))
+    denom = len(unique) * scale
+    rays = [primitive(list(clear_denominators(normal + (QQ(1),)))) for normal in polar.vertices]
+    hull = HullResult(
+        tuple(tuple(ray[:d]) for ray in rays),
+        tuple(ray[d] * denom for ray in rays),
+        denom,
+        tuple(int(sum(col) * scale) for col in zip(*unique)),
         VPolytope(tuple(vertices), tuple(incidence), d),
         tuple(unique_vertex[index[p]] for p in pts),
         facet_points,
     )
+    return hull, HPolytope(QMatrix(polar.vertices), rhs)
 
 
 def is_irredundant(h, vertices):
@@ -427,9 +440,15 @@ def is_irredundant(h, vertices):
     return True
 
 
+def lattice_faces(lattice):
+    """Every face of ``lattice`` mapped to its dimension, by dimension and
+    then by mask, read through ``faces_of_dim``."""
+    return {mask: k for k in range(-1, lattice.dim + 1) for mask in lattice.faces_of_dim(k)}
+
+
 def is_closed_under_intersection(lattice):
     """Pairwise closure check; quadratic, intended for small instances."""
-    masks = [mask for mask, _ in lattice.faces]
+    masks = list(lattice_faces(lattice))
     return all(a & b in lattice for a in masks for b in masks)
 
 

@@ -9,6 +9,7 @@ draws the same examples on every run.
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -170,3 +171,79 @@ def test_cli_exit_codes(file, export_format):
             assert code in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_INVALID)
             if code == cli.EXIT_INVALID:
                 assert len(stderr.getvalue().splitlines()) == 1
+
+
+# Each command's valid arguments as (option, value) items, a positional's
+# option None; every valid draw keeps n^r <= 64.  A draw adds one malformed
+# token to one of them.
+SKELETONS = {
+    "construct": [("--n", "4"), ("--r", "2"), ("-o", "{tmp}/out.json")],
+    "verify": [(None, "{tmp}/system.json"), ("--report", "{tmp}/out.json")],
+    "analyze": [(None, "{tmp}/system.json"), ("--report", "{tmp}/out.json")],
+    "sweep": [("--n", "4,6"), ("--r", "2"), ("-o", "{tmp}/out.csv")],
+    "export": [(None, "{tmp}/system.json"), ("-o", "{tmp}/out.ine"), ("--format", "ine")],
+}
+# Non-integers, negatives, empty values and non-ASCII digits.
+BAD_VALUES = ["four", "1.5", "1e3", "-4", "-1", "", "٤", "４", "4/0", "{tmp}"]
+BAD_TOKENS = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 2), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.just("flag"), st.integers(0, 3), st.sampled_from(["--bogus", "-x", "--", "--n="])),
+    st.tuples(st.just("missing"), st.integers(0, 2), st.none()),
+    st.tuples(st.just("repeated"), st.integers(0, 2), st.sampled_from(BAD_VALUES + ["6", "2"])),
+    # n^r over the geometric budget: (4,2) and (6,2) are 16 and 36.
+    st.tuples(st.just("budget"), st.integers(0, 3), st.sampled_from(["15", "0", "35"])),
+)
+
+
+@contextlib.contextmanager
+def _working_directory(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def _argv(command, token, tmp):
+    kind, at, value = token
+    items = list(SKELETONS[command])
+    at %= len(items)
+    if kind == "value":
+        items[at] = (items[at][0], value)
+    elif kind == "flag":
+        items.insert(at, (value, None))
+    elif kind == "missing":
+        del items[at]
+    elif kind == "repeated":
+        items.append((items[at][0] or items[at][1], value))
+    else:
+        items.insert(at, ("--geometric-budget", value))
+    argv = [command]
+    for option, value in items:
+        argv += [x.format(tmp=tmp) for x in (option, value) if x is not None]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(SKELETONS)), token=BAD_TOKENS)
+@example(command="sweep", token=("budget", 0, "15"))
+@example(command="construct", token=("value", 0, "٤"))
+@example(command="verify", token=("missing", 0, None))
+def test_cli_malformed_argv_exits_with_one_line(command, token):
+    # A malformed value can be a relative output path, so the command runs
+    # in the temporary directory.
+    with tempfile.TemporaryDirectory() as tmp, _working_directory(tmp):
+        (Path(tmp) / "system.json").write_text(json.dumps(BASE))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(_argv(command, token, tmp))
+            except SystemExit as exit_:
+                code = exit_.code
+        assert code in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_INVALID)
+        if code == cli.EXIT_INVALID:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert "Traceback" not in stderr.getvalue()
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["system.json"]

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import GRID
-from oracle import counting_identities_oracle
+from oracle import counting_identities_oracle, lattice_faces
 from projpoly.construction import ConstructionError
 from projpoly.lattice import FlagVector4, face_lattice
 from projpoly.metrics import (
@@ -209,7 +209,7 @@ def test_counting_identities_equal_the_subset_scan_oracle(n, r, grid_case):
     lattice = system.checker.q_lattice
     masks = _polygon_masks(system)
     report = counting_identities(lattice, FlagVector4.from_lattice(lattice), n, r, masks)
-    expected = counting_identities_oracle(dict(lattice.faces), n, r, masks)
+    expected = counting_identities_oracle(lattice_faces(lattice), n, r, masks)
     assert (report.prisms, report.cubes) == (expected.prisms, expected.cubes)
     assert report.identities == expected.identities
     assert report.ok and report == grid_case(n, r).analyze.counting
@@ -225,7 +225,7 @@ def test_counting_identities_reject_a_polygon_of_the_wrong_dimension(dim, grid_c
     with pytest.raises(CountingError, match=message):
         counting_identities(lattice, FlagVector4.from_lattice(lattice), 4, 3, masks)
     with pytest.raises(CountingError, match=message):
-        counting_identities_oracle(dict(lattice.faces), 4, 3, masks)
+        counting_identities_oracle(lattice_faces(lattice), 4, 3, masks)
 
 
 def _fatness_and_complexity(n, r):

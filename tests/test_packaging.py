@@ -108,10 +108,29 @@ def _public_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
     return [(d.name, d.lineno, d.end_lineno) for d in found if not d.name.startswith("_")]
 
 
+def _standard_library_overrides(tree: ast.Module) -> set[int]:
+    """First lines of the methods that override a method of a standard
+    library base class (``class _Parser(argparse.ArgumentParser)``'s
+    ``error``): the base class's own code calls them."""
+    lines = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = []
+        for base in node.bases:
+            module, _, name = ast.unparse(base).rpartition(".")
+            if module.split(".")[0] in sys.stdlib_module_names:
+                bases.append(getattr(importlib.import_module(module), name))
+        lines |= {item.lineno for item in node.body
+                  if isinstance(item, ast.FunctionDef) and any(hasattr(b, item.name) for b in bases)}
+    return lines
+
+
 def unused_public_names(package: Path, callers: Path) -> list[str]:
     """``file:line name`` of each public definition in ``package`` that no
-    code in the package uses outside its own definition, and that nothing
-    under ``callers`` names."""
+    code in the package uses outside its own definition, that nothing under
+    ``callers`` names, and that overrides no method of a standard library
+    base class."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
     outside = {name for path in sorted(callers.rglob("*.py"))
                for name, _ in _references(ast.parse(path.read_text(), filename=str(path)))}
@@ -121,8 +140,9 @@ def unused_public_names(package: Path, callers: Path) -> list[str]:
             uses.setdefault(name, []).append((path, line))
     unused = []
     for path, tree in trees.items():
+        overrides = _standard_library_overrides(tree)
         for name, first, last in _public_definitions(tree):
-            used = name in outside or any(
+            used = name in outside or first in overrides or any(
                 where != path or not first <= line <= last for where, line in uses.get(name, ())
             )
             if not used:
