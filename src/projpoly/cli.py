@@ -20,11 +20,20 @@ from . import io as pio
 from . import pipeline
 from .construction import ConstructionError, InvalidParameterError, start_parameters, v_eps_block
 from .polytope import PolytopeError
-from .rational import parse_rational
+from .rational import parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INVALID = 2
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value by ``parse_integer``; a malformed one is
+    reported in argparse's own words."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_auto_rational(text: str) -> Fraction | None:
@@ -145,8 +154,8 @@ def _parse_range(text: str) -> list[int]:
             parts = chunk.split(":")
             if len(parts) not in (2, 3):
                 raise ValueError(f"bad range: {chunk!r}")
-            start, stop = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
+            start, stop = parse_integer(parts[0]), parse_integer(parts[1])
+            step = parse_integer(parts[2]) if len(parts) == 3 else 1
             if step <= 0:
                 raise ValueError(f"range step must be positive: {chunk!r}")
             # Counted by hand: len() of a range longer than sys.maxsize
@@ -155,7 +164,7 @@ def _parse_range(text: str) -> list[int]:
             chunk_values = range(start, stop + 1, step)
         else:
             count = 1
-            chunk_values = [int(chunk)]
+            chunk_values = [parse_integer(chunk)]
         if len(values) + count > MAX_AXIS_VALUES:
             raise ValueError(f"more than {MAX_AXIS_VALUES} values in one range argument")
         values.extend(chunk_values)
@@ -410,7 +419,7 @@ class _Budget(argparse.Action):
 
 def _add_budget(p: argparse.ArgumentParser, verb: str) -> None:
     budget = pipeline.GEOMETRIC_BUDGET
-    p.add_argument("--geometric-budget", type=int, default=budget, action=_Budget,
+    p.add_argument("--geometric-budget", type=_int_option, default=budget, action=_Budget,
                    help=f"{verb} geometrically when n^r is at most this (default {budget})")
 
 
@@ -429,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a deformed product system")
-    p.add_argument("--n", type=int, required=True, help="polygon size (even, >= 4)")
-    p.add_argument("--r", type=int, required=True, help="number of polygon factors (>= 2)")
+    p.add_argument("--n", type=_int_option, required=True, help="polygon size (even, >= 4)")
+    p.add_argument("--r", type=_int_option, required=True, help="number of polygon factors (>= 2)")
     p.add_argument("--eps", default="auto", help="perturbation (rational 'p/q' or 'auto')")
     p.add_argument("--big-m", default="auto", help="right-hand-side growth (rational or 'auto')")
     p.add_argument("-o", "--output", required=True, help="output JSON path")
@@ -458,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="values: '4,6,8' or '4:10:2'")
     p.add_argument("--r", required=True, help="values: '2,3' or '2:5'")
     _add_budget(p, "verify")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid rows")
+    p.add_argument("--jobs", type=_int_option, default=1, help="parallel workers for grid rows")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
     p.set_defaults(func=cmd_sweep)

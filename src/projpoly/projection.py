@@ -6,10 +6,8 @@ bijection, and the full preimage of the image is the face itself.  All
 three conditions are checked directly at vertex level, and no rank is
 computed: the face's dimension comes from its kind in the product
 labeling, and the image's dimension from the projection's face lattice.
-Independently, the sufficient linear-algebra certificate is evaluated: the
-coordinates that the projection deletes, taken from the normals of all
-facets containing the face, must positively span.  Which faces need a
-check at all is decided by ``pipeline.verify_system``.
+``Certificate`` evaluates the Projection Lemma's sufficient certificate
+independently.  ``pipeline.verify_system`` decides which faces to check.
 
 The projected polytope Q comes from ``localhull.local_hull``, whose module
 docstring gives the method and its proof, or else from ``convex_hull``.
@@ -20,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iter_product
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Sequence
 
 from .lattice import FaceLattice, face_lattice, mask_of
@@ -72,6 +70,30 @@ def _common_rows(incidence: Sequence[int], vertices: Sequence[int]) -> int:
     return reduce(and_, map(incidence.__getitem__, vertices)) if vertices else 0
 
 
+class Certificate:
+    """The Projection Lemma's certificate that a face of P survives: the
+    deleted coordinates of the normals of all facets containing it, read
+    from P's rows alone, positively span.  That depends on the set of
+    vectors only, so each distinct set runs one LP, kept for its lifetime."""
+
+    def __init__(self, ph: HPolytope):
+        self.dim = ph.dim - 4
+        # Each row's deleted normal coordinates, and their integer id as the
+        # bit 1 << id, equal for equal vectors: a memo hit hashes no Fraction.
+        self._drop_vectors: list[Point] = [tuple(row[: self.dim]) for row in ph.A.entries]
+        self._drop_bits = [1 << i for i in _intern(self._drop_vectors)]
+        # Verdict per distinct set of vectors, keyed by the bitmask of their ids.
+        self._spans: dict[int, bool] = {}
+
+    def spans(self, rows: int) -> bool:
+        """Whether the deleted coordinates of the rows in bitmask ``rows`` positively span."""
+        key = reduce(or_, map(self._drop_bits.__getitem__, _bits(rows)), 0)
+        if key not in self._spans:
+            vectors = [self._drop_vectors[j] for j in _bits(rows)]
+            self._spans[key] = positively_spans(vectors, self.dim).kind == "spanning"
+        return self._spans[key]
+
+
 class ProjectionChecker:
     """Shared state for checking many faces of one projection.
 
@@ -84,32 +106,22 @@ class ProjectionChecker:
     of the hull's incidences.  No rank is computed per face: the caller
     knows the face's dimension from its kind, and once the image is a face
     of the projection its dimension is read from that lattice.  The face
-    checks are set arithmetic plus one positive-span certificate, one LP
-    per distinct input, kept for the checker's lifetime.  A face's report
-    depends on the face alone, whatever the order of the calls.
+    checks are set arithmetic plus one call to ``certificate``.  A face's
+    report depends on the face alone, whatever the order of the calls.
     """
 
     def __init__(self, ph: HPolytope, pv: VPolytope, product: ProductIndex | None = None):
         self.pv = pv
         self.images: list[Point] = project(pv)
-        self.drop_coords = range(pv.dim - 4)
+        self.certificate = Certificate(ph)
         self.hull, self.q_lattice = _projected_hull(self.images, product)
         self.qv: VPolytope = self.hull.v
         # P-vertex index -> Q-vertex index (None when the image is not
         # a vertex of Q).
         self.vertex_map = self.hull.point_vertex
         self.all_p_mask = (1 << pv.nvertices) - 1
-        # Each facet row's deleted normal coordinates and each vertex image
-        # as an integer id, equal ids for equal vectors, so that the per-face
-        # work hashes no Fraction.  A row's id is kept as the bit 1 << id.
-        self._drop_vectors: list[Point] = [
-            tuple(row[c] for c in self.drop_coords) for row in ph.A.entries
-        ]
-        self._drop_bits = [1 << i for i in _intern(self._drop_vectors)]
+        # Vertex images as ids, equal for equal images, so no face hashes a Fraction.
         self._image_ids = _intern(self.images)
-        # Certificate verdict per distinct set of deleted normal coordinates,
-        # keyed by the bitmask of their ids.
-        self._spans: dict[int, bool] = {}
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
@@ -161,19 +173,7 @@ class ProjectionChecker:
 
         direct_ok = injective and is_face and preimage_ok
 
-        # Sufficient certificate: deleted coordinates of the normals of all
-        # facets containing the face must positively span.  Positive
-        # spanning depends only on the set of vectors, so each distinct set
-        # runs one LP per checker.
-        rows = _common_rows(self.pv.incidence, vertices)
-        key = 0
-        for j in _bits(rows):
-            key |= self._drop_bits[j]
-        certificate_ok = self._spans.get(key)
-        if certificate_ok is None:
-            vectors = [self._drop_vectors[j] for j in _bits(rows)]
-            cert = positively_spans(vectors, len(self.drop_coords))
-            certificate_ok = self._spans[key] = cert.kind == "spanning"
+        certificate_ok = self.certificate.spans(_common_rows(self.pv.incidence, vertices))
         if not certificate_ok:
             problems.append("certificate: deleted normal coordinates do not positively span")
 

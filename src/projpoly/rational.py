@@ -14,6 +14,7 @@ from fractions import Fraction
 QQ = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -32,6 +33,16 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(token))
+
+
+def parse_integer(text: str) -> int:
+    """Parse a strict integer token, the ``p`` form of ``parse_rational``,
+    stripped as it strips: ASCII digits only, so ``int()``'s other Unicode
+    digits and underscores are rejected."""
+    token = text.strip()
+    if not _INTEGER_RE.match(token):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(token)
 
 
 def format_rational(value: Fraction) -> str:

@@ -648,6 +648,8 @@ def test_construct_exits_1_when_no_round_passes(tmp_path, capsys, monkeypatch):
     ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--format", "xml"],
     ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--geometric-budget", "abc"],
     ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--jobs", "two"],
+    ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--jobs", "٢"],
+    ["sweep", "--n", "4", "--r", "2", "-o", "out.csv", "--geometric-budget", "٥"],
     ["export", "system.json", "-o", "out.ine", "--format", "ine", "--bogus"],
     ["export", "system.json", "-o", "out.ine"],
     ["export", "-o", "out.ine", "--format", "ine"],

@@ -183,8 +183,10 @@ SKELETONS = {
     "sweep": [("--n", "4,6"), ("--r", "2"), ("-o", "{tmp}/out.csv")],
     "export": [(None, "{tmp}/system.json"), ("-o", "{tmp}/out.ine"), ("--format", "ine")],
 }
-# Non-integers, negatives, empty values and non-ASCII digits.
-BAD_VALUES = ["four", "1.5", "1e3", "-4", "-1", "", "٤", "４", "4/0", "{tmp}"]
+# Non-integers, negatives, empty values, non-ASCII digits and underscores.
+BAD_VALUES = ["four", "1.5", "1e3", "-4", "-1", "", "٤", "４", "1_0", "4/0", "{tmp}"]
+# Values that int() reads but an integer option or range must refuse.
+NOT_ASCII_INTEGERS = ("٤", "４", "1_0")
 BAD_TOKENS = st.one_of(
     st.tuples(st.just("value"), st.integers(0, 2), st.sampled_from(BAD_VALUES)),
     st.tuples(st.just("flag"), st.integers(0, 3), st.sampled_from(["--bogus", "-x", "--", "--n="])),
@@ -229,6 +231,8 @@ def _argv(command, token, tmp):
 @given(command=st.sampled_from(sorted(SKELETONS)), token=BAD_TOKENS)
 @example(command="sweep", token=("budget", 0, "15"))
 @example(command="construct", token=("value", 0, "٤"))
+@example(command="construct", token=("repeated", 1, "４"))
+@example(command="sweep", token=("value", 0, "1_0"))
 @example(command="verify", token=("missing", 0, None))
 def test_cli_malformed_argv_exits_with_one_line(command, token):
     # A malformed value can be a relative output path, so the command runs
@@ -242,6 +246,10 @@ def test_cli_malformed_argv_exits_with_one_line(command, token):
             except SystemExit as exit_:
                 code = exit_.code
         assert code in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_INVALID)
+        kind, at, value = token
+        option = SKELETONS[command][at % len(SKELETONS[command])][0]
+        if kind in ("value", "repeated") and value in NOT_ASCII_INTEGERS and option in ("--n", "--r"):
+            assert code == cli.EXIT_INVALID
         if code == cli.EXIT_INVALID:
             lines = stderr.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines

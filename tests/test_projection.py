@@ -378,10 +378,10 @@ def _distinct_certificate_inputs(system, dims=(0, 1, 2)):
 @pytest.mark.parametrize("n,r", [(4, 3), (6, 3), (4, 4)])
 def test_certificate_lps_match_fraction_simplex(grid_case, n, r):
     system = grid_case(n, r).system
-    dim = len(system.checker.drop_coords)
+    dim = system.checker.certificate.dim
     # verify ran one LP per distinct polygon input and checked no edge or
     # vertex.
-    assert len(_distinct_certificate_inputs(system, (2,))) == len(system.checker._spans)
+    assert len(_distinct_certificate_inputs(system, (2,))) == len(system.checker.certificate._spans)
     for vectors in _distinct_certificate_inputs(system):
         target = [-sum(v[i] for v in vectors) for i in range(dim)]
         assert linalg.nonneg_solution(vectors, target) == nonneg_solution_oracle(vectors, target)
@@ -455,6 +455,32 @@ def test_certificate_equals_the_per_face_lp_oracle(case, order):
 @pytest.mark.parametrize("case", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_each_report_equals_the_face_checked_alone(case, order):
     assert _report_mismatches(case, order) == []
+
+
+# The LPs a fresh certificate runs on the polygons of a GRID case.
+POLYGON_LPS = {(4, 4, None, None): 40, (6, 3, None, None): 13}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_the_certificate_needs_no_q(monkeypatch, case):
+    system = _certificate_case(case)[0]
+    polygons = _faces(system, 2)
+    incidence = system.vertices.incidence
+    rows = [reduce(and_, (incidence[i] for i in face.vertices)) for face in polygons]
+    distinct = {frozenset(certificate_input(system, face)) for face in polygons}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate built Q")
+
+    monkeypatch.setattr(projection, "local_hull", refuse)
+    monkeypatch.setattr(projection, "convex_hull", refuse)
+    inputs = _counting_lps(monkeypatch)
+    certificate = projection.Certificate(system.h)
+    assert [certificate.spans(mask) for mask in rows] == [
+        certificate_oracle(system, face) for face in polygons
+    ]
+    assert Counter(inputs) == Counter(distinct)
+    assert len(inputs) == POLYGON_LPS.get(case, len(distinct))
 
 
 def test_the_failing_edges_lie_in_the_failing_polygons():
@@ -606,7 +632,7 @@ def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     # A fresh checker given every certificate verdict the first one
     # computed: each face hits the memo.
     fresh = ProjectionChecker(system.h, system.vertices, labeling)
-    fresh._spans = dict(checker._spans)
+    fresh.certificate._spans = dict(checker.certificate._spans)
     hashes = []
     original = QQ.__hash__
 

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction as QQ
 
-from projpoly.rational import format_rational, parse_rational, rational_to_decimal
+from projpoly.rational import format_rational, parse_integer, parse_rational, rational_to_decimal
 
 
 def test_parse_canonical_tokens():
@@ -17,6 +17,17 @@ def test_parse_canonical_tokens():
 def test_parse_rejects_non_rational_tokens(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_integer_takes_the_integer_tokens():
+    assert [parse_integer(t) for t in ["4", "+4", "-1", "0", " 7 ", "007"]] == [4, 4, -1, 0, 7, 7]
+
+
+@pytest.mark.parametrize("bad", ["", "+", "1/2", "1.0", "1e3", "0x10", "1_0", "\u0664", "\uff14",
+                                 "4\u0660", "four"])
+def test_parse_integer_rejects_non_integer_tokens(bad):
+    with pytest.raises(ValueError, match="invalid int value"):
+        parse_integer(bad)
 
 
 def test_format_is_canonical():
