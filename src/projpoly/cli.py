@@ -122,8 +122,9 @@ def _check_block_writable(n: int, r: int, eps: Fraction | None, big_m: Fraction 
         )
 
 
-def _check_budget(n: int, r: int, budget: int) -> None:
-    """Raise ``ValueError`` when n^r is over the geometric budget.
+def _check_budget(n: int, r: int, budget: int, verb: str) -> None:
+    """Raise ``ValueError`` when n^r is over the geometric budget; the
+    message tells how to ``verb`` the system anyway.
 
     A power far over it is decided from n^r >= 2^(r(b-1)), with b the bit
     length of n, without computing n^r.  Pairs with n below 3 or r below 2
@@ -134,7 +135,7 @@ def _check_budget(n: int, r: int, budget: int) -> None:
     if r * (n.bit_length() - 1) > budget.bit_length() or n**r > budget:
         raise ValueError(
             f"n={n}, r={r}: n^r is over the geometric budget {budget}; "
-            "raise --geometric-budget to construct it"
+            f"raise --geometric-budget to {verb} it"
         )
 
 
@@ -210,7 +211,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         eps = _parse_auto_rational(args.eps)
         big_m = _parse_auto_rational(args.big_m)
         _check_writable(args.n, args.r, eps, big_m)
-        _check_budget(args.n, args.r, args.geometric_budget)
+        _check_budget(args.n, args.r, args.geometric_budget, "construct")
         _check_block_writable(args.n, args.r, eps, big_m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -265,11 +266,10 @@ def _load_labeled_system(args: argparse.Namespace) -> tuple[pio.SystemFile, int,
         )
     with _reading(path):
         n, r = system.require_nr()
-    if n**r > args.geometric_budget:
-        raise _InputError(
-            f"{path}: n={n}, r={r}: n^r is over the geometric budget {args.geometric_budget}; "
-            f"raise --geometric-budget to {command} it"
-        )
+    try:
+        _check_budget(n, r, args.geometric_budget, command)
+    except ValueError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
     return system, n, r
 
 

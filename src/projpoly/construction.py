@@ -127,8 +127,8 @@ def choose_parameters(
     search starts at eps = 1/(4(n-2)^2 + 4) and M = n^2; each failed round
     halves eps and squares M, and a given value stays pinned.  The first
     system that passes is returned with ``validated=True``, the rejected
-    rounds as its adaptation log, and the certified vertices and labeling
-    the gates computed.  No round runs the double description method.
+    rounds as its adaptation log, and the vertices in code order that the
+    gates certified.  No round runs the double description method.
     ``MAX_ROUNDS`` failures raise ``ConstructionError``.
 
     When both eps and M are given, one round runs, and a rejected system is
@@ -194,7 +194,7 @@ def check_parameters(system: SystemFile) -> str | None:
     are one certificate, ``system.certified``: the n^r product vertices,
     solved from the block-triangular system, are simple with exactly their
     canonical tight rows.  A certified system passes and keeps its vertices
-    and labeling; no vertex enumeration runs.  A refused one is refused for
+    in code order; no vertex enumeration runs.  A refused one is refused for
     its polygon when its first block (rows 0..n-1, columns 0-1, labels
     (1, i)) fails the same certificate alone, else for the product.
 

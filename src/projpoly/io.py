@@ -15,14 +15,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .linalg import QMatrix
-from .polytope import (
-    HPolytope,
-    ProductIndex,
-    VPolytope,
-    h_to_v,
-    product_labeling,
-    product_vertices,
-)
+from .polytope import HPolytope, VPolytope, h_to_v, product_labeling, product_vertices
 from .projection import ProjectionChecker
 from .rational import format_rational, parse_rational
 
@@ -43,12 +36,13 @@ class SystemFile:
     """An inequality system plus the construction metadata that produced it.
 
     Its geometry is computed once, on first use, and kept on the instance:
-    ``certified``, ``vertices``, ``labeling``, then ``checker``.  A step
-    that raises is not kept, so asking again raises again.  The vertices
-    and labeling are read from ``certified`` when it holds, and come from
-    the double description method and ``product_labeling`` otherwise.  The
-    construction gates run on the system they return, so a system that
-    passed them already holds its certified vertices and labeling.
+    ``certified``, ``vertices``, ``product``, then ``checker``.  A step
+    that raises is not kept, so asking again raises again.  ``vertices``
+    and ``product`` are ``certified`` when it holds.  Otherwise the
+    vertices come from the double description method, and ``product`` is
+    them sorted into code order by ``product_labeling``.  The construction
+    gates run on the system they return, so a system that passed them
+    already holds its certified vertices.
     """
 
     h: HPolytope
@@ -81,10 +75,10 @@ class SystemFile:
         return n, r
 
     @cached_property
-    def certified(self) -> tuple[VPolytope, ProductIndex] | None:
-        """The vertices in code order and their product index, solved from
-        the block-triangular system by ``product_vertices``; None when its
-        certificate fails, or the labels describe no polygon product."""
+    def certified(self) -> VPolytope | None:
+        """The vertices in code order, solved from the block-triangular
+        system by ``product_vertices``; None when its certificate fails, or
+        the labels describe no polygon product."""
         try:
             n, r = self.require_nr()
         except ValueError:
@@ -95,24 +89,23 @@ class SystemFile:
     def vertices(self) -> VPolytope:
         """The certified vertices, else vertex enumeration of the system
         (raises ``PolytopeError``)."""
-        return self.certified[0] if self.certified else h_to_v(self.h)
+        return self.certified or h_to_v(self.h)
 
     @cached_property
-    def labeling(self) -> ProductIndex | None:
-        """The vertices by their product code; None when they are not a
-        product of r n-gons."""
-        if self.certified:
-            return self.certified[1]
-        n, r = self.require_nr()
-        return product_labeling(self.vertices, self.h.labels, n, r)
+    def product(self) -> VPolytope | None:
+        """The vertices in code order: vertex c is the one with code c =
+        sum(t_k * n^(k-1)).  None when they are not a product of r n-gons."""
+        return self.certified or product_labeling(self.vertices, self.h.labels, *self.require_nr())
 
     @cached_property
     def checker(self) -> ProjectionChecker:
         """The projection to the last four coordinates: its hull and face
         lattice (raises ``PolytopeError``).  The hull is read from the
-        product's 3-faces when ``labeling`` exists and the local certificate
+        product's 3-faces when ``product`` exists and the local certificate
         holds, and computed by the double description method otherwise."""
-        return ProjectionChecker(self.h, self.vertices, self.labeling)
+        if self.product is None:
+            return ProjectionChecker(self.h, self.vertices)
+        return ProjectionChecker(self.h, self.product, self.require_nr())
 
 
 def system_to_dict(system: SystemFile) -> dict:

@@ -60,10 +60,10 @@ once, in time linear in its size, and ``lattice.face_lattice`` is not
 called.
 
 Everything runs on ``convex_hull``'s integer grid, so the rows returned
-are the ones the double description method returns.  Vertices are
-addressed by their mixed-radix code (``polytope.ProductIndex``), a 2-face
-by an integer key, and the neighbours of a vertex by stride arithmetic, so
-no candidate builds a set.
+are the ones the double description method returns.  A vertex is its
+mixed-radix code c = sum(t_k * n^(k-1)), which is also its index in the
+input, a 2-face an integer key, and the neighbours of a vertex are found by
+stride arithmetic, so no candidate builds a set.
 """
 
 from __future__ import annotations
@@ -75,32 +75,31 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import FaceLattice
-from .polytope import HullResult, Point, ProductIndex, VPolytope, _grid
+from .polytope import HullResult, Point, VPolytope, _grid
 
 
 class UncertifiedHull(Exception):
     """A clause of the local certificate failed; the message names it."""
 
 
-def local_hull(points: Sequence[Point], product: ProductIndex) -> tuple[HullResult, FaceLattice]:
-    """The hull of the images of a product of r polygons and its face
+def local_hull(points: Sequence[Point], n: int, r: int) -> tuple[HullResult, FaceLattice]:
+    """The hull of the images of a product of r n-gons and its face
     lattice, read from the product's 3-faces and certified without a global
     hull computation.
 
-    ``points[product.vertex[c]]`` is the image in R^4 of the product vertex
-    with code c, and ``product.vertex`` must be a bijection onto
-    ``range(len(points))``, as ``product_labeling`` returns it; the proof
-    of the certificate rests on it.  Returns what ``convex_hull(points)``
-    returns, up to the order of the facets, with what ``face_lattice``
-    returns for its vertices, up to the order of each face's facets; or
-    raises ``UncertifiedHull`` naming the clause that failed.
+    ``points[c]`` is the image in R^4 of the product vertex with code c,
+    for each of the n^r codes, in the order ``product_labeling`` and
+    ``product_vertices`` return the vertices; the proof of the certificate
+    rests on it.  Returns what ``convex_hull(points)`` returns, up to the
+    order of the facets, with what ``face_lattice`` returns for its
+    vertices, up to the order of each face's facets; or raises
+    ``UncertifiedHull`` naming the clause that failed.
     """
-    n, r, vid = product
     ups = _steps(n, r, 1)
-    hull, ridges = _certified_hull(points, n, vid, ups)
+    hull, ridges = _certified_hull(points, n, ups)
     # The certificate's scratch went with its frame; the lattice is read
     # from what it kept.
-    return hull, _lattice(n, r, ups, vid, hull.facet_points, ridges)
+    return hull, _lattice(n, r, ups, hull.facet_points, ridges)
 
 
 def _steps(n: int, r: int, step: int) -> list[list[int]]:
@@ -111,11 +110,11 @@ def _steps(n: int, r: int, step: int) -> list[list[int]]:
 
 
 def _certified_hull(
-    points: Sequence[Point], n: int, vid: list[int], ups: list[list[int]]
+    points: Sequence[Point], n: int, ups: list[list[int]]
 ) -> tuple[HullResult, list[list[int]]]:
     """The hull that ``local_hull`` returns, with the 2-face keys of each
     of its facets; ``ups`` holds each code's step up in each factor."""
-    count, r = len(vid), len(ups)
+    count, r = len(points), len(ups)
     strides = [n**k for k in range(r)]
     downs = _steps(n, r, -1)
 
@@ -125,7 +124,7 @@ def _certified_hull(
     if len(set(grid)) != count:
         raise UncertifiedHull("(a) two vertices have the same image")
     total = [sum(col) for col in zip(*grid)]
-    coords = [tuple(count * x - s for x, s in zip(grid[i], total)) for i in vid]
+    coords = [tuple(count * x - s for x, s in zip(g, total)) for g in grid]
     del grid
 
     # 2-faces are keyed by integers: a polygon in factor k by its code with
@@ -302,9 +301,8 @@ def _certified_hull(
     for j, verts in enumerate(members):
         mask = 0
         for c in verts:
-            i = vid[c]
-            incidence[i] |= 1 << j
-            mask |= 1 << i
+            incidence[c] |= 1 << j
+            mask |= 1 << c
         facet_points.append(mask)
     hull_v = VPolytope(tuple(points), tuple(incidence), 4)
     return HullResult(tuple(planes), tuple(offsets), count * scale, tuple(total), hull_v,
@@ -347,8 +345,7 @@ def _off_ridge(n: int) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _lattice(
-    n: int, r: int, ups: list[list[int]], vid: list[int], facet_points: Sequence[int],
-    ridges: list[list[int]],
+    n: int, r: int, ups: list[list[int]], facet_points: Sequence[int], ridges: list[list[int]]
 ) -> FaceLattice:
     """Q's face lattice, read from the certified facets and their ridge
     keys; the module docstring says why these are all of Q's faces.
@@ -361,10 +358,10 @@ def _lattice(
     while it is unseen (id 0 is Q), so no dictionary is built but the
     lattice's own.
     """
-    count = len(vid)
+    count = n**r
     slots = r + r * (r - 1) // 2
     pairs = list(combinations(range(r), 2))
-    bit = [1 << i for i in vid]
+    bit = [1 << c for c in range(count)]
     ids = {(1 << count) - 1: 0}
     for mask in facet_points:
         ids[mask] = len(ids)
@@ -413,8 +410,8 @@ def _lattice(
         c, k = divmod(side, r)
         d = ups[k][c]
         ids[bit[c] | bit[d]] = len(ids)
-        cover_ids.append(base + vid[c])
-        cover_ids.append(base + vid[d])
+        cover_ids.append(base + c)
+        cover_ids.append(base + d)
         cover_bounds.append(len(cover_ids))
 
     # Each vertex's one facet is the empty face; the empty face has none.

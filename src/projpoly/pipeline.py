@@ -36,7 +36,7 @@ from .metrics import (
     predicted_flag,
     predicted_flag_paper_literal,
 )
-from .polytope import PolytopeError, ProductIndex, VPolytope
+from .polytope import PolytopeError, VPolytope
 from .polytope import h_to_v  # noqa: F401  (kept as pipeline.h_to_v, which perfbench wraps)
 from .projection import PreservationReport, ProductFace, ProjectionChecker, product_polygons
 from .rational import format_rational, rational_to_decimal
@@ -103,24 +103,24 @@ class VerifyResult:
 
 def _geometry(
     system: SystemFile, failures: list[str]
-) -> tuple[VPolytope | None, ProductIndex | None, ProjectionChecker | None]:
-    """The system's vertices, product labeling and projection checker, as
-    far as they exist; the first step that fails appends its reason to
-    ``failures`` and leaves itself and the later steps None."""
+) -> tuple[VPolytope | None, VPolytope | None, ProjectionChecker | None]:
+    """The system's vertices, the same in code order and its projection
+    checker, as far as they exist; the first step that fails appends its
+    reason to ``failures`` and leaves itself and the later steps None."""
     try:
         verts = system.vertices
     except PolytopeError as exc:
         failures.append(f"vertex_enumeration: {exc}")
         return None, None, None
-    labeling = system.labeling
-    if labeling is None:
+    product = system.product
+    if product is None:
         failures.append("product_isomorphic")
         return verts, None, None
     try:
-        return verts, labeling, system.checker
+        return verts, product, system.checker
     except PolytopeError as exc:
         failures.append(f"projection_hull: {exc}")
-        return verts, labeling, None
+        return verts, product, None
 
 
 def verify_system(system: SystemFile) -> VerifyResult:
@@ -164,17 +164,17 @@ def verify_system(system: SystemFile) -> VerifyResult:
     except CertificateError as exc:
         result.failures.append(f"deletion_certificates: {exc}")
 
-    verts, labeling, checker = _geometry(system, result.failures)
+    verts, product, checker = _geometry(system, result.failures)
     if verts is not None:
         result.vertex_count = verts.nvertices
-    result.product_ok = labeling is not None
-    if labeling is not None and 2 * r == 4:
+    result.product_ok = product is not None
+    if product is not None and 2 * r == 4:
         result.notes.append("projection is identity; preservation vacuous")
     if checker is None:
         return result
-    # The labeling has proved P's incidences to be the product's, so each
-    # face has exactly the dimension it is checked under.
-    polygons = product_polygons(labeling)
+    # P's incidences are the product's, so each face has exactly the
+    # dimension it is checked under.
+    polygons = product_polygons(n, r)
     reports = result.polygon_reports = [checker.check_face(polygon, 2) for polygon in polygons]
     covered = 0  # P-vertices in a passing polygon or already checked
     failing = []
@@ -196,9 +196,9 @@ def verify_system(system: SystemFile) -> VerifyResult:
     result.polygons_total = len(polygons)
     result.polygons_direct = sum(rep.direct_ok for rep in reports)
     result.polygons_certified = sum(rep.certificate_ok for rep in reports)
-    result.vertices_total = len(labeling.vertex)
+    result.vertices_total = n**r
     result.vertices_preserved = result.vertices_total - sum(not rep.direct_ok for rep in vertices)
-    result.edges_total = labeling.r * result.vertices_total
+    result.edges_total = r * n**r
     result.edges_preserved = result.edges_total - sum(not rep.direct_ok for rep in edges)
     result.implication_ok = all(rep.direct_ok or not rep.certificate_ok for rep in reports + edges + vertices)
 
@@ -263,7 +263,7 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
     except InvalidParameterError as exc:
         result.failures.append(f"flag_predicted: unavailable: {exc}")
 
-    _, labeling, checker = _geometry(system, result.failures)
+    checker = _geometry(system, result.failures)[2]
     if checker is None:
         return result
     # The flag vector of the projection needs only its lattice.
@@ -278,7 +278,7 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
 
     polygon_masks = [
         mask_of(checker.vertex_map[i] for i in face.vertices)
-        for face in product_polygons(labeling)
+        for face in product_polygons(n, r)
     ]
     try:
         result.counting = counting_identities(checker.q_lattice, flag, n, r, polygon_masks)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .linalg import (
     QMatrix,
@@ -475,24 +475,16 @@ def v_to_h(points: Sequence[Sequence[Fraction]]) -> HPolytope:
 # --- canonical product structure --------------------------------------------
 
 
-class ProductIndex(NamedTuple):
-    """The vertices of a product of r n-gons by their mixed-radix code:
-    ``vertex[c]`` is the vertex whose tuple t has c = sum(t_k * n^(k-1))."""
-
-    n: int
-    r: int
-    vertex: list[int]
-
-
 def product_labeling(
     v: VPolytope, labels: Sequence[tuple[int, int]] | None, n: int, r: int
-) -> ProductIndex | None:
-    """The vertices of the canonical polygon-product model by their code.
+) -> VPolytope | None:
+    """``v``'s vertices in the canonical polygon-product model's code order:
+    vertex c is the one whose tuple t has c = sum(t_k * n^(k-1)).
 
     In the canonical model the facet (k, i) contains vertex t iff t_k is i
     or i+1 (mod n); a simple vertex is tight on exactly two cyclically
     adjacent rows per block and nothing else.  Returns None unless the
-    incidences are a product of r n-gons, so ``vertex`` is a bijection.
+    incidences are a product of r n-gons, so each code has one vertex.
     """
     if labels is None:
         raise ValueError("row labels (block, index) are required")
@@ -517,13 +509,15 @@ def product_labeling(
                 return None
         vertex[code] = i
     # n^r vertices fill the n^r codes only if no two share a code.
-    return None if -1 in vertex else ProductIndex(n, r, vertex)
+    if -1 in vertex:
+        return None
+    return VPolytope(tuple(v.vertices[i] for i in vertex), tuple(v.incidence[i] for i in vertex), v.dim)
 
 
-def product_vertices(h: HPolytope, n: int, r: int) -> tuple[VPolytope, ProductIndex] | None:
+def product_vertices(h: HPolytope, n: int, r: int) -> VPolytope | None:
     """The vertices of a block-triangular polygon-product system in code
-    order, with their product index, solved block by block and certified
-    without a global computation; None when a clause fails.
+    order, as ``product_labeling`` orders them, solved block by block and
+    certified without a global computation; None when a clause fails.
 
     It runs only when the labels are exactly (k, i) for k = 1..r and i < n,
     and a row of block k is zero in the columns of every block after k.
@@ -604,4 +598,4 @@ def product_vertices(h: HPolytope, n: int, r: int) -> tuple[VPolytope, ProductIn
         pairs = [(QQ(X[-2], T), QQ(X[-1], T)) for X, T, _ in depth]
         points = [points[i % len(points)] + pair for i, pair in enumerate(pairs)]
     incidence = tuple(mask for _, _, mask in level)
-    return VPolytope(tuple(points), incidence, 2 * r), ProductIndex(n, r, list(range(n**r)))
+    return VPolytope(tuple(points), incidence, 2 * r)

@@ -4,10 +4,10 @@ A face survives a projection strictly when its image is a face of the
 projected polytope, the restriction of the projection to the face is a
 bijection, and the full preimage of the image is the face itself.  All
 three conditions are checked directly at vertex level, and no rank is
-computed: the face's dimension comes from its kind in the product
-labeling, and the image's dimension from the projection's face lattice.
-``Certificate`` evaluates the Projection Lemma's sufficient certificate
-independently.  ``pipeline.verify_system`` decides which faces to check.
+computed: the face's dimension comes from its kind in the product, and
+the image's dimension from the projection's face lattice.  ``Certificate``
+evaluates the Projection Lemma's sufficient certificate independently.
+``pipeline.verify_system`` decides which faces to check.
 
 The projected polytope Q comes from ``localhull.local_hull``, whose module
 docstring gives the method and its proof, or else from ``convex_hull``.
@@ -24,7 +24,7 @@ from typing import Sequence
 from .lattice import FaceLattice, face_lattice, mask_of
 from .linalg import positively_spans
 from .localhull import UncertifiedHull, local_hull
-from .polytope import HPolytope, HullResult, Point, ProductIndex, VPolytope, _bits, convex_hull
+from .polytope import HPolytope, HullResult, Point, VPolytope, _bits, convex_hull
 
 
 def project(v: VPolytope) -> list[Point]:
@@ -52,13 +52,13 @@ def _intern(values: Sequence[Point]) -> list[int]:
 
 
 def _projected_hull(
-    images: list[Point], product: ProductIndex | None
+    images: list[Point], product: tuple[int, int] | None
 ) -> tuple[HullResult, FaceLattice]:
     """Q and its face lattice: from ``local_hull`` when ``product`` is given
     and certified, else from ``convex_hull`` and ``face_lattice``."""
     if product is not None:
         try:
-            return local_hull(images, product)
+            return local_hull(images, *product)
         except UncertifiedHull:
             pass
     hull = convex_hull(images)
@@ -99,18 +99,19 @@ class ProjectionChecker:
 
     Computes the projected hull, which also reports the vertex
     correspondence and which projected vertices lie on each of its facets,
-    and the hull's face lattice.  With the source's ``product`` index both
-    come from ``local_hull``, which reads the lattice from the facets it
-    certified; without one, or when its certificate fails, the hull
-    comes from ``convex_hull`` and the lattice from ``face_lattice``'s scan
-    of the hull's incidences.  No rank is computed per face: the caller
+    and the hull's face lattice.  When ``product`` is (n, r) and ``pv``
+    lists the vertices of a product of r n-gons in code order, both come
+    from ``local_hull``, which reads the lattice from the facets it
+    certified; without it, or when its certificate fails, the hull comes
+    from ``convex_hull`` and the lattice from ``face_lattice``'s scan of
+    the hull's incidences.  No rank is computed per face: the caller
     knows the face's dimension from its kind, and once the image is a face
     of the projection its dimension is read from that lattice.  The face
     checks are set arithmetic plus one call to ``certificate``.  A face's
     report depends on the face alone, whatever the order of the calls.
     """
 
-    def __init__(self, ph: HPolytope, pv: VPolytope, product: ProductIndex | None = None):
+    def __init__(self, ph: HPolytope, pv: VPolytope, product: tuple[int, int] | None = None):
         self.pv = pv
         self.images: list[Point] = project(pv)
         self.certificate = Certificate(ph)
@@ -192,21 +193,21 @@ class ProductFace:
     vertices: tuple[int, ...]
 
 
-def product_polygons(product: ProductIndex) -> list[ProductFace]:
-    """The product's polygon 2-faces, each with its vertices in cycle order.
+def product_polygons(n: int, r: int) -> list[ProductFace]:
+    """The polygon 2-faces of a product of r n-gons, each with its vertex
+    codes in cycle order.
 
     A polygon is one polygon factor k taken with one vertex of every other
     factor: it runs through all n values of coordinate k, so each
     consecutive pair of its vertices, the last with the first, is an edge.
     """
-    n, r, vertex = product
     strides = [n**k for k in range(r)]
     faces: list[ProductFace] = []
     for k in range(r):
         for fixed in iter_product(range(n), repeat=r - 1):
             head, tail = fixed[:k], fixed[k:]
             base = sum(map(mul, head + (0,) + tail, strides))
-            cycle = tuple(vertex[base : base + n * strides[k] : strides[k]])
+            cycle = tuple(range(base, base + n * strides[k], strides[k]))
             coords = ".".join(map(str, head + ("*",) + tail))
             faces.append(ProductFace(f"polygon[k={k + 1}]t={coords}", k + 1, cycle))
     return faces

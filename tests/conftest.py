@@ -1,6 +1,7 @@
 import sys
 import time
 from fractions import Fraction as QQ
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +9,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from projpoly.io import SystemFile
+from projpoly.linalg import QMatrix
 from projpoly.pipeline import analyze_system, construct_system, verify_system
+from projpoly.polytope import HPolytope
 
 # The desk-scale grid every geometric claim is exercised on.
 GRID = [(4, 2), (6, 2), (8, 2), (4, 3), (6, 3), (4, 4)]
@@ -40,6 +44,18 @@ def run_case(n: int, r: int) -> SimpleNamespace:
             seconds=time.monotonic() - start,
         )
     return _cache[(n, r)]
+
+
+@cache
+def zero_pattern_system() -> SystemFile:
+    """(4,3) with 1/10^30 at column 3 of row (1, 0), so a row of block 1
+    reads block 2.  It is still a product, but ``product_vertices`` refuses
+    it: its vertices come from the double description method, whose order
+    is not code order, and ``product_labeling`` sorts them."""
+    h = construct_system(4, 3).h
+    rows = list(h.A.entries)
+    rows[0] = rows[0][:2] + (QQ(1, 10**30),) + rows[0][3:]
+    return SystemFile(HPolytope(QMatrix(tuple(rows)), h.b, h.labels))
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ It also holds the small builders several tests share: ``qmatrix``, the
 block-diagonal ``build_plain_product`` with its polygon check
 ``validate_polygon`` (an orientation scan instead of the construction
 gates' product certificate), Euler's relation on a lattice and
-``product_tuples``, which turns a product index back into the tuple
-labeling the per-kind enumerators take.
+``product_tuples``, the tuple of each vertex code, which is the labeling
+the per-kind enumerators take.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from projpoly.polytope import (
     HPolytope,
     HullResult,
     PolytopeError,
-    ProductIndex,
     VPolytope,
     h_to_v,
     product_labeling,
@@ -597,14 +596,10 @@ def counting_identities_oracle(face_dims, n, r, polygon_masks):
     return CountingReport(prisms, cubes, identities)
 
 
-def product_tuples(index):
-    """The tuple of each vertex of a ``ProductIndex``: the codes in order
+def product_tuples(n, r):
+    """The tuple t of each code c = sum(t_k * n^(k-1)): the codes in order
     are the tuples of {0..n-1}^r in colexicographic order."""
-    n, r, vertex = index
-    tuples = [None] * len(vertex)
-    for i, t in zip(vertex, iter_product(range(n), repeat=r)):
-        tuples[i] = t[::-1]
-    return tuples
+    return [t[::-1] for t in iter_product(range(n), repeat=r)]
 
 
 def enumerate_polygon_faces_oracle(labeling, n, r):
@@ -651,7 +646,7 @@ def certificate_input(system, face):
     """The coordinates the projection deletes (all but the last four) of
     the normal of every facet row tight at all of the face's vertices, in
     row order."""
-    common = reduce(and_, (system.vertices.incidence[i] for i in face.vertices))
+    common = reduce(and_, (system.product.incidence[i] for i in face.vertices))
     a = system.h.A
     return [tuple(a.row(j)[: a.cols - 4]) for j in _bits(common)]
 
@@ -665,15 +660,9 @@ def certificate_oracle(system, face):
 
 def product_vertices_oracle(h, n, r):
     """What ``polytope.product_vertices`` returns, from the double
-    description method and ``product_labeling``, with the vertices put in
-    code order; None when either refuses."""
+    description method and ``product_labeling``, which puts the vertices
+    in code order; None when either refuses."""
     try:
-        v = h_to_v(h)
+        return product_labeling(h_to_v(h), h.labels, n, r)
     except PolytopeError:
         return None
-    index = product_labeling(v, h.labels, n, r)
-    if index is None:
-        return None
-    vertices = tuple(v.vertices[i] for i in index.vertex)
-    incidence = tuple(v.incidence[i] for i in index.vertex)
-    return VPolytope(vertices, incidence, v.dim), ProductIndex(n, r, list(range(n**r)))

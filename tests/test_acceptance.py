@@ -11,7 +11,7 @@ from hashlib import sha256
 from itertools import combinations, product
 from types import SimpleNamespace
 
-from conftest import GRID, run_case
+from conftest import GRID, run_case, zero_pattern_system
 from oracle import euler_ok, is_irredundant, span_oracle_cases
 from projpoly.cli import main
 from projpoly.construction import (
@@ -195,12 +195,16 @@ def test_criterion_8_property_suites(tmp_path, capsys):
 
 # The outputs of each pinned system, in the order of its digests below.
 PINNED_OUTPUTS = ("system", "verify", "analyze", "analyze --paper-literal")
-# Systems pinned beyond the grid: the DD fallback, a system whose
-# construction passes the gates but fails verify, and a forced odd n.
+# Systems pinned beyond the grid: the DD hull fallback, a system whose
+# construction passes the gates but fails verify, a forced odd n, and the
+# one system whose P vertices come from the DD, sorted into code order.
 PINNED_SYSTEMS = {
-    "6x3-1/16-2^16": dict(n=6, r=3, eps=QQ(1, 16), big_m=QQ(2**16)),
-    "4x3-1/16-2^32": dict(n=4, r=3, eps=QQ(1, 16), big_m=QQ(2**32)),
-    "5x3-1/40-2^20-forced": dict(n=5, r=3, eps=QQ(1, 40), big_m=QQ(2**20), force=True),
+    "6x3-1/16-2^16": lambda: construct_system(n=6, r=3, eps=QQ(1, 16), big_m=QQ(2**16)),
+    "4x3-1/16-2^32": lambda: construct_system(n=4, r=3, eps=QQ(1, 16), big_m=QQ(2**32)),
+    "5x3-1/40-2^20-forced": lambda: construct_system(
+        n=5, r=3, eps=QQ(1, 40), big_m=QQ(2**20), force=True
+    ),
+    "4x3-zero-pattern": zero_pattern_system,
 }
 # SHA-256 of each output's JSON text.  A change that alters an output
 # updates its pin and says why.
@@ -259,13 +263,21 @@ PINS = {
         "377491eedfe329402d76ea1dabed7e579be1c3c514893d0c613b43cca3c76770",
         "377491eedfe329402d76ea1dabed7e579be1c3c514893d0c613b43cca3c76770",
     ),
+    # Its verify and analyze JSON equal the grid's 4x3: sorted into code
+    # order, the DD's vertices give the same reports.
+    "4x3-zero-pattern": (
+        "0013933fed36e23c3e125cfc158857da91606f27afb6ea3e9cf68f4954ed27f9",
+        "8bcc7d442f59076093e390298d72bc8474d67f192ee3237166dbc3adbf669c19",
+        "08b49e51acc7cf75ea0f066199172b3853b7ad9892e64d06ef636101eb4d121c",
+        "6a13813fc680cfc2ef322eb8c54de55de6218799853449a0751e498c1df8d431",
+    ),
 }
 
 
 def test_outputs_match_their_pins():
     cases = {f"{n}x{r}": run_case(n, r) for n, r in GRID}
-    for name, kwargs in PINNED_SYSTEMS.items():
-        system = construct_system(**kwargs)
+    for name, build in PINNED_SYSTEMS.items():
+        system = build()
         cases[name] = SimpleNamespace(
             system=system, verify=verify_system(system), analyze=analyze_system(system)
         )

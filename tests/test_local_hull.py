@@ -15,24 +15,28 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GRID, PASS_GATES_FAIL_VERIFY, run_case
-from oracle import lattice_faces
+from conftest import GRID, PASS_GATES_FAIL_VERIFY, run_case, zero_pattern_system
+from oracle import lattice_faces, product_tuples
 from projpoly import lattice, localhull, polytope, projection
 from projpoly.lattice import face_lattice
 from projpoly.linalg import QMatrix
 from projpoly.pipeline import construct_system
-from projpoly.polytope import HPolytope, ProductIndex, VPolytope, _bits, convex_hull
+from projpoly.polytope import HPolytope, VPolytope, _bits, convex_hull
 from projpoly.localhull import UncertifiedHull, local_hull
 from projpoly.projection import ProjectionChecker, project
 
 REFUSED = {"6x3-1/16-2^16": "(b)"}
-NAMES = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(PASS_GATES_FAIL_VERIFY)
+# "zero-pattern" is the one system whose vertices come from the DD, in
+# another order, and are sorted into code order by ``product_labeling``.
+NAMES = [f"{n}x{r}" for n, r in GRID + [(8, 3)]] + list(PASS_GATES_FAIL_VERIFY) + ["zero-pattern"]
 # What the checker runs when the certificate refuses.
 FALLBACK = ["convex_hull", "face_lattice"]
 
 
 @cache
 def _system(name):
+    if name == "zero-pattern":
+        return zero_pattern_system()
     if name in PASS_GATES_FAIL_VERIFY:
         n, r, eps, big_m = PASS_GATES_FAIL_VERIFY[name]
         return construct_system(n, r, eps=eps, big_m=big_m)
@@ -42,7 +46,7 @@ def _system(name):
 
 @cache
 def _dd_hull(name):
-    return convex_hull(project(_system(name).vertices))
+    return convex_hull(project(_system(name).product))
 
 
 def assert_same_hull(got, want):
@@ -88,22 +92,22 @@ def _count_dd_calls(monkeypatch):
 @pytest.mark.parametrize("name", NAMES)
 def test_local_hull_equals_the_dd_hull(monkeypatch, name):
     system = _system(name)
-    images = project(system.vertices)
+    images = project(system.product)
     want = _dd_hull(name)
     if name in REFUSED:
         with pytest.raises(UncertifiedHull, match=f"^{re.escape(REFUSED[name])} "):
-            local_hull(images, system.labeling)
+            local_hull(images, *system.require_nr())
     else:
-        assert_same_hull(local_hull(images, system.labeling)[0], want)
+        assert_same_hull(local_hull(images, *system.require_nr())[0], want)
     calls = _count_dd_calls(monkeypatch)
-    assert_same_hull(ProjectionChecker(system.h, system.vertices, system.labeling).hull, want)
+    assert_same_hull(ProjectionChecker(system.h, system.product, system.require_nr()).hull, want)
     assert calls == (FALLBACK if name in REFUSED else [])
 
 
 @pytest.mark.parametrize("name", [name for name in NAMES if name not in REFUSED])
 def test_the_certified_lattice_equals_the_scanned_lattice(name):
     system = _system(name)
-    _, got = local_hull(project(system.vertices), system.labeling)
+    _, got = local_hull(project(system.product), *system.require_nr())
     assert_same_lattice(got, face_lattice(_dd_hull(name).v))
 
 
@@ -113,7 +117,7 @@ def test_a_candidate_with_a_closed_2_face_reaches_no_plane(monkeypatch, name, pl
     # 1,792 at (4,4) and 432 at (6,3).  One with a 2-face already in two
     # kept facets is skipped before its plane is computed.
     system = _system(name)
-    n, r, _ = system.labeling
+    n, r = system.require_nr()
     computed = []
     plane = localhull._plane
 
@@ -122,7 +126,7 @@ def test_a_candidate_with_a_closed_2_face_reaches_no_plane(monkeypatch, name, pl
         return plane(coords, verts)
 
     monkeypatch.setattr(localhull, "_plane", counting)
-    hull, _ = local_hull(project(system.vertices), system.labeling)
+    hull, _ = local_hull(project(system.product), n, r)
     candidates = r * (r - 1) * n ** (r - 1) + r * (r - 1) * (r - 2) // 6 * n**r
     assert len(computed) == planes < candidates
     assert_same_hull(hull, _dd_hull(name))
@@ -130,16 +134,17 @@ def test_a_candidate_with_a_closed_2_face_reaches_no_plane(monkeypatch, name, pl
 
 @pytest.mark.parametrize("name", NAMES)
 def test_the_product_index_is_the_canonical_model(name):
-    # in the canonical model vertex t is tight on exactly the rows
-    # (k, t_k - 1 mod n) and (k, t_k) of each block k
+    # The product lists P's vertices in code order: in the canonical model
+    # the vertex with code c, whose tuple is t, is tight on exactly the
+    # rows (k, t_k - 1 mod n) and (k, t_k) of each block k.
     system = _system(name)
-    n, r, vertex = system.labeling
-    labels, incidence = system.h.labels, system.vertices.incidence
-    assert sorted(vertex) == list(range(n**r))
-    for code, i in enumerate(vertex):
-        t = [code // n**k % n for k in range(r)]
+    n, r = system.require_nr()
+    labels, product = system.h.labels, system.product
+    assert product.nvertices == n**r
+    assert sorted(product.vertices) == sorted(system.vertices.vertices)
+    for t, tight in zip(product_tuples(n, r), product.incidence, strict=True):
         want = sorted((k + 1, (t[k] + step) % n) for k in range(r) for step in (-1, 0))
-        assert sorted(labels[j] for j in _bits(incidence[i])) == want
+        assert sorted(labels[j] for j in _bits(tight)) == want
 
 
 # --- one mutated input per clause -----------------------------------------
@@ -150,27 +155,18 @@ KITE = [(4, 1), (-1, 3), (-3, -1), (1, -4)]
 PENTAGON = [(5, 0), (1, 5), (-4, 3), (-4, -3), (1, -5)]
 
 
-def _index(labeling):
-    """The ``ProductIndex`` of a tuple labeling of {0..n-1}^r."""
-    n, r = 1 + max(map(max, labeling)), len(labeling[0])
-    vertex = [0] * n**r
-    for i, t in enumerate(labeling):
-        vertex[sum(x * n**k for k, x in enumerate(t))] = i
-    return ProductIndex(n, r, vertex)
-
-
 def _product(*polygons):
-    """Images and product index of the product of two polygons with equal
-    vertex counts, in R^4."""
+    """Images in code order of the product of two polygons with equal
+    vertex counts, in R^4, and its (n, r)."""
     a, b = polygons
-    labeling = [(i, j) for i in range(len(a)) for j in range(len(b))]
-    return [tuple(map(QQ, a[i] + b[j])) for i, j in labeling], _index(labeling)
+    n = len(a)
+    return [tuple(map(QQ, a[i] + b[j])) for i, j in product_tuples(n, 2)], (n, 2)
 
 
 def _duplicate_image():
-    points, labeling = _product(SQUARE, KITE)
+    points, product = _product(SQUARE, KITE)
     points[5] = points[0]
-    return points, labeling
+    return points, product
 
 
 def _flat_vertex():
@@ -189,10 +185,9 @@ def _one_level_is_the_hull():
     # r = 3: the factor-3 level t_3 = 0 is a full-size square x kite, the
     # other levels are smaller copies inside it.  The boundary of that
     # level is a closed convex surface that misses their images.
-    labeling = [(i, j, k) for k in range(4) for j in range(4) for i in range(4)]
     shrink = (1, 2, 4, 3)
-    points = [tuple(QQ(x, shrink[k]) for x in SQUARE[i] + KITE[j]) for i, j, k in labeling]
-    return points, _index(labeling)
+    points = [tuple(QQ(x, shrink[k]) for x in SQUARE[i] + KITE[j]) for i, j, k in product_tuples(4, 3)]
+    return points, (4, 3)
 
 
 MUTATED = {
@@ -203,15 +198,15 @@ MUTATED = {
 }
 
 
-def _checker(points, labeling):
+def _checker(points, product):
     pv = VPolytope(tuple(points), (0,) * len(points), 4)
-    return ProjectionChecker(HPolytope(QMatrix(()), ()), pv, labeling)
+    return ProjectionChecker(HPolytope(QMatrix(()), ()), pv, product)
 
 
 def test_the_unmutated_products_are_certified(monkeypatch):
     calls = _count_dd_calls(monkeypatch)
-    for points, labeling in (_product(SQUARE, KITE), _product(PENTAGON, PENTAGON)):
-        checker = _checker(points, labeling)
+    for points, product in (_product(SQUARE, KITE), _product(PENTAGON, PENTAGON)):
+        checker = _checker(points, product)
         want = convex_hull(points)
         assert_same_hull(checker.hull, want)
         assert_same_lattice(checker.q_lattice, face_lattice(want.v))
@@ -220,19 +215,19 @@ def test_the_unmutated_products_are_certified(monkeypatch):
 
 @pytest.mark.parametrize("clause", list(MUTATED))
 def test_each_clause_refuses_its_mutated_input(monkeypatch, clause):
-    points, labeling = MUTATED[clause]()
+    points, product = MUTATED[clause]()
     with pytest.raises(UncertifiedHull, match=f"^{re.escape(clause)} "):
-        local_hull(points, labeling)
+        local_hull(points, *product)
     calls = _count_dd_calls(monkeypatch)
-    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert_same_hull(_checker(points, product).hull, convex_hull(points))
     assert calls == FALLBACK
 
 
-def _off_ridge_mismatches(monkeypatch, points, labeling, tables):
+def _off_ridge_mismatches(monkeypatch, points, product, tables):
     """The (facet, 2-face key) pairs of the kept candidates whose entry in
     ``tables``, laid out as ``localhull._off_ridge`` lays them, is not
     exactly the positions in the facet's vertex list off that 2-face."""
-    n, r, vid = labeling
+    n, r = product
     held = []
     target = localhull._ray_target
 
@@ -242,7 +237,7 @@ def _off_ridge_mismatches(monkeypatch, points, labeling, tables):
 
     monkeypatch.setattr(localhull, "_ray_target", holding)
     ups = localhull._steps(n, r, 1)
-    _, ridges = localhull._certified_hull(points, n, vid, ups)
+    _, ridges = localhull._certified_hull(points, n, ups)
     slots = r + r * (r - 1) // 2
     pairs = list(combinations(range(r), 2))
 
@@ -268,21 +263,21 @@ OFF_RIDGE = ["4x4", "6x3", "8x3", "pentagon-pentagon"]
 def _off_ridge_input(name):
     if name == "pentagon-pentagon":
         return _product(PENTAGON, PENTAGON)
-    return project(_system(name).vertices), _system(name).labeling
+    return project(_system(name).product), _system(name).require_nr()
 
 
 @pytest.mark.parametrize("name", OFF_RIDGE)
 def test_the_off_ridge_tables_are_each_ridges_complement(monkeypatch, name):
-    points, labeling = _off_ridge_input(name)
-    assert _off_ridge_mismatches(monkeypatch, points, labeling, localhull._off_ridge(labeling.n)) == []
+    points, product = _off_ridge_input(name)
+    assert _off_ridge_mismatches(monkeypatch, points, product, localhull._off_ridge(product[0])) == []
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["prism", "cube"])
 def test_a_table_missing_one_off_position_is_caught(monkeypatch, kind):
-    points, labeling = _off_ridge_input("4x4")
-    tables = localhull._off_ridge(labeling.n)
+    points, product = _off_ridge_input("4x4")
+    tables = localhull._off_ridge(product[0])
     tables[kind][-1] = tables[kind][-1][1:]
-    assert _off_ridge_mismatches(monkeypatch, points, labeling, tables) != []
+    assert _off_ridge_mismatches(monkeypatch, points, product, tables) != []
 
 
 def test_a_vertex_on_the_plane_across_a_2_face_refuses(monkeypatch):
@@ -290,7 +285,7 @@ def test_a_vertex_on_the_plane_across_a_2_face_refuses(monkeypatch):
     # kept 3-face of a projected polytope allows, and no other input found
     # reaches it while (a) and (b) hold.  Here the prism table lists, for
     # the first 2-face, a vertex on it, which lies on both planes there.
-    points, labeling = _product(SQUARE, KITE)
+    points, product = _product(SQUARE, KITE)
     off_ridge = localhull._off_ridge
 
     def listing_a_ridge_vertex(n):
@@ -300,9 +295,9 @@ def test_a_vertex_on_the_plane_across_a_2_face_refuses(monkeypatch):
 
     monkeypatch.setattr(localhull, "_off_ridge", listing_a_ridge_vertex)
     with pytest.raises(UncertifiedHull, match=r"^\(c\) a vertex off a 2-face lies on the plane across it$"):
-        local_hull(points, labeling)
+        local_hull(points, *product)
     calls = _count_dd_calls(monkeypatch)
-    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert_same_hull(_checker(points, product).hull, convex_hull(points))
     assert calls == FALLBACK
 
 
@@ -312,7 +307,7 @@ def test_a_ray_through_a_ridge_or_vertex_refuses(monkeypatch, target):
     # no 2-face, so no product input breaks clause (e) alone; here the ray
     # is aimed instead at a point inside the first facet's first polygon
     # (its first three vertices lie on it), on an edge or at a vertex.
-    points, labeling = _product(SQUARE, KITE)
+    points, product = _product(SQUARE, KITE)
     head = {"ridge": 3, "edge": 2, "vertex": 1}[target]
 
     def aimed(coords, members):
@@ -320,9 +315,9 @@ def test_a_ray_through_a_ridge_or_vertex_refuses(monkeypatch, target):
 
     monkeypatch.setattr(localhull, "_ray_target", aimed)
     with pytest.raises(UncertifiedHull, match=r"^\(e\) the ray meets a 2-face"):
-        local_hull(points, labeling)
+        local_hull(points, *product)
     calls = _count_dd_calls(monkeypatch)
-    assert_same_hull(_checker(points, labeling).hull, convex_hull(points))
+    assert_same_hull(_checker(points, product).hull, convex_hull(points))
     assert calls == FALLBACK
 
 

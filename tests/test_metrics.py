@@ -200,7 +200,7 @@ def _polygon_masks(system):
     """The polygon images as Q-vertex masks, as ``analyze_system`` builds them."""
     vertex_map = system.checker.vertex_map
     return [sum(1 << vertex_map[i] for i in face.vertices)
-            for face in product_polygons(system.labeling)]
+            for face in product_polygons(*system.require_nr())]
 
 
 @pytest.mark.parametrize("n,r", GRID)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import zero_pattern_system
 from projpoly import construction, io, lattice, pipeline, polytope, projection
-from projpoly.metrics import metrics_report
+from projpoly.metrics import metrics_report, predicted_flag
 from projpoly.pipeline import analyze_system, construct_system, verify_system
 
 
@@ -40,6 +41,23 @@ def test_construct_verify_analyze_build_the_projected_hull_once(monkeypatch):
     system = construct_system(4, 3)
     assert verify_system(system).ok
     assert analyze_system(system).ok
+    assert calls == {"convex_hull": 0, "face_lattice": 0, "ProjectionChecker": 1}
+
+
+def test_a_product_whose_vertices_come_from_the_dd_verifies_and_analyzes(monkeypatch):
+    # The one route on which ``product_labeling`` reorders: the DD lists
+    # this system's vertices in another order than code order.  Sorted,
+    # they certify the local hull, and every face is preserved.
+    calls = _count_hull_builds(monkeypatch)
+    system = dataclasses.replace(zero_pattern_system())
+    assert system.certified is None
+    assert system.product.vertices != system.vertices.vertices
+    checks = verify_system(system).as_dict()["checks"]
+    assert [checks[f"{kind}_preserved"] for kind in ("vertices", "edges")] == ["64/64", "192/192"]
+    assert checks["polygons_direct"] == checks["polygons_certified"] == "48/48"
+    assert verify_system(system).ok
+    analysis = analyze_system(system)
+    assert analysis.ok and analysis.flag_actual == predicted_flag(4, 3)
     assert calls == {"convex_hull": 0, "face_lattice": 0, "ProjectionChecker": 1}
 
 
@@ -90,8 +108,7 @@ def test_construct_hands_the_gates_vertices_to_the_system(monkeypatch, params):
     # enumeration or labeling from incidences anywhere
     assert len(certified) == len(system.adaptation) + 1
     assert certified[:-1] == [None] * len(system.adaptation)
-    assert system.vertices is certified[-1][0]
-    assert system.labeling is certified[-1][1]
+    assert system.vertices is system.product is certified[-1]
     assert calls == {"h_to_v": 0, "product_labeling": 0}
 
 
@@ -100,7 +117,7 @@ def test_a_rejected_explicit_system_keeps_the_gates_verdict(monkeypatch):
     system = construct_system(4, 2, Fraction(1, 16), Fraction(256))
     assert not system.validated
     assert "certified" in vars(system) and system.certified is None
-    assert "vertices" not in vars(system) and "labeling" not in vars(system)
+    assert "vertices" not in vars(system) and "product" not in vars(system)
     enumerated = []
     h_to_v = polytope.h_to_v
 

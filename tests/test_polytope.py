@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID
+from conftest import GRID, zero_pattern_system
 from oracle import (
     affine_rank_oracle,
     brute_force_vertices,
@@ -15,7 +15,6 @@ from oracle import (
     dd_rank_oracle,
     is_irredundant,
     polar_rows_oracle,
-    product_tuples,
     product_vertices_oracle,
     qmatrix,
 )
@@ -260,11 +259,11 @@ def test_hull_vertices_have_full_rank_incidence(grid_case):
 def test_product_isomorphic_plain_product():
     system = build_plain_product(4, 2, SQUARE_POLYGON, ONES4)
     v = h_to_v(system)
-    index = product_labeling(v, system.labels, 4, 2)
-    assert index is not None
-    assert sorted(product_tuples(index)) == sorted(
-        (a, b) for a in range(4) for b in range(4)
-    )
+    product = product_labeling(v, system.labels, 4, 2)
+    assert product is not None
+    # the same vertices with the same incidences, in another order
+    assert product.vertices != v.vertices
+    assert sorted(zip(product.vertices, product.incidence)) == sorted(zip(v.vertices, v.incidence))
 
 
 def test_product_labeling_rejects_two_vertices_with_one_code(grid_case):
@@ -361,7 +360,7 @@ def _product_mutants():
     # Vertex 1 has t = (1, 0, 0), so x_1 is the first polygon's corner on
     # rows (1, 0) and (1, 1).  Row (1, 2) moved to that corner, or past
     # it, leaves a triangle.
-    corner = product_vertices(h, 4, 3)[0].vertices[1]
+    corner = product_vertices(h, 4, 3).vertices[1]
     at_corner = sum(a * x for a, x in zip(row(2), corner))
     # Row (3, 1) with twice row (3, 0)'s block-3 entries, and row (1, 0)
     # reading x_2.
@@ -370,7 +369,7 @@ def _product_mutants():
         "singular-block": _mutant(h, (3, 1), row=doubled),
         "extra-tight-row": _mutant(h, (1, 2), rhs=at_corner),
         "violated-row": _mutant(h, (1, 2), rhs=at_corner - QQ(1, 1000)),
-        "zero-pattern": _mutant(h, (1, 0), row=row(0)[:2] + (QQ(1, 10**30),) + row(0)[3:]),
+        "zero-pattern": zero_pattern_system().h,
         "duplicate-label": _mutant(h, (2, 1), new_label=(2, 2)),
     }
 
@@ -386,10 +385,10 @@ def test_each_clause_refuses_its_mutant(clause):
     if clause == "zero-pattern":
         # a product still, which the double description fallback finds
         assert product_vertices_oracle(h, 4, 3) is not None
-        assert system.labeling is not None and system.vertices.nvertices == 64
+        assert system.product is not None and system.vertices.nvertices == 64
     else:
         assert product_vertices_oracle(h, 4, 3) is None
-        assert system.labeling is None
+        assert system.product is None
 
 
 def test_a_singular_pair_is_refused_where_every_candidate_is_strict():

@@ -40,8 +40,8 @@ from projpoly.projection import ProductFace, ProjectionChecker, product_polygons
 
 def _faces(system, dim):
     """The system's faces of dimension ``dim``, from the per-kind oracles."""
-    n, r, _ = index = system.labeling
-    tuples = product_tuples(index)
+    n, r = system.require_nr()
+    tuples = product_tuples(n, r)
     if dim == 0:
         return vertex_faces_oracle(tuples)
     if dim == 1:
@@ -244,10 +244,10 @@ def test_face_dimensions_agree_with_affine_rank_oracle(n, r, grid_case):
     # the dimensions the checker reads combinatorially are the geometric
     # ones: the face kind for P, the projection's lattice for the image
     system = grid_case(n, r).system
-    checker, labeling = system.checker, system.labeling
+    checker = system.checker
     for dim in (0, 1, 2):
         for face in _faces(system, dim):
-            assert affine_rank_oracle([system.vertices.vertices[i] for i in face.vertices]) == dim
+            assert affine_rank_oracle([system.product.vertices[i] for i in face.vertices]) == dim
             qmask = mask_of(checker.vertex_map[i] for i in face.vertices)
             images = [checker.images[i] for i in face.vertices]
             assert affine_rank_oracle(images) == checker.q_lattice.dim_of(qmask)
@@ -255,10 +255,9 @@ def test_face_dimensions_agree_with_affine_rank_oracle(n, r, grid_case):
 
 def test_all_polygon_faces_strictly_preserved(grid_case):
     case = grid_case(4, 3)
-    v = h_to_v(case.system.h)
-    labeling = product_labeling(v, case.system.h.labels, 4, 3)
-    checker = ProjectionChecker(case.system.h, v)
-    for face in product_polygons(labeling):
+    product = product_labeling(h_to_v(case.system.h), case.system.h.labels, 4, 3)
+    checker = ProjectionChecker(case.system.h, product)
+    for face in product_polygons(4, 3):
         rep = checker.check_face(face, 2)
         assert rep.direct_ok, rep.details
         assert rep.certificate_ok, rep.details
@@ -270,44 +269,30 @@ def test_certificate_implies_direct_on_verified_grid(grid_case):
         assert result.implication_ok
 
 
-def test_enumerate_polygon_faces_counts(grid_case):
-    case = grid_case(4, 2)
-    v = h_to_v(case.system.h)
-    labeling = product_labeling(v, case.system.h.labels, 4, 2)
-    faces = product_polygons(labeling)
+def test_enumerate_polygon_faces_counts():
+    faces = product_polygons(4, 2)
     assert len(faces) == 2 * 4
     assert all(len(f.vertices) == 4 for f in faces)
 
-    case63 = grid_case(6, 3)
-    v63 = h_to_v(case63.system.h)
-    labeling63 = product_labeling(v63, case63.system.h.labels, 6, 3)
-    faces63 = product_polygons(labeling63)
+    faces63 = product_polygons(6, 3)
     assert len(faces63) == 3 * 36
     assert all(len(f.vertices) == 6 for f in faces63)
 
-    case43 = grid_case(4, 3)
-    v43 = h_to_v(case43.system.h)
-    labeling43 = product_labeling(v43, case43.system.h.labels, 4, 3)
-    assert len(product_polygons(labeling43)) == 48
+    assert len(product_polygons(4, 3)) == 48
 
 
-def test_enumerate_edges_counts(grid_case):
-    case = grid_case(4, 2)
-    v = h_to_v(case.system.h)
-    labeling = product_labeling(v, case.system.h.labels, 4, 2)
+def test_enumerate_edges_counts():
     # Every edge lies in exactly one polygon, and every vertex in r of them.
-    polygons = product_polygons(labeling)
+    polygons = product_polygons(4, 2)
     edges = [edge for face in polygons for edge in _cycle_edges(face)]
     assert len(edges) == len(set(edges)) == 2 * 16
     assert Counter(i for face in polygons for i in face.vertices) == dict.fromkeys(range(16), 2)
 
 
 @pytest.mark.parametrize("n,r", GRID + [(8, 3)])
-def test_product_faces_equal_the_per_kind_oracles(n, r, grid_case):
-    system = grid_case(n, r).system if (n, r) in GRID else construct_system(n, r)
-    index = system.labeling
-    labeling = product_tuples(index)
-    polygons = product_polygons(index)
+def test_product_faces_equal_the_per_kind_oracles(n, r):
+    labeling = product_tuples(n, r)
+    polygons = product_polygons(n, r)
     assert [(f.face_id, f.factor, tuple(sorted(f.vertices))) for f in polygons] == [
         (f.face_id, f.factor, f.vertices) for f in enumerate_polygon_faces_oracle(labeling, n, r)
     ]
@@ -323,11 +308,10 @@ def test_stability_certificates_on_perturbed_normals(grid_case):
     from projpoly.linalg import positively_spans
 
     case = grid_case(4, 3)
-    v = h_to_v(case.system.h)
-    labeling = product_labeling(v, case.system.h.labels, 4, 3)
+    product = product_labeling(h_to_v(case.system.h), case.system.h.labels, 4, 3)
     a = case.system.h.A
-    for face in product_polygons(labeling)[:16]:
-        common = reduce(and_, (v.incidence[i] for i in face.vertices))
+    for face in product_polygons(4, 3)[:16]:
+        common = reduce(and_, (product.incidence[i] for i in face.vertices))
         truncated = [tuple(a.row(j)[:2]) for j in _bits(common)]
         assert positively_spans(truncated, 2).kind == "spanning"
 
@@ -349,7 +333,7 @@ def test_certificate_lp_runs_once_per_distinct_input(monkeypatch):
     inputs = _counting_lps(monkeypatch)
     assert verify_system(system).ok
     # Every polygon passes here, so no edge or vertex is checked.
-    polygons = product_polygons(system.labeling)
+    polygons = product_polygons(*system.require_nr())
     distinct = {frozenset(certificate_input(system, face)) for face in polygons}
     assert len(distinct) < len(polygons)
     assert Counter(inputs) == Counter(distinct)
@@ -408,7 +392,7 @@ def _certificate_case(case):
     its faces, and each face's report from one fresh checker."""
     n, r, eps, big_m = case
     system = construct_system(n, r, eps=eps, big_m=big_m, force=True)
-    alone = ProjectionChecker(system.h, system.vertices, system.labeling)
+    alone = ProjectionChecker(system.h, system.product, system.require_nr())
     verdicts, reports = {}, {}
     for dim in (0, 1, 2):
         for face in _faces(system, dim):
@@ -422,7 +406,7 @@ def _checked(case, order):
     """Each face with its report, checked in ``order`` of dimension by a
     fresh checker."""
     system = _certificate_case(case)[0]
-    checking = ProjectionChecker(system.h, system.vertices, system.labeling)
+    checking = ProjectionChecker(system.h, system.product, system.require_nr())
     return [(face, checking.check_face(face, dim)) for dim in order for face in _faces(system, dim)]
 
 
@@ -465,7 +449,7 @@ POLYGON_LPS = {(4, 4, None, None): 40, (6, 3, None, None): 13}
 def test_the_certificate_needs_no_q(monkeypatch, case):
     system = _certificate_case(case)[0]
     polygons = _faces(system, 2)
-    incidence = system.vertices.incidence
+    incidence = system.product.incidence
     rows = [reduce(and_, (incidence[i] for i in face.vertices)) for face in polygons]
     distinct = {frozenset(certificate_input(system, face)) for face in polygons}
 
@@ -551,7 +535,7 @@ def test_verify_runs_the_direct_checks_on_the_polygons_alone(monkeypatch, n, r, 
     masks = _full_checks(monkeypatch)
     assert verify_system(system).ok
     assert len(masks) == polygons
-    assert Counter(masks) == _image_masks(system, product_polygons(system.labeling))
+    assert Counter(masks) == _image_masks(system, product_polygons(*system.require_nr()))
 
 
 def test_verify_runs_the_direct_checks_inside_each_failing_polygon(monkeypatch):
@@ -560,7 +544,7 @@ def test_verify_runs_the_direct_checks_inside_each_failing_polygon(monkeypatch):
     masks = _full_checks(monkeypatch)
     result = verify_system(system)
     assert (result.polygons_direct, result.edges_preserved) == (44, 184)
-    polygons = product_polygons(system.labeling)
+    polygons = product_polygons(*system.require_nr())
     # Every edge and vertex inside no passing polygon runs the checks; each
     # edge of a failing polygon lies in no other polygon, and each vertex
     # lies in a passing one.
@@ -582,7 +566,7 @@ def test_a_none_polygon_passes_nothing_down(monkeypatch, grid_case):
     # edges, none of which lies in another checked face, must each reach
     # the LP and keep their true verdict.
     system = grid_case(4, 3).system
-    polygon = product_polygons(system.labeling)[0]
+    polygon = product_polygons(*system.require_nr())[0]
     forced = frozenset(certificate_input(system, polygon))
     inputs = []
 
@@ -593,7 +577,7 @@ def test_a_none_polygon_passes_nothing_down(monkeypatch, grid_case):
         return linalg.positively_spans(vectors, dim)
 
     monkeypatch.setattr(projection, "positively_spans", forcing)
-    checker = ProjectionChecker(system.h, system.vertices, system.labeling)
+    checker = ProjectionChecker(system.h, system.product, system.require_nr())
     assert not checker.check_face(polygon, 2).certificate_ok
     inside = [(0, ProductFace(None, None, (i,))) for i in polygon.vertices] + [
         (1, edge)
@@ -611,10 +595,10 @@ def test_a_direct_failure_passes_nothing_down(grid_case):
     # through it fails (i) while its certificate still spans.  The edges
     # through it, and it, checked after the polygons, must fail (i) too.
     system = grid_case(4, 3).system
-    checker = ProjectionChecker(system.h, system.vertices, system.labeling)
+    checker = ProjectionChecker(system.h, system.product, system.require_nr())
     checker.vertex_map = list(checker.vertex_map)
     checker.vertex_map[0] = None
-    for polygon in product_polygons(system.labeling):
+    for polygon in product_polygons(*system.require_nr()):
         checker.check_face(polygon, 2)
     through = [(dim, face) for dim in (1, 0) for face in _faces(system, dim) if 0 in face.vertices]
     assert len(through) == 7
@@ -626,12 +610,12 @@ def test_a_direct_failure_passes_nothing_down(grid_case):
 
 def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     system = grid_case(4, 3).system
-    checker, labeling = system.checker, system.labeling
+    checker = system.checker
     faces = [(dim, face) for dim in (2, 1, 0) for face in _faces(system, dim)]
     expected = [checker.check_face(face, dim) for dim, face in faces]
     # A fresh checker given every certificate verdict the first one
     # computed: each face hits the memo.
-    fresh = ProjectionChecker(system.h, system.vertices, labeling)
+    fresh = ProjectionChecker(system.h, system.product, system.require_nr())
     fresh.certificate._spans = dict(checker.certificate._spans)
     hashes = []
     original = QQ.__hash__
