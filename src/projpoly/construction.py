@@ -40,6 +40,8 @@ ZERO2 = (QQ(0), QQ(0))
 # Twelve failed rounds signal an implementation bug, not a parameter gap.
 MAX_ROUNDS = 12
 
+POLYGON_INVALID = "polygon description invalid"
+
 
 class ConstructionError(Exception):
     pass
@@ -129,7 +131,9 @@ def choose_parameters(
     system that passes is returned with ``validated=True``, the rejected
     rounds as its adaptation log, and the vertices in code order that the
     gates certified.  No round runs the double description method.
-    ``MAX_ROUNDS`` failures raise ``ConstructionError``.
+    ``MAX_ROUNDS`` failures raise ``ConstructionError``, and so does the
+    first refusal of the polygon with eps pinned: that gate reads block 1
+    alone, which no M changes.
 
     When both eps and M are given, one round runs, and a rejected system is
     returned with ``validated=False``, that round logged, and the gates'
@@ -175,13 +179,16 @@ def choose_parameters(
         if reason is None:
             return system
         log.append(AdaptationAttempt(round_eps, round_m, reason))
+        if eps is not None and reason == POLYGON_INVALID:
+            break
     if explicit:
         rejected = dataclasses.replace(system, validated=False, adaptation=tuple(log))
         # Keep the gates' verdict: the product certificate is always computed.
         vars(rejected)["certified"] = system.certified
         return rejected
+    ended = f"after {len(log)} rounds" if len(log) == MAX_ROUNDS else f"with eps={eps} pinned"
     raise ConstructionError(
-        f"no parameters found for n={n}, r={r} after {len(log)} rounds; "
+        f"no parameters found for n={n}, r={r} {ended}; "
         "attempts: " + "; ".join(f"eps={a.eps}, M={a.big_m}: {a.reason}" for a in log)
     )
 
@@ -221,7 +228,7 @@ def check_parameters(system: SystemFile) -> str | None:
         QMatrix(tuple(row[:2] for row in h.A.entries[:n])), h.b[:n], tuple((1, i) for i in range(n))
     )
     if product_vertices(polygon, n, 1) is None:
-        return "polygon description invalid"
+        return POLYGON_INVALID
     # Vertex enumeration cannot fail here.  Every block's polygon rows are
     # the valid first block's and every right-hand side is positive (eps >
     # 0, M > 1), so 0 is strictly feasible; and the recession cone is {0},

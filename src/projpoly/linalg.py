@@ -1,14 +1,17 @@
 """Exact rational linear algebra and positive-span certificates.
 
 Ranks run fraction-free (Bareiss) on denominator-cleared
-integer rows, so no intermediate value is ever rounded.  Positive-dependence
-certificates come from an exact phase-1 simplex with Bland's rule and a
-closed feasible region (coefficients are required to be >= 1, so any feasible
-point is a strictly positive certificate).  The simplex is fraction-free as
-well (integer pivoting in the manner of Edmonds 1967 and Bareiss 1968): each
-equation is scaled to integers once, each pivot is an integer
-cross-multiplication followed by division by the row's gcd, and a
-``Fraction`` is built only for the coefficients it returns.
+integer rows, so no intermediate value is ever rounded.  Positive spanning
+of d + 2 vectors in R^d (corank 2: every polygon input of the Projection
+Lemma) is decided on their Gale dual by one elimination and a planar scan,
+and either verdict carries an exactly checked witness (Davis 1954;
+Ziegler, *Lectures on Polytopes*, ch. 6).  Other inputs get their positive dependence from an exact phase-1 simplex
+with Bland's rule and a closed feasible region (coefficients are required
+to be >= 1, so any feasible point is a strictly positive certificate).  The
+simplex is fraction-free as well (integer pivoting in the manner of
+Edmonds 1967 and Bareiss 1968): each equation is scaled to integers once,
+each pivot is an integer cross-multiplication followed by division by the
+row's gcd, and a ``Fraction`` is built only for the coefficients it returns.
 """
 
 from __future__ import annotations
@@ -111,16 +114,16 @@ def rank_rows(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def null_vector(rows: Sequence[Sequence[int]]) -> list[int]:
-    """A nonzero integer vector z with row . z == 0 for every row, given k
-    integer rows of length k + 1 and rank k.
+    """A nonzero integer vector z with row . z == 0 for every row, given
+    integer rows whose rank is below their length.
 
-    Eliminating the transposed rows next to an identity block leaves one
-    row whose leading part vanishes; its identity part is z.
+    Eliminating the transposed rows next to an identity block leaves the
+    last row's leading part zero; its identity part is z.
     """
-    k = len(rows)
-    aug = [[row[i] for row in rows] + [int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+    k, length = len(rows), len(rows[0])
+    aug = [[row[i] for row in rows] + [int(i == j) for j in range(length)] for i in range(length)]
     _bareiss(aug)
-    return aug[k][k:]
+    return aug[-1][k:]
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -240,11 +243,13 @@ class PositiveCertificate:
 
     ``spanning``: full rank of the vector set, and strictly positive
     coefficients whose weighted row sum is the zero vector.  ``none``
-    carries no coefficients.
+    carries no coefficients; from ``_gale`` it carries a ``normal`` y != 0
+    with y . v >= 0 for every vector v, so no cone of them holds -y.
     """
 
     kind: str
     coefficients: tuple[Fraction, ...] | None = None
+    normal: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("spanning", "none"):
@@ -285,14 +290,83 @@ def _dependence(
     return lam
 
 
+def _open_half_plane(points: list[tuple[int, int]]) -> tuple[tuple[int, int] | None, dict[int, int]]:
+    """Either z with z . p > 0 for every point p, and no weights; or no z,
+    and weights mu >= 0, not all 0, on at most three points with
+    sum(mu_i p_i) == 0 (Gordan's alternative).
+
+    One pass keeps the extreme directions lo and hi of the points seen,
+    0 <= angle(lo, hi) < pi, by integer cross products, and stops at a
+    point in the opposite cone.
+    """
+    lo = hi = 0
+    for i, (p0, p1) in enumerate(points):
+        if not (p0 or p1):
+            return None, {i: 1}
+        (l0, l1), (h0, h1) = points[lo], points[hi]
+        x, y = l0 * p1 - l1 * p0, p0 * h1 - p1 * h0  # p left of lo, right of hi
+        if x > 0 > y:
+            hi = i
+        elif y > 0 > x:
+            lo = i
+        elif x < 0 or y < 0:
+            # p = (y lo + x hi) / cross(lo, hi), with x, y <= 0.
+            return None, {i: l0 * h1 - l1 * h0, lo: -y, hi: -x}
+        elif not (x or y) and l0 * p0 + l1 * p1 < 0:
+            return None, {i: -(l0 * p0 + l1 * p1), lo: p0 * p0 + p1 * p1}
+    (l0, l1), (h0, h1) = points[lo], points[hi]
+    # z . p = cross(lo, p) + cross(p, hi) when the cone is not a ray.
+    return ((h1 - l1, l0 - h0) if l0 * h1 - l1 * h0 else (l0, l1)), {}
+
+
+def _gale(vectors: Sequence[Sequence[Fraction]], equations: list[tuple[list[int], int]]) -> PositiveCertificate:
+    """``positively_spans`` of k = d + 2 vectors in R^d, on the Gale dual.
+
+    w_i is vector i in the equations' scaled coordinates, which keeps every
+    dependence and sign.  Eliminating the rows [w_i | e_i] gives the rank;
+    at rank d the identity parts g1, g2 of its last two rows span the
+    dependences, and the z of ``_open_half_plane`` on the points
+    (g1_i, g2_i) gives lambda = z1 g1 + z2 g2 > 0.  Else its weights mu are
+    orthogonal to g1 and g2, so mu = W y with y . w_i = mu_i >= 0; under
+    rank deficiency y is a null vector of W.  Both witnesses are checked.
+    """
+    k, d = len(vectors), len(equations)
+    w = [[eq[i] for eq, _ in equations] for i in range(k)]
+    rows = [wi + [int(i == j) for j in range(k)] for i, wi in enumerate(w)]
+    if _bareiss(rows)[:d] != list(range(d)):
+        y = null_vector(w)
+    else:
+        points = list(zip(rows[d][d:], rows[d + 1][d:]))
+        z, mu = _open_half_plane(points)
+        if z is not None:
+            lam = [z[0] * a + z[1] * b for a, b in points]
+            if min(lam) <= 0 or any(sum(map(mul, lam, eq)) for eq, _ in equations):
+                raise RuntimeError("Gale dual returned an invalid dependence certificate")
+            return PositiveCertificate("spanning", tuple(map(QQ, lam)))
+        # Row t < d of the elimination is T_t [W | I], upper triangular in
+        # W's part: back-substitute U y = T mu.
+        y = [QQ(0)] * d
+        for t in reversed(range(d)):
+            row = rows[t]
+            rhs = sum(row[d + i] * m for i, m in mu.items()) - sum(map(mul, row[t + 1 : d], y[t + 1 :]))
+            y[t] = QQ(rhs, row[t])
+        y = clear_denominators(y)
+    if not any(y) or min(sum(map(mul, y, wi)) for wi in w) < 0:
+        raise RuntimeError("Gale dual returned an invalid normal certificate")
+    return PositiveCertificate("none", normal=tuple(QQ(x * scale) for x, (_, scale) in zip(y, equations)))
+
+
 def positively_spans(vectors: Sequence[Sequence[Fraction]], dim: int) -> PositiveCertificate:
     """Spanning certificate: full rank plus positive dependence.
 
     A set positively spans iff it spans the space and is positively
-    dependent; the certificate carries the dependence coefficients.  The
-    rank is that of the integer equations, the transpose of the vectors.
+    dependent; the certificate carries the dependence coefficients.  Sets
+    of dim + 2 vectors go to ``_gale``; others take the rank of the integer
+    equations, the transpose of the vectors, and the simplex.
     """
     equations = _equations(vectors, dim)
+    if len(vectors) == dim + 2:
+        return _gale(vectors, equations)
     if not vectors or rank_int_rows([row for row, _ in equations]) != dim:
         return PositiveCertificate("none")
     lam = _dependence(vectors, equations)

@@ -153,6 +153,9 @@ def _certified_hull(
             a0, a1, a2, a3, b = -a0, -a1, -a2, -a3, -b
         elif not b:
             return
+        # b = a . x0 shares a's gcd, and reduced normals keep the probes short.
+        g = math.gcd(a0, a1, a2, a3)
+        a0, a1, a2, a3, b = a0 // g, a1 // g, a2 // g, a3 // g, b // g
         for c in probes:
             y0, y1, y2, y3 = coords[c]
             if a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 >= b:
@@ -164,9 +167,8 @@ def _certified_hull(
         for key in keys:
             seen[key] += 1
             across[key] += len(planes)
-        g = math.gcd(a0, a1, a2, a3)
-        planes.append((a0 // g, a1 // g, a2 // g, a3 // g))
-        offsets.append(b // g)
+        planes.append((a0, a1, a2, a3))
+        offsets.append(b)
         members.append(verts)
         ridges.append(keys)
 

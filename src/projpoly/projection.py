@@ -74,7 +74,7 @@ class Certificate:
     """The Projection Lemma's certificate that a face of P survives: the
     deleted coordinates of the normals of all facets containing it, read
     from P's rows alone, positively span.  That depends on the set of
-    vectors only, so each distinct set runs one LP, kept for its lifetime."""
+    vectors only, so each distinct set is decided once, kept for its lifetime."""
 
     def __init__(self, ph: HPolytope):
         self.dim = ph.dim - 4

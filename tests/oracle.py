@@ -12,7 +12,7 @@ other instead of the closure test, counting identities that scan every
 2-face for every facet instead of reading the lattice's covers, one
 enumerator per kind of product face (edges from each vertex's +1 neighbors)
 instead of ``projection.product_polygons`` and the polygon cycles verify
-reads edges from, one certificate LP per face instead of the checker's
+reads edges from, one certificate test per face instead of the checker's
 memo, and the product's vertices from the double description method and
 their incidences instead of block-by-block solves.
 
@@ -21,7 +21,9 @@ block-diagonal ``build_plain_product`` with its polygon check
 ``validate_polygon`` (an orientation scan instead of the construction
 gates' product certificate), Euler's relation on a lattice and
 ``product_tuples``, the tuple of each vertex code, which is the labeling
-the per-kind enumerators take.
+the per-kind enumerators take, and ``gale_verdict``, which holds the
+corank-2 route of ``positively_spans`` to the subset-enumeration oracle,
+the simplex and its own witness.
 """
 
 from __future__ import annotations
@@ -34,10 +36,15 @@ from math import lcm
 from operator import and_
 from random import Random
 
+import pytest
+
+from projpoly import linalg
 from projpoly.construction import ZERO2, ConstructionError, require_r
 from projpoly.lattice import LatticeError
 from projpoly.linalg import (
     QMatrix,
+    _dependence,
+    _equations,
     clear_denominators,
     independent_rows,
     null_vector,
@@ -268,6 +275,41 @@ def positively_spans_oracle(vectors, dim):
             if not in_cone(vectors, target, dim):
                 return False
     return True
+
+
+def witness_holds(certificate, vectors, dim):
+    """Whether a ``positively_spans`` certificate proves its verdict on
+    ``vectors``, summed in ``Fraction``s: strictly positive coefficients
+    with zero weighted sum for "spanning", a normal y != 0 with
+    y . v >= 0 for every vector for "none"."""
+    if certificate.kind == "spanning":
+        lam = certificate.coefficients
+        return min(lam) > 0 and all(sum(c * v[i] for c, v in zip(lam, vectors)) == 0 for i in range(dim))
+    y = certificate.normal
+    return len(y) == dim and any(y) and all(sum(a * b for a, b in zip(y, v)) >= 0 for v in vectors)
+
+
+def simplex_spans(vectors, dim):
+    """The verdict of the rank test and the simplex, which every set of
+    other than dim + 2 vectors still takes."""
+    equations = _equations(vectors, dim)
+    full = bool(vectors) and rank_int_rows([row for row, _ in equations]) == dim
+    return full and _dependence(vectors, equations) is not None
+
+
+def gale_verdict(vectors, dim):
+    """Whether dim + 2 vectors positively span, as ``positively_spans``
+    decides it on the Gale dual, after asserting that it ran no simplex,
+    that ``positively_spans_oracle`` and ``simplex_spans`` agree, and
+    that its witness holds."""
+    assert len(vectors) == dim + 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "nonneg_solution", None)
+        certificate = positively_spans(vectors, dim)
+    spans = certificate.kind == "spanning"
+    assert spans == positively_spans_oracle(vectors, dim) == simplex_spans(vectors, dim), (vectors, dim)
+    assert witness_holds(certificate, vectors, dim), (vectors, dim)
+    return spans
 
 
 @cache
@@ -652,9 +694,10 @@ def certificate_input(system, face):
 
 
 def certificate_oracle(system, face):
-    """The Projection Lemma's certificate for one face by its own LP: one
-    ``positively_spans`` on the face's input, with no memo and no verdict
-    taken from a face that contains it."""
+    """The Projection Lemma's certificate for one face by its own test: one
+    ``positively_spans`` on the face's input (on the Gale dual for a
+    polygon, an LP otherwise), with no memo and no verdict taken from a
+    face that contains it."""
     return positively_spans(certificate_input(system, face), system.h.A.cols - 4).kind == "spanning"
 
 

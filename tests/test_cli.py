@@ -97,6 +97,17 @@ def test_construct_over_the_geometric_budget_exits_before_any_gate(
     assert not out.exists()
 
 
+def test_construct_stops_at_a_polygon_refused_at_a_pinned_eps(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(capsys, "construct", "--n", "4", "--r", "3", "--eps", "1/2", "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "construction failed: no parameters found for n=4, r=3 with eps=1/2 pinned; "
+        "attempts: eps=1/2, M=16: polygon description invalid\n"
+    )
+    assert not out.exists()
+
+
 def test_construct_writes_a_large_m_up_to_the_digit_limit(tmp_path, capsys):
     big_m = 10**1500
     out = tmp_path / "x.json"

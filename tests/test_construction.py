@@ -242,6 +242,19 @@ def test_choose_parameters_gives_up_after_max_rounds(monkeypatch):
     assert str(error.value) == f"no parameters found for n=4, r=2 after 12 rounds; attempts: {attempts}"
 
 
+def test_a_polygon_refused_at_a_pinned_eps_ends_the_search():
+    # The polygon gate reads block 1 alone, which no M changes.
+    with pytest.raises(ConstructionError) as error:
+        choose_parameters(4, 3, eps=QQ(1, 2))
+    assert str(error.value) == (
+        f"no parameters found for n=4, r=3 with eps=1/2 pinned; attempts: eps=1/2, M=16: {POLYGON_REASON}"
+    )
+    # A refusal for the product still searches M.
+    system = choose_parameters(4, 3, eps=QQ(1, 16))
+    assert system.validated and system.big_m == 2**16
+    assert [(a.big_m, a.reason) for a in system.adaptation] == [(16, PRODUCT_REASON), (256, PRODUCT_REASON)]
+
+
 def test_construction_is_deterministic():
     def build_bytes():
         return dumps_json(system_to_dict(choose_parameters(4, 2))).encode()

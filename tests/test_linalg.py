@@ -1,12 +1,22 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as QQ
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import determinant_oracle, nonneg_solution_oracle, qmatrix, row_reduce_rank, span_oracle_cases
+from oracle import (
+    determinant_oracle,
+    nonneg_solution_oracle,
+    positively_spans_oracle,
+    qmatrix,
+    row_reduce_rank,
+    gale_verdict,
+    span_oracle_cases,
+)
+from projpoly import linalg
 from projpoly.construction import U0, U1, V0, W0, W1, alpha_coeff, beta_coeff
 from projpoly.linalg import (
     PositiveCertificate,
@@ -198,3 +208,83 @@ def test_positive_dependence_is_the_fraction_simplex_plus_one():
             assert coefficients is None
         else:
             assert coefficients == tuple(m + 1 for m in mu)
+
+
+# --- corank 2: the Gale dual against the oracle and the simplex ------------
+
+
+@pytest.mark.parametrize("vectors,dim,spans", [
+    (_qq_rows([(), ()]), 0, True),
+    (_qq_rows([(1, 0), (0, 1), (-1, -1), (2, 2)]), 2, True),
+    (_qq_rows([(1, 0), (0, 1), (-1, 0), (0, -1)]), 2, True),
+    (_qq_rows([(1, 0), (-1, 0), (2, 0), (-3, 0)]), 2, False),
+    (_qq_rows([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (2, 3, 0), (0, -1, 0)]), 3, False),
+    (_qq_rows([(1, 0), (0, 1), (-1, -1), (0, 0)]), 2, True),
+    (_qq_rows([(1, 0), (0, 1), (0, 0), (1, 1)]), 2, False),
+    (_qq_rows([(1, 0), (-1, 0), (2, 0), (0, 1)]), 2, False),
+    (_qq_rows([(1, 0), (0, 1), (1, 0), (0, 1)]), 2, False),
+    (_qq_rows([(1, 1), (2, 2), (-1, -1), (0, 1)]), 2, False),
+    (_qq_rows([(1, 0), (-1, 0), (0, 1), (0, -1)]), 2, True),
+    (_qq_rows([(1, 0), (0, 1), (-1, 0), (1, 1)]), 2, False),
+    (_qq_rows([(QQ(1, 2), QQ(1, 3)), (QQ(-1, 5), QQ(2, 7)), (QQ(-1, 4), QQ(-2, 9)),
+               (QQ(1, 6), QQ(-1, 10))]), 2, True),
+    (_qq_rows([(1,), (-1,), (1,)]), 1, True),
+    (_qq_rows([(1,), (2,), (3,)]), 1, False),
+], ids=["dim0", "spanning", "cross", "rank-deficient", "rank-deficient-3d", "zero-vector",
+        "zero-vector-in-half-plane", "coloop",
+        "parallel-pairs", "parallel-and-opposite", "opposite-pairs", "opposite-in-half-plane",
+        "mixed-denominators", "dim1-opposite", "dim1-one-side"])
+def test_the_gale_dual_decides_corank_two_examples(vectors, dim, spans):
+    assert gale_verdict(vectors, dim) == spans
+
+
+@st.composite
+def corank_two_sets(draw):
+    """d + 2 vectors in dimension d, often with a zero vector, a parallel or
+    an opposite copy, all of them in a hyperplane, or one the negated sum
+    of the others.  Dimension 4 is left to the polygon inputs: there the
+    subset-enumeration oracle takes ten times as long."""
+    d = draw(st.integers(0, 3))
+    vectors = draw(st.lists(st.tuples(*[_entries] * d), min_size=d + 2, max_size=d + 2))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, d + 1)), draw(st.integers(0, d + 1))
+        c = draw(st.sampled_from((0, 2, -1, QQ(-1, 2))))
+        vectors[i] = tuple(c * x for x in vectors[j])
+    shape = draw(st.sampled_from(("as drawn", "as drawn", "in a hyperplane", "balanced", "balanced")))
+    if shape == "in a hyperplane" and d:
+        vectors = [v[:-1] + (QQ(0),) for v in vectors]
+    elif shape == "balanced" and d:
+        vectors[-1] = tuple(-sum(col) for col in zip(*vectors[:-1]))
+    return vectors, d
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=corank_two_sets())
+def test_the_gale_dual_matches_the_oracle_and_the_simplex(case):
+    gale_verdict(*case)
+
+
+def test_every_corank_two_oracle_case_carries_a_witness():
+    cases = [(vectors, dim) for vectors, dim, _ in span_oracle_cases() if len(vectors) == dim + 2]
+    assert len(cases) > 10
+    for vectors, dim in cases:
+        gale_verdict(vectors, dim)
+
+
+def test_a_flipped_half_plane_verdict_is_caught_by_its_witness(monkeypatch):
+    scan = linalg._open_half_plane
+
+    def flipped(points):
+        z, _ = scan(points)
+        return (None, {0: 1}) if z is not None else ((1, 0), {})
+
+    monkeypatch.setattr(linalg, "_open_half_plane", flipped)
+    cases = [(_qq_rows([(1, 0), (0, 1), (-1, -1), (2, 2)]), 2), (_qq_rows([(1, 0), (0, 1), (-1, 0), (1, 1)]), 2)]
+    cases += [(vectors, dim) for vectors, dim, _ in span_oracle_cases() if len(vectors) == dim + 2]
+    flipped_kinds = Counter()
+    for vectors, dim in cases:
+        if rank_rows(vectors) == dim:
+            flipped_kinds[positively_spans_oracle(vectors, dim)] += 1
+            with pytest.raises(RuntimeError, match="invalid"):
+                positively_spans(vectors, dim)
+    assert flipped_kinds[True] >= 5 and flipped_kinds[False] >= 5

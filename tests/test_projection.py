@@ -5,13 +5,14 @@ from operator import and_, attrgetter
 
 import pytest
 
-from conftest import GRID, PASS_GATES_FAIL_VERIFY
+from conftest import GRID, PASS_GATES_FAIL_VERIFY, zero_pattern_system
 from oracle import (
     affine_rank_oracle,
     certificate_input,
     certificate_oracle,
     enumerate_edges_oracle,
     enumerate_polygon_faces_oracle,
+    gale_verdict,
     nonneg_solution_oracle,
     product_tuples,
     qmatrix,
@@ -465,6 +466,19 @@ def test_the_certificate_needs_no_q(monkeypatch, case):
     ]
     assert Counter(inputs) == Counter(distinct)
     assert len(inputs) == POLYGON_LPS.get(case, len(distinct))
+
+
+# Distinct polygon inputs per case, and how many of them do not span.
+GALE_INPUTS = {"4x2": (1, 0), "6x2": (1, 0), "8x2": (1, 0), "4x3": (9, 0), "6x3": (13, 0), "4x4": (40, 0),
+               "8x3": (17, 0), "4x3-1/16-2^32": (9, 1), "4x3-1/8-256": (9, 2), "4x4-1/16-2^32": (40, 9),
+               "6x3-1/16-2^16": (13, 4), "4x3-zero-pattern": (9, 0)}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES + [None], ids=CERTIFICATE_IDS + ["4x3-zero-pattern"])
+def test_the_gale_dual_decides_every_polygon_input(request, case):
+    system = zero_pattern_system() if case is None else _certificate_case(case)[0]
+    verdicts = [gale_verdict(vectors, system.h.dim - 4) for vectors in _distinct_certificate_inputs(system, (2,))]
+    assert (len(verdicts), verdicts.count(False)) == GALE_INPUTS[request.node.callspec.id]
 
 
 def test_the_failing_edges_lie_in_the_failing_polygons():
