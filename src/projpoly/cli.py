@@ -201,6 +201,16 @@ def _write_outputs(*outputs: tuple[str, str]) -> None:
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _refuse_same_file(args: argparse.Namespace) -> None:
+    """Raise ``_OutputError`` when a command's files name one file twice."""
+    paths = [path for path in map(vars(args).get, ("input", "output", "report", "ine")) if path]
+    for i, path in enumerate(paths):
+        for other in paths[:i]:
+            linked = os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
+            if linked or os.path.realpath(path) == os.path.realpath(other):
+                raise _OutputError(f"cannot write {path}: it is the same file as {other}")
+
+
 def _write_report(path: str | None, data: dict) -> None:
     if path:
         _write_outputs((path, pio.dumps_json(data)))
@@ -484,6 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_same_file(args)
         return args.func(args)
     except (InvalidParameterError, _InputError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

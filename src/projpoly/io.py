@@ -99,12 +99,10 @@ class SystemFile:
 
     @cached_property
     def checker(self) -> ProjectionChecker:
-        """The projection to the last four coordinates: its hull and face
-        lattice (raises ``PolytopeError``).  The hull is read from the
-        product's 3-faces when ``product`` exists and the local certificate
-        holds, and computed by the double description method otherwise."""
-        if self.product is None:
-            return ProjectionChecker(self.h, self.vertices)
+        """The projection of ``product``, which must exist, to the last four
+        coordinates: its hull and face lattice (raises ``PolytopeError``).
+        The hull is read from the product's 3-faces when the local
+        certificate holds, and computed by the DD method otherwise."""
         return ProjectionChecker(self.h, self.product, self.require_nr())
 
 

@@ -307,8 +307,9 @@ def _certified_hull(
             mask |= 1 << c
         facet_points.append(mask)
     hull_v = VPolytope(tuple(points), tuple(incidence), 4)
+    ids = tuple(range(count))  # distinct by (a)
     return HullResult(tuple(planes), tuple(offsets), count * scale, tuple(total), hull_v,
-                      tuple(range(count)), tuple(facet_points)), ridges
+                      ids, ids, tuple(facet_points)), ridges
 
 
 def _plane(coords: list[tuple[int, ...]], verts: list[int]) -> tuple[int, int, int, int, int]:

@@ -277,7 +277,7 @@ def analyze_system(system: SystemFile, paper_literal: bool = False) -> AnalyzeRe
         result.failures.append("flag_vector_mismatch")
 
     polygon_masks = [
-        mask_of(checker.vertex_map[i] for i in face.vertices)
+        mask_of(checker.hull.point_vertex[i] for i in face.vertices)
         for face in product_polygons(n, r)
     ]
     try:

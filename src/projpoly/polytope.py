@@ -345,12 +345,12 @@ def h_to_v(p: HPolytope) -> VPolytope:
 class HullResult:
     """Convex hull of a point set: irredundant facets plus extreme points.
 
-    Facet j is ``planes[j]`` . h <= ``offsets[j]`` over the N distinct
-    grid points g (``convex_hull``), centred as h = N * g - S with S =
-    ``total``; ``denom`` is N * L.  Both maps are indexed by original
-    input point, so equal points share their entries: ``point_vertex[i]``
-    is the vertex index of point i in ``v`` (None for non-extreme points),
-    and bit i of ``facet_points[j]`` is set when point i lies on facet j.
+    Facet j is ``planes[j]`` . h <= ``offsets[j]`` over the N distinct grid
+    points g (``convex_hull``), centred as h = N * g - S with S = ``total``;
+    ``denom`` is N * L.  Maps are indexed by input point, equal points
+    sharing entries: ``point_ids[i]`` is point i's index among the distinct
+    points, ``point_vertex[i]`` its vertex in ``v`` (None if not extreme),
+    and bit i of ``facet_points[j]`` is set when point i is on facet j.
     """
 
     planes: tuple[tuple[int, ...], ...]
@@ -358,6 +358,7 @@ class HullResult:
     denom: int
     total: tuple[int, ...]
     v: VPolytope
+    point_ids: tuple[int, ...]
     point_vertex: tuple[int | None, ...]
     facet_points: tuple[int, ...]
 
@@ -463,8 +464,8 @@ def convex_hull(points: Sequence[Sequence[Fraction]]) -> HullResult:
         else:
             unique_vertex.append(None)
     hull_v = VPolytope(tuple(vertices), tuple(incidence), d)
-    point_vertex = tuple(unique_vertex[u] for u in point_unique)
-    return HullResult(planes, offsets, denom, tuple(total), hull_v, point_vertex, tuple(facet_points))
+    return HullResult(planes, offsets, denom, tuple(total), hull_v, tuple(point_unique),
+                      tuple(unique_vertex[u] for u in point_unique), tuple(facet_points))
 
 
 def v_to_h(points: Sequence[Sequence[Fraction]]) -> HPolytope:

@@ -44,13 +44,6 @@ class PreservationReport:
     details: str
 
 
-def _intern(values: Sequence[Point]) -> list[int]:
-    """An integer id per value, in order of first appearance; equal values
-    get equal ids."""
-    ids: dict[Point, int] = {}
-    return [ids.setdefault(value, len(ids)) for value in values]
-
-
 def _projected_hull(
     images: list[Point], product: tuple[int, int] | None
 ) -> tuple[HullResult, FaceLattice]:
@@ -81,7 +74,8 @@ class Certificate:
         # Each row's deleted normal coordinates, and their integer id as the
         # bit 1 << id, equal for equal vectors: a memo hit hashes no Fraction.
         self._drop_vectors: list[Point] = [tuple(row[: self.dim]) for row in ph.A.entries]
-        self._drop_bits = [1 << i for i in _intern(self._drop_vectors)]
+        ids: dict[Point, int] = {}
+        self._drop_bits = [1 << ids.setdefault(v, len(ids)) for v in self._drop_vectors]
         # Verdict per distinct set of vectors, keyed by the bitmask of their ids.
         self._spans: dict[int, bool] = {}
 
@@ -97,14 +91,15 @@ class Certificate:
 class ProjectionChecker:
     """Shared state for checking many faces of one projection.
 
-    Computes the projected hull, which also reports the vertex
-    correspondence and which projected vertices lie on each of its facets,
-    and the hull's face lattice.  When ``product`` is (n, r) and ``pv``
-    lists the vertices of a product of r n-gons in code order, both come
-    from ``local_hull``, which reads the lattice from the facets it
-    certified; without it, or when its certificate fails, the hull comes
-    from ``convex_hull`` and the lattice from ``face_lattice``'s scan of
-    the hull's incidences.  No rank is computed per face: the caller
+    Computes the projected hull Q and its face lattice, and reads Q in
+    place from ``hull``: which images are vertices of Q (``point_vertex``),
+    which are equal (``point_ids``) and which lie on each facet
+    (``facet_points``).  When ``product`` is (n, r) and ``pv`` lists the
+    vertices of a product of r n-gons in code order, both come from
+    ``local_hull``, which reads the lattice from the facets it certified;
+    without it, or when its certificate fails, the hull comes from
+    ``convex_hull`` and the lattice from ``face_lattice``'s scan of the
+    hull's incidences.  No rank is computed per face: the caller
     knows the face's dimension from its kind, and once the image is a face
     of the projection its dimension is read from that lattice.  The face
     checks are set arithmetic plus one call to ``certificate``.  A face's
@@ -116,27 +111,21 @@ class ProjectionChecker:
         self.images: list[Point] = project(pv)
         self.certificate = Certificate(ph)
         self.hull, self.q_lattice = _projected_hull(self.images, product)
-        self.qv: VPolytope = self.hull.v
-        # P-vertex index -> Q-vertex index (None when the image is not
-        # a vertex of Q).
-        self.vertex_map = self.hull.point_vertex
-        self.all_p_mask = (1 << pv.nvertices) - 1
-        # Vertex images as ids, equal for equal images, so no face hashes a Fraction.
-        self._image_ids = _intern(self.images)
 
     def vertex_bijection_ok(self) -> bool:
         """Every vertex image is a vertex of Q, distinctly, and Q has no
         other vertices.  Every vertex of Q is an image, so when all images
         are vertices, Q has one vertex per distinct image."""
-        return None not in self.vertex_map and self.qv.nvertices == self.pv.nvertices
+        return None not in self.hull.point_vertex and self.hull.v.nvertices == self.pv.nvertices
 
     def check_face(self, face: ProductFace, dim: int) -> PreservationReport:
         """Check one face of the source polytope, of dimension ``dim``."""
         vertices = sorted(set(face.vertices))
         face_mask = mask_of(vertices)
+        hull = self.hull
 
         # (i) the image is a face of Q.
-        qbits = [self.vertex_map[i] for i in vertices]
+        qbits = [hull.point_vertex[i] for i in vertices]
         missing = None in qbits
         qmask = 0 if missing else mask_of(qbits)
         is_face = not missing and qmask in self.q_lattice
@@ -145,7 +134,7 @@ class ProjectionChecker:
         # dimension.  When (i) holds the images are the vertices of the
         # face qmask, so its grade is their affine dimension.
         problems: list[str] = []
-        injective = len({self._image_ids[i] for i in vertices}) == len(vertices)
+        injective = len({hull.point_ids[i] for i in vertices}) == len(vertices)
         if not injective:
             problems.append("(ii) projection is not injective on the face's vertices")
         elif is_face and self.q_lattice.dim_of(qmask) != dim:
@@ -160,9 +149,9 @@ class ProjectionChecker:
         # (iii) the preimage of the image is the face itself.
         preimage_ok = False
         if is_face:
-            preimage = self.all_p_mask
-            for row in _bits(_common_rows(self.qv.incidence, qbits)):
-                preimage &= self.hull.facet_points[row]
+            preimage = (1 << self.pv.nvertices) - 1
+            for row in _bits(_common_rows(hull.v.incidence, qbits)):
+                preimage &= hull.facet_points[row]
             preimage_ok = preimage == face_mask
             if not preimage_ok:
                 extra = preimage & ~face_mask

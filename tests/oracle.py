@@ -465,6 +465,7 @@ def convex_hull_oracle(points):
         denom,
         tuple(int(sum(col) * scale) for col in zip(*unique)),
         VPolytope(tuple(vertices), tuple(incidence), d),
+        tuple(index[p] for p in pts),
         tuple(unique_vertex[index[p]] for p in pts),
         facet_points,
     )

@@ -525,6 +525,37 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys, argv):
     assert not (tmp_path / "ok.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "4", "--r", "2", "-o", "{tmp}/same.out", "--ine", "{tmp}/same.out"],
+    ["construct", "--n", "4", "--r", "2", "-o", "{tmp}/new.json", "--ine", "{tmp}/sub/../new.json"],
+    ["construct", "--n", "4", "--r", "2", "-o", "{tmp}/hard.json", "--ine", "{system}"],
+    ["verify", "{system}", "--report", "{system}"],
+    ["verify", "{system}", "--report", "{tmp}/link.json"],
+    ["analyze", "{system}", "--report", "{system}"],
+    ["analyze", "{system}", "--report", "{tmp}/hard.json"],
+    ["export", "{system}", "--format", "ine", "-o", "{system}"],
+    ["export", "{system}", "--format", "json", "-o", "{tmp}/sub/../link.json"],
+], ids=["construct", "construct-dotdot", "construct-hard-link", "verify", "verify-symlink",
+        "analyze", "analyze-hard-link", "export-ine", "export-symlink"])
+def test_a_command_refuses_to_write_over_its_own_files(tmp_path, capsys, monkeypatch, argv):
+    system = tmp_path / "p42.json"
+    assert main(["construct", "--n", "4", "--r", "2", "-o", str(system)]) == 0
+    (tmp_path / "link.json").symlink_to(system)
+    (tmp_path / "hard.json").hardlink_to(system)
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    before, files = system.read_bytes(), set(tmp_path.rglob("*"))
+    for name in ("construct_system", "verify_system", "analyze_system"):
+        monkeypatch.setattr(pipeline, name, None)  # refused before any is called
+    code, stdout, stderr = run(capsys, *(a.format(system=system, tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: cannot write ") and "is the same file as" in stderr
+    assert stderr.count("\n") == 1
+    assert system.read_bytes() == before
+    assert set(tmp_path.rglob("*")) == files
+
+
 def test_construct_ine_failure_keeps_existing_output(tmp_path, capsys):
     out = tmp_path / "ok.json"
     out.write_text("before")

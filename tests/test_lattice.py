@@ -164,7 +164,7 @@ def test_grading_from_incidences_is_affine_rank(n, r, grid_case):
     # the incidences alone grade the lattice; coordinates must agree
     system = grid_case(n, r).system
     for v, lat in ((system.vertices, face_lattice(system.vertices)),
-                   (system.checker.qv, system.checker.q_lattice)):
+                   (system.checker.hull.v, system.checker.q_lattice)):
         for mask, dim in lattice_faces(lat).items():
             assert dim == affine_rank_oracle([v.vertices[i] for i in _bits(mask)])
 
@@ -192,7 +192,7 @@ def _oracle_case(name):
         n, r = map(int, name[1:].split("x"))
         system = run_case(n, r).system
         if name[0] == "Q":
-            return system.checker.qv, system.checker.q_lattice
+            return system.checker.hull.v, system.checker.q_lattice
         return system.vertices, face_lattice(system.vertices)
     v = {"24-cell": _cell24_vertices, "simplex": _simplex4_vertices, "3-cube": _cube3_vertices}[name]()
     return v, face_lattice(v)

@@ -52,6 +52,7 @@ def _dd_hull(name):
 def assert_same_hull(got, want):
     """Equal HullResults up to a relabeling of the facets."""
     assert got.v.vertices == want.v.vertices
+    assert got.point_ids == want.point_ids
     assert got.point_vertex == want.point_vertex
     rows = {(row, b): j for j, (row, b) in enumerate(zip(want.h.A.entries, want.h.b))}
     relabel = [rows[row, b] for row, b in zip(got.h.A.entries, got.h.b)]

@@ -198,7 +198,7 @@ def test_counting_identities_rejects_wrong_polygons(grid_case):
 
 def _polygon_masks(system):
     """The polygon images as Q-vertex masks, as ``analyze_system`` builds them."""
-    vertex_map = system.checker.vertex_map
+    vertex_map = system.checker.hull.point_vertex
     return [sum(1 << vertex_map[i] for i in face.vertices)
             for face in product_polygons(*system.require_nr())]
 

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction as QQ
 from functools import cache, reduce
@@ -249,7 +250,7 @@ def test_face_dimensions_agree_with_affine_rank_oracle(n, r, grid_case):
     for dim in (0, 1, 2):
         for face in _faces(system, dim):
             assert affine_rank_oracle([system.product.vertices[i] for i in face.vertices]) == dim
-            qmask = mask_of(checker.vertex_map[i] for i in face.vertices)
+            qmask = mask_of(checker.hull.point_vertex[i] for i in face.vertices)
             images = [checker.images[i] for i in face.vertices]
             assert affine_rank_oracle(images) == checker.q_lattice.dim_of(qmask)
 
@@ -540,7 +541,7 @@ def _full_checks(monkeypatch):
 
 
 def _image_masks(system, faces):
-    return Counter(mask_of(system.checker.vertex_map[i] for i in face.vertices) for face in faces)
+    return Counter(mask_of(system.checker.hull.point_vertex[i] for i in face.vertices) for face in faces)
 
 
 @pytest.mark.parametrize("n,r,polygons", [(4, 4, 256), (6, 3, 108), (4, 5, 1280)])
@@ -605,13 +606,14 @@ def test_a_none_polygon_passes_nothing_down(monkeypatch, grid_case):
 
 
 def test_a_direct_failure_passes_nothing_down(grid_case):
-    # Vertex 0's image is taken out of Q's vertex map, so every polygon
-    # through it fails (i) while its certificate still spans.  The edges
-    # through it, and it, checked after the polygons, must fail (i) too.
+    # Vertex 0's image is taken out of the hull's ``point_vertex``, so
+    # every polygon through it fails (i) while its certificate still
+    # spans.  The edges through it, and it, checked after the polygons,
+    # must fail (i) too.
     system = grid_case(4, 3).system
     checker = ProjectionChecker(system.h, system.product, system.require_nr())
-    checker.vertex_map = list(checker.vertex_map)
-    checker.vertex_map[0] = None
+    hull = checker.hull
+    checker.hull = dataclasses.replace(hull, point_vertex=(None,) + hull.point_vertex[1:])
     for polygon in product_polygons(*system.require_nr()):
         checker.check_face(polygon, 2)
     through = [(dim, face) for dim in (1, 0) for face in _faces(system, dim) if 0 in face.vertices]
@@ -627,10 +629,7 @@ def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
     checker = system.checker
     faces = [(dim, face) for dim in (2, 1, 0) for face in _faces(system, dim)]
     expected = [checker.check_face(face, dim) for dim, face in faces]
-    # A fresh checker given every certificate verdict the first one
-    # computed: each face hits the memo.
-    fresh = ProjectionChecker(system.h, system.product, system.require_nr())
-    fresh.certificate._spans = dict(checker.certificate._spans)
+    product, nr = system.product, system.require_nr()
     hashes = []
     original = QQ.__hash__
 
@@ -639,5 +638,13 @@ def test_check_face_hashes_no_fraction_on_a_memo_hit(grid_case, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(QQ, "__hash__", counting)
+    # Building a checker hashes only what the certificate interns, each
+    # row's deleted coordinates: the hull says which images are equal.
+    fresh = ProjectionChecker(system.h, product, nr)
+    assert 0 < len(hashes) <= system.h.nrows * (system.h.dim - 4) == 24
+    # Given every certificate verdict the first checker computed, each
+    # face hits the memo.
+    fresh.certificate._spans = dict(checker.certificate._spans)
+    hashes.clear()
     assert [fresh.check_face(face, dim) for dim, face in faces] == expected
     assert hashes == []
